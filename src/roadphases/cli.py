@@ -75,13 +75,6 @@ class RunConfig:
         return parse_topology_text(self.topology)
 
 
-def _parse_tuple(text: str, cast):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(cast(part.strip()) for part in text.split(","))
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -89,6 +82,43 @@ def _parse_bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"not a boolean: {text!r}")
+
+
+def _tuple_of(cast):
+    """Parser of a comma-separated list; an empty value gives ()."""
+    def parse(text: str) -> tuple:
+        text = text.strip()
+        return tuple(cast(p.strip()) for p in text.split(",")) if text else ()
+    return parse
+
+
+# The INI schema: (RunConfig field, section, key, parse).  parse_config and
+# serialize_config both walk this table; [topology] is handled apart.
+_FIELDS = (
+    ("mode", "run", "mode", str.strip),
+    ("policy", "run", "policy", str.strip),
+    ("horizon", "run", "horizon", int),
+    ("burn_in", "run", "burn_in", int),
+    ("seeds", "run", "seeds", _tuple_of(int)),
+    ("cycle", "policy", "cycle", int),
+    ("green_first", "policy", "green_first", int),
+    ("offset", "policy", "offset", int),
+    ("q_scale", "policy", "q_scale", float),
+    ("r_scale", "policy", "r_scale", float),
+    ("occupancy_values", "occupancy", "explicit", _tuple_of(float)),
+    ("occupancy_count", "occupancy", "count", int),
+    ("occupancy_density", "occupancy", "density", float),
+    ("densities", "diagram", "densities", str.strip),
+    ("eps", "diagram", "eps", float),
+    ("per_road", "diagram", "per_road", _parse_bool),
+    ("r_list", "diagram", "r_list", _tuple_of(float)),
+    ("r_size", "diagram", "r_size", int),
+    ("policy_list", "diagram", "policy_list", _tuple_of(str.strip)),
+    ("response_density", "response", "density", float),
+    ("response_horizon", "response", "horizon", int),
+    ("response_band_fraction", "response", "band_fraction", float),
+    ("response_policies", "response", "policies", _tuple_of(str.strip)),
+)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -105,60 +135,18 @@ def parse_config(text: str) -> RunConfig:
         parse_topology_text(cfg.topology)
     except ValueError as exc:
         raise ConfigError(f"bad [topology] section: {exc}") from exc
-
-    def grab(section, key, cast, current):
-        if cp.has_option(section, key):
-            raw = cp.get(section, key)
-            try:
-                return cast(raw)
-            except ConfigError:
-                raise
-            except Exception as exc:
-                raise ConfigError(
-                    f"bad value for [{section}] {key}: {raw!r}") from exc
-        return current
-
     updates = {}
-    updates["mode"] = grab("run", "mode", str.strip, cfg.mode)
-    updates["policy"] = grab("run", "policy", str.strip, cfg.policy)
-    updates["horizon"] = grab("run", "horizon", int, cfg.horizon)
-    updates["burn_in"] = grab("run", "burn_in", int, cfg.burn_in)
-    updates["seeds"] = grab("run", "seeds",
-                            lambda s: _parse_tuple(s, int), cfg.seeds)
-    updates["cycle"] = grab("policy", "cycle", int, cfg.cycle)
-    updates["green_first"] = grab("policy", "green_first", int,
-                                  cfg.green_first)
-    updates["offset"] = grab("policy", "offset", int, cfg.offset)
-    updates["q_scale"] = grab("policy", "q_scale", float, cfg.q_scale)
-    updates["r_scale"] = grab("policy", "r_scale", float, cfg.r_scale)
-    updates["occupancy_values"] = grab(
-        "occupancy", "explicit", lambda s: _parse_tuple(s, float),
-        cfg.occupancy_values)
-    updates["occupancy_count"] = grab("occupancy", "count", int,
-                                      cfg.occupancy_count)
-    updates["occupancy_density"] = grab("occupancy", "density", float,
-                                        cfg.occupancy_density)
-    updates["densities"] = grab("diagram", "densities", str.strip,
-                                cfg.densities)
-    updates["eps"] = grab("diagram", "eps", float, cfg.eps)
-    updates["per_road"] = grab("diagram", "per_road", _parse_bool,
-                               cfg.per_road)
-    updates["r_list"] = grab("diagram", "r_list",
-                             lambda s: _parse_tuple(s, float), cfg.r_list)
-    updates["r_size"] = grab("diagram", "r_size", int, cfg.r_size)
-    updates["policy_list"] = grab(
-        "diagram", "policy_list", lambda s: _parse_tuple(s, str.strip),
-        cfg.policy_list)
-    updates["response_density"] = grab("response", "density", float,
-                                       cfg.response_density)
-    updates["response_horizon"] = grab("response", "horizon", int,
-                                       cfg.response_horizon)
-    updates["response_band_fraction"] = grab("response", "band_fraction",
-                                             float,
-                                             cfg.response_band_fraction)
-    updates["response_policies"] = grab(
-        "response", "policies", lambda s: _parse_tuple(s, str.strip),
-        cfg.response_policies)
+    for name, section, key, parse in _FIELDS:
+        if not cp.has_option(section, key):
+            continue
+        raw = cp.get(section, key)
+        try:
+            updates[name] = parse(raw)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad value for [{section}] {key}: {raw!r}") from exc
     cfg = replace(cfg, **updates)
     if cfg.mode not in (CONTINUOUS, DISCRETE):
         raise ConfigError(f"unknown mode {cfg.mode!r}")
@@ -168,49 +156,30 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _format_value(value) -> str:
+    """INI text of a config value; repr keeps floats exact."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(_format_value(v) for v in value)
+    if isinstance(value, str):
+        return value
+    return repr(value)
+
+
 def serialize_config(cfg: RunConfig) -> str:
     cp = configparser.ConfigParser()
     cp.add_section("topology")
     for line in cfg.topology.strip().splitlines():
         key, val = (s.strip() for s in line.split("=", 1))
         cp.set("topology", key, val)
-    cp.add_section("run")
-    cp.set("run", "mode", cfg.mode)
-    cp.set("run", "policy", cfg.policy)
-    if cfg.horizon is not None:
-        cp.set("run", "horizon", str(cfg.horizon))
-    if cfg.burn_in is not None:
-        cp.set("run", "burn_in", str(cfg.burn_in))
-    cp.set("run", "seeds", ",".join(map(str, cfg.seeds)))
-    cp.add_section("policy")
-    cp.set("policy", "cycle", str(cfg.cycle))
-    cp.set("policy", "green_first", str(cfg.green_first))
-    cp.set("policy", "offset", str(cfg.offset))
-    cp.set("policy", "q_scale", repr(cfg.q_scale))
-    cp.set("policy", "r_scale", repr(cfg.r_scale))
-    cp.add_section("occupancy")
-    if cfg.occupancy_values is not None:
-        cp.set("occupancy", "explicit",
-               ",".join(format(v, "g") for v in cfg.occupancy_values))
-    if cfg.occupancy_count is not None:
-        cp.set("occupancy", "count", str(cfg.occupancy_count))
-    if cfg.occupancy_density is not None:
-        cp.set("occupancy", "density", repr(cfg.occupancy_density))
-    cp.add_section("diagram")
-    cp.set("diagram", "densities", cfg.densities)
-    cp.set("diagram", "eps", repr(cfg.eps))
-    cp.set("diagram", "per_road", str(cfg.per_road).lower())
-    if cfg.r_list:
-        cp.set("diagram", "r_list", ",".join(repr(v) for v in cfg.r_list))
-    cp.set("diagram", "r_size", str(cfg.r_size))
-    if cfg.policy_list:
-        cp.set("diagram", "policy_list", ",".join(cfg.policy_list))
-    cp.add_section("response")
-    cp.set("response", "density", repr(cfg.response_density))
-    if cfg.response_horizon is not None:
-        cp.set("response", "horizon", str(cfg.response_horizon))
-    cp.set("response", "band_fraction", repr(cfg.response_band_fraction))
-    cp.set("response", "policies", ",".join(cfg.response_policies))
+    for name, section, key, _parse in _FIELDS:
+        value = getattr(cfg, name)
+        if value is None:
+            continue
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, _format_value(value))
     out = io.StringIO()
     cp.write(out)
     return out.getvalue()
@@ -219,13 +188,13 @@ def serialize_config(cfg: RunConfig) -> str:
 def parse_density_grid(spec: str, t: NetworkTopology) -> list[float]:
     """Grid forms: linspace(a,b,n) | counts(lo,hi) | comma list."""
     spec = spec.strip()
-    m = re.fullmatch(r"linspace\(([^,]+),([^,]+),(\d+)\)", spec)
+    m = re.fullmatch(r"linspace\(([^,]+),([^,]+),\s*(\d+)\s*\)", spec)
     if m:
         lo, hi, num = float(m.group(1)), float(m.group(2)), int(m.group(3))
         if num < 1:
             raise ConfigError("linspace needs at least one point")
         return [float(v) for v in np.linspace(lo, hi, num)]
-    m = re.fullmatch(r"counts\((\d+),(\d+)\)", spec)
+    m = re.fullmatch(r"counts\(\s*(\d+)\s*,\s*(\d+)\s*\)", spec)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         if not 0 <= lo <= hi <= t.counting_size:
@@ -311,7 +280,6 @@ def _series_for_diagram(cfg: RunConfig):
 
 def cmd_diagram(cfg: RunConfig, out_dir: Path, strict: bool = False,
                 plot: bool = False) -> int:
-    rows_csv: list[str] = []
     series_data = []
     all_converged = True
     for label, t, policy_name in _series_for_diagram(cfg):
@@ -326,15 +294,13 @@ def cmd_diagram(cfg: RunConfig, out_dir: Path, strict: bool = False,
         seg = metrics.classify_phases_empirical(diagram, cfg.eps)
         series_data.append((label, diagram, seg))
         all_converged &= all(p.converged for p in diagram.points)
-    csv_path = out_dir / "diagram.csv"
-    _write_multi_diagram_csv(series_data, csv_path)
-    dat_path = out_dir / "diagram.dat"
-    dat_path.write_text(plot_data_text(series_data))
+    metrics.write_diagram_csv([(d, seg) for _, d, seg in series_data],
+                              out_dir / "diagram.csv")
+    (out_dir / "diagram.dat").write_text(plot_data_text(series_data))
     written = ["diagram.csv", "diagram.dat"]
     if cfg.per_road:
-        for label, diagram, _ in series_data:
-            road_path = out_dir / "diagram_roads.csv"
-            metrics.write_road_csv(diagram, road_path)
+        metrics.write_road_csv([d for _, d, _ in series_data],
+                               out_dir / "diagram_roads.csv")
         written.append("diagram_roads.csv")
     if plot:
         if _render_svg(series_data, out_dir / "diagram.svg"):
@@ -345,19 +311,6 @@ def cmd_diagram(cfg: RunConfig, out_dir: Path, strict: bool = False,
         if strict:
             return 3
     return 0
-
-
-def _write_multi_diagram_csv(series_data, path: Path) -> None:
-    import csv as _csv
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["topology_id", "policy", "r", "density", "flow",
-                    "phase", "converged", "seed_count"])
-        for _label, diagram, seg in series_data:
-            for p, lab in zip(diagram.points, seg.labels):
-                w.writerow([diagram.topology_id, diagram.policy_id,
-                            repr(diagram.r), repr(p.density), repr(p.flow),
-                            str(lab), int(p.converged), p.seed_count])
 
 
 def plot_data_text(series_data) -> str:

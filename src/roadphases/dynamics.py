@@ -28,6 +28,7 @@ entry counter may grow only under a green light.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,6 @@ class StepKernel:
     """Precomputed index arrays for one synchronous update of a topology."""
 
     def __init__(self, t: NetworkTopology):
-        self.topology = t
         interior: list[int] = []
         interior_prev: list[int] = []
         rc: list[int] = []
@@ -149,14 +149,16 @@ class StepKernel:
         return y
 
 
-_KERNELS: dict[int, StepKernel] = {}
+# Topologies hash by identity; a kernel holds no reference to its topology,
+# so an entry goes away with the topology it was built for.
+_KERNELS: weakref.WeakKeyDictionary[NetworkTopology, StepKernel] = (
+    weakref.WeakKeyDictionary())
 
 
 def kernel_for(t: NetworkTopology) -> StepKernel:
-    k = _KERNELS.get(id(t))
-    if k is None or k.topology is not t:
-        k = StepKernel(t)
-        _KERNELS[id(t)] = k
+    k = _KERNELS.get(t)
+    if k is None:
+        k = _KERNELS[t] = StepKernel(t)
     return k
 
 
@@ -166,7 +168,7 @@ def check_occupancy(t: NetworkTopology, a: np.ndarray) -> np.ndarray:
     if a.shape != (t.n_slots,):
         raise ValueError(f"occupancy must have {t.n_slots} entries, "
                          f"got shape {a.shape}")
-    if np.any(a < 0) or np.any(a > 1):
+    if not np.all((a >= 0) & (a <= 1)):
         raise ValueError("occupancies must lie in [0, 1]")
     for j in t.junctions:
         if a[j.slot_a] + a[j.slot_b] > j.capacity:

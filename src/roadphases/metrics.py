@@ -120,8 +120,9 @@ def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int,
     if per_road:
         deltas = (sim.x - x_burn).astype(float)
         sums = np.add.reduceat(deltas, kern.road_bounds)[::2]
-        road_flow = tuple(sums / kern.road_lengths / window)
-        road_density = tuple(road_cells_acc / window / kern.road_lengths)
+        road_flow = tuple((sums / kern.road_lengths / window).tolist())
+        road_density = tuple(
+            (road_cells_acc / window / kern.road_lengths).tolist())
     return flow, converged, road_flow, road_density
 
 
@@ -176,6 +177,7 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
     """
     horizon = default_horizon(t) if horizon is None else horizon
     burn_in = horizon // 2 if burn_in is None else burn_in
+    seeds = tuple(seeds)
     is_factory = callable(policy) and not hasattr(policy, "greens")
     diagram = FundamentalDiagram(
         topology_id=t.topology_id, r=float(ratio_r(t)),
@@ -200,7 +202,7 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
             density=count / t.counting_size,
             flow=statistics.median(flows),
             converged=all(flags),
-            seed_count=len(list(seeds)),
+            seed_count=len(seeds),
             seed_flows=tuple(flows),
             road_flow=tuple(statistics.median(col) for col in zip(*rf))
             if per_road else None,
@@ -316,30 +318,35 @@ def run_response_trace(t: NetworkTopology, a, policy,
     return ResponseTrace(policy_id=_policy_id(policy), distances=distances)
 
 
-def write_diagram_csv(diagram: FundamentalDiagram, seg: Segmentation,
-                      path) -> None:
+def write_diagram_csv(
+        series: list[tuple[FundamentalDiagram, Segmentation]], path) -> None:
+    """One row per point of each (diagram, segmentation) series."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["topology_id", "policy", "r", "density", "flow",
                     "phase", "converged", "seed_count"])
-        for p, label in zip(diagram.points, seg.labels):
-            w.writerow([diagram.topology_id, diagram.policy_id,
-                        repr(diagram.r), repr(p.density), repr(p.flow),
-                        str(label), int(p.converged), p.seed_count])
+        for diagram, seg in series:
+            for p, label in zip(diagram.points, seg.labels):
+                w.writerow([diagram.topology_id, diagram.policy_id,
+                            repr(diagram.r), repr(p.density), repr(p.flow),
+                            str(label), int(p.converged), p.seed_count])
 
 
-def write_road_csv(diagram: FundamentalDiagram, path) -> None:
+def write_road_csv(diagrams: list[FundamentalDiagram], path) -> None:
+    """Per-road density and flow, one block of rows per diagram."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["topology_id", "policy", "r", "density", "flow",
                     "road_id", "road_density", "road_flow"])
-        for p in diagram.points:
-            if p.road_flow is None:
-                continue
-            for rid, (rd, rf) in enumerate(zip(p.road_density, p.road_flow)):
-                w.writerow([diagram.topology_id, diagram.policy_id,
-                            repr(diagram.r), repr(p.density), repr(p.flow),
-                            rid, repr(rd), repr(rf)])
+        for diagram in diagrams:
+            for p in diagram.points:
+                if p.road_flow is None:
+                    continue
+                for rid, (rd, rf) in enumerate(zip(p.road_density,
+                                                   p.road_flow)):
+                    w.writerow([diagram.topology_id, diagram.policy_id,
+                                repr(diagram.r), repr(p.density),
+                                repr(p.flow), rid, repr(rd), repr(rf)])
 
 
 def write_response_csv(trace: ResponseTrace, path) -> None:

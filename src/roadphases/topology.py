@@ -67,11 +67,6 @@ class JunctionSpec:
     slot_a: int           # slot index
     slot_b: int           # slot index
     capacity: int = 1
-    turning_proportion: Fraction = Fraction(1, 2)
-
-    @property
-    def out_roads(self) -> tuple[int, int]:
-        return (self.out_ceil, self.out_floor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,17 +85,8 @@ class NetworkTopology:
         inner = ",".join(f"{k}={v}" for k, v in self.params.items())
         return f"{self.family}({inner})"
 
-    def road(self, road_id: int) -> RoadSegment:
-        return self.roads[road_id]
-
     def road_cell_count(self) -> int:
         return sum(r.length_cells for r in self.roads)
-
-    def junction_of_slot(self, slot: int) -> JunctionSpec | None:
-        for j in self.junctions:
-            if slot in (j.slot_a, j.slot_b):
-                return j
-        return None
 
     def counting_positions(self) -> list[tuple[str, int]]:
         """Positions in canonical order: ("cell", slot) or ("junction", id).

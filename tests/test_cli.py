@@ -1,5 +1,8 @@
 """Config round-trips, subcommand outputs, table dumps, exit codes."""
 
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,14 +77,20 @@ class TestConfig:
         cfg = RunConfig(
             topology="family = torus_city\nrows = 2\ncols = 4\n"
                      "segment_len = 3\ncapacity = 1\n",
-            mode="discrete", policy="open_loop", horizon=100, burn_in=50,
-            seeds=(0, 5), cycle=4, green_first=2, offset=1, q_scale=2.0,
-            r_scale=5.0, occupancy_density=0.3,
+            mode="continuous", policy="open_loop", horizon=100, burn_in=50,
+            seeds=(0, 5), cycle=6, green_first=3, offset=1, q_scale=2.0,
+            r_scale=5.0, occupancy_values=(1 / 3, 0.0, 1.0, 0.1),
+            occupancy_count=7, occupancy_density=0.3,
             densities="counts(0,10)", eps=0.01, per_road=True,
             r_list=(0.25, 0.75), r_size=40,
+            policy_list=("local_feedback", "global_feedback"),
             response_density=0.2, response_horizon=500,
             response_band_fraction=0.2,
             response_policies=("open_loop", "local_feedback"))
+        defaults = RunConfig(topology=cfg.topology)
+        at_default = [f.name for f in dataclasses.fields(RunConfig)
+                      if getattr(cfg, f.name) == getattr(defaults, f.name)]
+        assert at_default == ["topology"]
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_rejects_bad_values(self):
@@ -97,7 +106,10 @@ class TestConfig:
     def test_density_grid_forms(self):
         t = build_figure_eight(5, 5)
         assert parse_density_grid("linspace(0,1,3)", t) == [0.0, 0.5, 1.0]
+        assert parse_density_grid("linspace(0, 1, 5)", t) == \
+            [0.0, 0.25, 0.5, 0.75, 1.0]
         assert parse_density_grid("counts(0,2)", t) == [0, 1 / 9, 2 / 9]
+        assert parse_density_grid("counts( 0 , 2 )", t) == [0, 1 / 9, 2 / 9]
         assert parse_density_grid("0.1, 0.4", t) == [0.1, 0.4]
         with pytest.raises(ConfigError):
             parse_density_grid("counts(0,99)", t)
@@ -185,7 +197,6 @@ class TestDiagramCommand:
         assert run_cli(["diagram", "--config", str(cfg_path)], tmp_path) == 0
         diagram = read_diagram_csv(tmp_path / "diagram.csv")
         seg = classify_phases_empirical(diagram)
-        import csv
         with open(tmp_path / "diagram.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["phase"] for row in rows] == [str(l) for l in seg.labels]
@@ -207,10 +218,19 @@ seeds = 0
 [diagram]
 densities = 0.1,0.5
 policy_list = priority,open_loop,local_feedback,global_feedback
+per_road = true
 """)
         assert run_cli(["diagram", "--config", str(cfg_path)], tmp_path) == 0
         text = (tmp_path / "diagram.dat").read_text()
         assert text.count("# series:") == 4
+        with open(tmp_path / "diagram_roads.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for name in ("priority", "open_loop", "local_feedback",
+                     "global_feedback"):
+            assert sum(row["policy"] == name for row in rows) == 2 * 8
+        for row in rows:
+            for key in ("r", "density", "flow", "road_density", "road_flow"):
+                float(row[key])
 
     def test_single_density_grid(self, tmp_path):
         cfg_path = tmp_path / "one.cfg"

@@ -1,5 +1,8 @@
 """Counter dynamics: frozen-table reproduction, reference oracle, invariants."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -200,6 +203,8 @@ class TestInitOccupancy:
             init_occupancy(fig8_55, values=bad)
         with pytest.raises(ValueError):
             init_occupancy(fig8_55, values=[2] + A55[1:])
+        with pytest.raises(ValueError):
+            init_occupancy(fig8_55, values=[np.nan] + A55[1:])
 
 
 class TestInvariants:
@@ -302,6 +307,17 @@ class TestStepValidation:
         state = CounterState(0, np.full(10, 0.5), DISCRETE)
         with pytest.raises(ValueError):
             step(state, A55, fig8_55)
+
+
+class TestKernelCache:
+    def test_topology_collected_after_simulation(self):
+        t = build_figure_eight(5, 5)
+        ref = weakref.ref(t)
+        sim = Simulation(t, A55, DISCRETE)
+        sim.advance(3)
+        del sim, t
+        gc.collect()
+        assert ref() is None
 
 
 class TestDumps:

@@ -140,6 +140,13 @@ class TestSweep:
         assert p.flow == sorted(p.seed_flows)[1]
         assert diag.topology_id.startswith("figure_eight")
 
+    def test_seeds_may_be_a_generator(self):
+        t = build_figure_eight(12, 6)
+        kwargs = dict(densities=[0.2, 0.4], horizon=200)
+        once = sweep_diagram(t, seeds=(s for s in (0, 1)), **kwargs)
+        assert once.points == sweep_diagram(t, seeds=(0, 1), **kwargs).points
+        assert [p.seed_count for p in once.points] == [2, 2]
+
     def test_per_road_outputs_satisfy_relation(self):
         t = build_figure_eight(45, 15)
         diag = sweep_diagram(t, [0.2, 0.45, 0.7], seeds=(0,),
@@ -264,7 +271,7 @@ class TestCsvRoundTrips:
         diag = sweep_diagram(t, [0.1, 0.5], seeds=(0,), horizon=200)
         seg = classify_phases_empirical(diag)
         path = tmp_path / "diag.csv"
-        write_diagram_csv(diag, seg, path)
+        write_diagram_csv([(diag, seg)], path)
         again = read_diagram_csv(path)
         assert again.topology_id == diag.topology_id
         assert again.densities == diag.densities
@@ -275,7 +282,7 @@ class TestCsvRoundTrips:
         out = []
         for name in ("a.csv", "b.csv"):
             diag = sweep_diagram(t, [0.2, 0.4], seeds=(0, 1), horizon=400)
-            write_diagram_csv(diag, classify_phases_empirical(diag),
+            write_diagram_csv([(diag, classify_phases_empirical(diag))],
                               tmp_path / name)
             out.append((tmp_path / name).read_bytes())
         assert out[0] == out[1]
@@ -283,7 +290,7 @@ class TestCsvRoundTrips:
     def test_road_and_response_csv(self, tmp_path):
         t = build_figure_eight(8, 8)
         diag = sweep_diagram(t, [0.3], seeds=(0,), horizon=300, per_road=True)
-        write_road_csv(diag, tmp_path / "roads.csv")
+        write_road_csv([diag], tmp_path / "roads.csv")
         lines = (tmp_path / "roads.csv").read_text().splitlines()
         assert lines[0] == ("topology_id,policy,r,density,flow,"
                             "road_id,road_density,road_flow")
