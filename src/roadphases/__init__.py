@@ -28,6 +28,7 @@ from .control import (
     build_lq_model,
     global_feedback_timing,
     local_feedback_green,
+    nominal_point,
     open_loop_green,
     solve_lqr,
 )

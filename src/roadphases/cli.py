@@ -206,9 +206,12 @@ def parse_density_grid(spec: str, t: NetworkTopology) -> list[float]:
         raise ConfigError(f"bad density grid: {spec!r}") from exc
 
 
-def make_policy(name: str, cfg: RunConfig, t: NetworkTopology,
-                d: float | None = None):
-    """Instantiate a gate policy; global feedback linearizes at density d."""
+def make_policy(name: str, cfg: RunConfig, t: NetworkTopology, d=None):
+    """Instantiate a gate policy; global feedback solves once for network t.
+
+    ``d`` is ignored (global feedback reads each run's own density); it is
+    accepted for callers that still pass an operating density.
+    """
     if name == "priority":
         return None
     if name == "open_loop":
@@ -219,12 +222,10 @@ def make_policy(name: str, cfg: RunConfig, t: NetworkTopology,
     if name == "local_feedback":
         return control.LocalFeedbackPolicy()
     if name == "global_feedback":
-        if d is None:
-            raise ConfigError("global feedback needs an operating density")
-        model = control.build_lq_model(t, d, q_scale=cfg.q_scale,
-                                       r_scale=cfg.r_scale, cycle=cfg.cycle)
-        control.solve_lqr(model)
-        return control.GlobalFeedbackPolicy(model)
+        model = control.build_lq_model(t, q_scale=cfg.q_scale,
+                                       r_scale=cfg.r_scale)
+        return control.GlobalFeedbackPolicy(control.solve_lqr(model),
+                                            cycle=cfg.cycle)
     raise ConfigError(f"unknown policy {name!r}")
 
 
@@ -246,8 +247,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     t = cfg.build_topology()
     a = _initial_occupancy(cfg, t)
     horizon = cfg.horizon if cfg.horizon is not None else 50
-    d = float(np.sum(a)) / t.counting_size
-    policy = make_policy(cfg.policy, cfg, t, d)
+    policy = make_policy(cfg.policy, cfg, t)
     states = simulate(t, a, cfg.mode, horizon, policy)
     (out_dir / "counters.tsv").write_text(counter_lines(states))
     written = ["counters.tsv"]
@@ -284,13 +284,10 @@ def cmd_diagram(cfg: RunConfig, out_dir: Path, strict: bool = False,
     all_converged = True
     for label, t, policy_name in _series_for_diagram(cfg):
         densities = parse_density_grid(cfg.densities, t)
-        policy = (lambda d, _n=policy_name, _t=t: make_policy(_n, cfg, _t, d)) \
-            if policy_name == "global_feedback" else \
-            make_policy(policy_name, cfg, t, densities[len(densities) // 2])
         diagram = metrics.sweep_diagram(
-            t, densities, cfg.mode, policy, seeds=cfg.seeds,
-            horizon=cfg.horizon, burn_in=cfg.burn_in, per_road=cfg.per_road)
-        diagram.policy_id = policy_name
+            t, densities, cfg.mode, make_policy(policy_name, cfg, t),
+            seeds=cfg.seeds, horizon=cfg.horizon, burn_in=cfg.burn_in,
+            per_road=cfg.per_road)
         seg = metrics.classify_phases_empirical(diagram, cfg.eps)
         series_data.append((label, diagram, seg))
         all_converged &= all(p.converged for p in diagram.points)
@@ -382,13 +379,14 @@ def cmd_response(cfg: RunConfig, out_dir: Path) -> int:
     t = cfg.build_topology()
     if cfg.mode != DISCRETE:
         raise ConfigError("response scenarios run in discrete mode")
-    horizon = cfg.response_horizon or 8 * t.counting_size
+    horizon = 8 * t.counting_size if cfg.response_horizon is None \
+        else cfg.response_horizon
     count = round(cfg.response_density * t.counting_size)
     summary = ["policy,seed,response_time,settled,plateau"]
     for name in cfg.response_policies:
+        policy = make_policy(name, cfg, t)
         for seed in cfg.seeds:
             a = metrics.clustered_occupancy(t, count, seed=seed)
-            policy = make_policy(name, cfg, t, cfg.response_density)
             trace = metrics.run_response_trace(t, a, policy, horizon)
             band = cfg.response_band_fraction * trace.distances[0]
             rt, settled = metrics.response_time(trace, band)

@@ -10,11 +10,12 @@ half of each road's outflow to each of its junction's exits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import flow_approx
+from .dynamics import density
 from .topology import NetworkTopology, ratio_r
 
 FLOW_CAP = 0.25  # a capacity-1 junction approach cannot exceed this
@@ -70,28 +71,26 @@ def local_feedback_green(inputs: LocalFeedbackInputs) -> bool:
             >= inputs.n1 * inputs.b2 + inputs.z2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LQModel:
-    """Road-inventory model x+ = x + B(u - ubar) linearized at (xbar, ubar)."""
+    """Road-inventory model x+ = x + B(u - ubar) with weights Q and R.
 
-    topology: NetworkTopology
+    Nothing here depends on density: the nominal point (xbar, ubar) comes
+    from nominal_point, so one solution serves every run on the network.
+    """
+
     B: np.ndarray
     Q: np.ndarray
     R: np.ndarray
-    xbar: np.ndarray
-    ubar: np.ndarray
-    cycle: int = 4
-    gain: np.ndarray | None = None
 
 
-def build_lq_model(t: NetworkTopology, d: float, q_scale: float = 1.0,
-                   r_scale: float = 10.0, cycle: int = 4) -> LQModel:
-    """Interconnection, weights and nominal point for a network at density d.
+def build_lq_model(t: NetworkTopology, q_scale: float = 1.0,
+                   r_scale: float = 10.0) -> LQModel:
+    """Interconnection and weights for a network.
 
     Column i of B sends road i's outflow half-and-half to the two exits of
     its destination junction and removes it from road i, so columns sum to
-    zero (cars are conserved).  Nominal inventories put density d on every
-    road; the nominal flow is the analytic approximation at d.
+    zero (cars are conserved).
     """
     n = len(t.roads)
     B = np.zeros((n, n))
@@ -100,18 +99,16 @@ def build_lq_model(t: NetworkTopology, d: float, q_scale: float = 1.0,
         B[road.id, road.id] -= 1.0
         B[j.out_ceil, road.id] += 0.5
         B[j.out_floor, road.id] += 0.5
+    return LQModel(B=B, Q=q_scale * np.eye(n), R=r_scale * np.eye(n))
+
+
+def nominal_point(t: NetworkTopology,
+                  d: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xbar, ubar) at density d: density d on every road, and the analytic
+    flow approximation at d on every road."""
     lengths = np.array([r.length_cells for r in t.roads], dtype=float)
-    capacity = t.junctions[0].capacity
-    ubar_value = flow_approx(d, ratio_r(t), capacity)
-    return LQModel(
-        topology=t,
-        B=B,
-        Q=q_scale * np.eye(n),
-        R=r_scale * np.eye(n),
-        xbar=d * lengths,
-        ubar=np.full(n, ubar_value),
-        cycle=cycle,
-    )
+    ubar = flow_approx(d, ratio_r(t), t.junctions[0].capacity)
+    return d * lengths, np.full(len(t.roads), ubar)
 
 
 class RiccatiError(RuntimeError):
@@ -182,32 +179,31 @@ def solve_lqr(model: LQModel, tol: float = 1e-10,
     closed = np.eye(P.shape[0]) - B @ gain_sub
     radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
     gain = gain_sub @ V.T if V is not None else gain_sub
-    model.gain = gain
     return LQRSolution(gain=gain, P=P, residual=residual,
                        iterations=iteration, spectral_radius=radius)
 
 
-def global_feedback_timing(model: LQModel, inventories: np.ndarray,
-                           k: int = 0) -> np.ndarray:
+def global_feedback_timing(t: NetworkTopology, gain: np.ndarray,
+                           xbar: np.ndarray, ubar: np.ndarray,
+                           inventories: np.ndarray,
+                           cycle: int = 4) -> np.ndarray:
     """Green slots per cycle for each junction's priority approach.
 
     The LQ control u = ubar - gain (x - xbar) is clipped to [0, 1/4] per
     road and turned into per-cycle green slots proportionally, with at
     least one slot per approach.
     """
-    if model.gain is None:
-        raise ValueError("solve_lqr first")
-    u = model.ubar - model.gain @ (np.asarray(inventories, float) - model.xbar)
+    u = ubar - gain @ (np.asarray(inventories, float) - xbar)
     u = np.clip(u, 0.0, FLOW_CAP)
-    slots = np.empty(len(model.topology.junctions), dtype=np.int64)
-    for j in model.topology.junctions:
+    slots = np.empty(len(t.junctions), dtype=np.int64)
+    for j in t.junctions:
         u_pr, u_np = u[j.in_priority], u[j.in_nonpriority]
         total = u_pr + u_np
         if total <= 0:
-            share = model.cycle / 2
+            share = cycle / 2
         else:
-            share = model.cycle * u_pr / total
-        slots[j.id] = min(max(int(round(share)), 1), model.cycle - 1)
+            share = cycle * u_pr / total
+        slots[j.id] = min(max(int(round(share)), 1), cycle - 1)
     return slots
 
 
@@ -247,8 +243,9 @@ class LocalFeedbackPolicy:
         self._np = np.array([j.in_nonpriority for j in t.junctions])
 
     def greens(self, k: int, sim) -> np.ndarray:
-        z = sim.road_counts()
-        b = sim.poised()
+        y = sim.occupancy()
+        z = np.add.reduceat(y, sim.kernel.road_bounds)[::2]
+        b = y[sim.kernel.road_last]  # a vehicle poised to enter the junction
         lhs = self._nnp * b[self._pr] + z[self._pr]
         rhs = self._npr * b[self._np] + z[self._np]
         return lhs >= rhs
@@ -258,24 +255,35 @@ class LocalFeedbackPolicy:
 
 
 class GlobalFeedbackPolicy:
-    """LQ feedback quantized into green slots, refreshed each cycle."""
+    """LQ feedback quantized into green slots, refreshed each cycle.
 
-    def __init__(self, model: LQModel):
-        if model.gain is None:
-            raise ValueError("solve_lqr first")
-        self.model = model
-        self.policy_id = "global_feedback"
-        self._slots: np.ndarray | None = None
+    The gain is the network's; each run linearizes at its own density,
+    which ``reset`` reads from the run's initial occupancy.
+    """
+
+    policy_id = "global_feedback"
+
+    def __init__(self, solution: LQRSolution, cycle: int = 4):
+        if cycle < 2:
+            raise ValueError("cycle must be >= 2")
+        self.solution = solution
+        self.cycle = cycle
 
     def reset(self, sim):
-        self._slots = global_feedback_timing(self.model, sim.road_counts())
+        t = sim.topology
+        self._xbar, self._ubar = nominal_point(t, density(sim.a, t))
+        self._slots = self._timing(sim)
+
+    def _timing(self, sim) -> np.ndarray:
+        return global_feedback_timing(sim.topology, self.solution.gain,
+                                      self._xbar, self._ubar,
+                                      sim.road_counts(), self.cycle)
 
     def greens(self, k: int, sim) -> np.ndarray:
-        phase = k % self.model.cycle
+        phase = k % self.cycle
         if phase == 0:
-            self._slots = global_feedback_timing(self.model,
-                                                 sim.road_counts(), k)
+            self._slots = self._timing(sim)
         return phase < self._slots
 
     def phase_key(self, k: int):
-        return (k % self.model.cycle, tuple(int(s) for s in self._slots))
+        return (k % self.cycle, tuple(int(s) for s in self._slots))

@@ -273,10 +273,6 @@ class Simulation:
         y = self.occupancy()
         return np.add.reduceat(y, self.kernel.road_bounds)[::2]
 
-    def poised(self) -> np.ndarray:
-        """Per road: 1 if the cell just upstream of its junction is occupied."""
-        return self.occupancy()[self.kernel.road_last]
-
     def junction_entry_parity(self) -> np.ndarray:
         return (self.x[self.kernel.slot_a] + self.x[self.kernel.slot_b]) % 2
 

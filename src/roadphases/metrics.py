@@ -98,19 +98,13 @@ def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int,
     x_burn = sim.x.copy()
     mid = (horizon + burn_in) // 2
     x_mid = x_burn
-    kern = kernel_for(t)
-    road_cells_acc = None
-    if per_road:
-        road_cells_acc = np.zeros(len(t.roads))
-        for _ in range(burn_in, horizon):
-            sim.advance()
+    road_cells_acc = np.zeros(len(t.roads))
+    for _ in range(burn_in, horizon):
+        sim.advance()
+        if per_road:
             road_cells_acc += sim.road_counts()
-            if sim.k == mid:
-                x_mid = sim.x.copy()
-    else:
-        sim.advance(mid - burn_in)
-        x_mid = sim.x.copy()
-        sim.advance(horizon - mid)
+        if sim.k == mid:
+            x_mid = sim.x.copy()
     window = horizon - burn_in
     flow = float(np.mean(sim.x - x_burn)) / window
     half = float(np.mean(x_mid - x_burn)) / (mid - burn_in) if mid > burn_in \
@@ -118,6 +112,7 @@ def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int,
     converged = abs(flow - half) < CONVERGENCE_TOL
     road_flow = road_density = None
     if per_road:
+        kern = kernel_for(t)
         deltas = (sim.x - x_burn).astype(float)
         sums = np.add.reduceat(deltas, kern.road_bounds)[::2]
         road_flow = tuple((sums / kern.road_lengths / window).tolist())
@@ -172,27 +167,23 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
                   per_road: bool = False) -> FundamentalDiagram:
     """Fundamental diagram over a density grid, median flow across seeds.
 
-    ``policy`` may be None, a gate-policy instance, or a factory called as
-    ``policy(density)`` per grid point (feedback laws linearized per point).
+    ``policy`` is None or one gate policy, reset at the start of every run.
     """
     horizon = default_horizon(t) if horizon is None else horizon
     burn_in = horizon // 2 if burn_in is None else burn_in
     seeds = tuple(seeds)
-    is_factory = callable(policy) and not hasattr(policy, "greens")
     diagram = FundamentalDiagram(
         topology_id=t.topology_id, r=float(ratio_r(t)),
-        policy_id="factory" if is_factory else _policy_id(policy), mode=mode)
+        policy_id=_policy_id(policy), mode=mode)
     for d in densities:
         if not 0 <= d <= 1:
             raise ValueError(f"density {d} outside [0, 1]")
         count = round(d * t.counting_size)
-        point_policy = policy(count / t.counting_size) if is_factory \
-            else policy
         flows, flags, rf, rd = [], [], [], []
         for seed in seeds:
             a = init_occupancy(t, count=count, seed=seed)
             flow, ok, road_flow, road_density = _measure(
-                t, a, mode, point_policy, horizon, burn_in, per_road)
+                t, a, mode, policy, horizon, burn_in, per_road)
             flows.append(flow)
             flags.append(ok)
             if per_road:
@@ -310,6 +301,8 @@ def clustered_occupancy(t: NetworkTopology, count: int,
 def run_response_trace(t: NetworkTopology, a, policy,
                        horizon: int) -> ResponseTrace:
     """Distance-to-uniform time series under one policy."""
+    if horizon < 1:
+        raise ValueError("response horizon must be >= 1")
     sim = Simulation(t, a, DISCRETE, policy)
     distances = [distance_to_uniform(sim.occupancy(), t)]
     for _ in range(horizon):

@@ -286,31 +286,25 @@ def test_criterion_8_large_junction():
 
 def test_criterion_9_riccati():
     from roadphases.control import LQModel
-    t = build_figure_eight(2, 2)
-    scalar = LQModel(topology=t, B=np.array([[1.0]]), Q=np.eye(1),
-                     R=np.eye(1), xbar=np.zeros(1), ubar=np.zeros(1))
+    scalar = LQModel(B=np.array([[1.0]]), Q=np.eye(1), R=np.eye(1))
     sol = solve_lqr(scalar, tol=1e-14)
     golden = (1 + 5 ** 0.5) / 2
     assert abs(sol.P[0, 0] - golden) <= 1e-9
     city = build_torus_city(4, 4, 9)
-    model = build_lq_model(city, d=0.3)
-    city_sol = solve_lqr(model)
+    city_sol = solve_lqr(build_lq_model(city))
     assert city_sol.spectral_radius < 1
     report(9, f"scalar fixed point = {sol.P[0, 0]:.10f} (golden ratio to "
               f"1e-9); 4x4-city closed-loop spectral radius "
               f"{city_sol.spectral_radius:.4f} < 1")
 
 
-def _city_policy_builders(t, d):
-    def global_builder():
-        model = build_lq_model(t, d)
-        solve_lqr(model)
-        return GlobalFeedbackPolicy(model)
+def _city_policy_builders(t):
+    solution = solve_lqr(build_lq_model(t))
     return {
         "priority": lambda: None,
         "open_loop": OpenLoopPolicy,
         "local_feedback": LocalFeedbackPolicy,
-        "global_feedback": global_builder,
+        "global_feedback": lambda: GlobalFeedbackPolicy(solution),
     }
 
 
@@ -319,7 +313,7 @@ def test_criterion_10_policy_comparison():
     t = build_torus_city(4, 4, 9)
     K = 50 * t.counting_size
     # congested regime: gridlock under priority, rescued by local feedback
-    builders = _city_policy_builders(t, 0.6)
+    builders = _city_policy_builders(t)
     f_priority = median_flow(t, 0.6, DISCRETE, builders["priority"],
                              horizon=K)
     f_local = median_flow(t, 0.6, DISCRETE, builders["local_feedback"],
@@ -328,13 +322,12 @@ def test_criterion_10_policy_comparison():
     assert f_local >= 0.05, f"local feedback stuck at d=0.6: {f_local}"
     # open-loop flow cap at both densities
     for d in (0.15, 0.6):
-        f_ol = median_flow(t, d, DISCRETE,
-                           _city_policy_builders(t, d)["open_loop"],
+        f_ol = median_flow(t, d, DISCRETE, builders["open_loop"],
                            horizon=K)
         assert f_ol <= 0.25 + 2 / K, f"open-loop flow {f_ol} above cap"
     # free regime: every policy carries the demand (continuous growth rate)
     free_flows = {}
-    for name, builder in _city_policy_builders(t, 0.15).items():
+    for name, builder in builders.items():
         f = median_flow(t, 0.15, CONTINUOUS, builder, horizon=K)
         free_flows[name] = f
         assert abs(f - 0.15) <= 0.02, f"{name} at d=0.15: f={f:.4f}"
@@ -353,9 +346,10 @@ def test_criterion_11_response_times():
     count = round(d * t.counting_size)
     horizon = 8 * t.counting_size
     results = {"open_loop": [], "local_feedback": [], "global_feedback": []}
+    builders = _city_policy_builders(t)
     for seed in (0, 1, 2):
         a = clustered_occupancy(t, count, seed=seed)
-        for name, builder in _city_policy_builders(t, d).items():
+        for name, builder in builders.items():
             if name == "priority":
                 continue
             trace = run_response_trace(t, a, builder(), horizon)

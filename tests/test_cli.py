@@ -122,8 +122,11 @@ class TestConfig:
         assert make_policy("priority", cfg, t) is None
         assert make_policy("open_loop", cfg, t).plan.cycle == 4
         assert make_policy("local_feedback", cfg, t) is not None
-        pol = make_policy("global_feedback", cfg, t, d=0.3)
-        assert pol.model.gain is not None
+        pol = make_policy("global_feedback", cfg, t)
+        assert pol.solution.gain.shape == (len(t.roads), len(t.roads))
+        # an operating density may still be passed; it is ignored
+        assert make_policy("global_feedback", cfg, t, 0.3).solution.gain \
+            .tolist() == pol.solution.gain.tolist()
 
 
 class TestSimulateCommand:
@@ -370,3 +373,69 @@ class TestResponseCommand:
         trace = (tmp_path / "response_open_loop_seed0.csv").read_text()
         assert trace.splitlines()[0] == "step,distance"
         assert len(trace.splitlines()) == 202
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_rejects_empty_horizon(self, tmp_path, capsys, horizon):
+        cfg_path = tmp_path / "resp.cfg"
+        cfg_path.write_text(RESPONSE_CFG.replace(
+            "horizon = 200", f"horizon = {horizon}"))
+        assert run_cli(["response", "--config", str(cfg_path)], tmp_path) == 1
+        assert "horizon" in capsys.readouterr().err
+        assert not (tmp_path / "response_summary.csv").exists()
+
+
+GLOBAL_CFG = """\
+[topology]
+family = torus_city
+rows = 2
+cols = 2
+segment_len = 2
+
+[run]
+mode = discrete
+policy = global_feedback
+horizon = 100
+seeds = 0,1,2
+
+[policy]
+cycle = 4
+
+[diagram]
+densities = 0.1,0.3,0.5
+
+[response]
+density = 0.25
+horizon = 50
+policies = global_feedback
+"""
+
+
+class TestGlobalFeedbackCommands:
+    @pytest.mark.parametrize("cycle", [0, 1])
+    @pytest.mark.parametrize("command", ["diagram", "response"])
+    def test_short_cycle_exits_one(self, tmp_path, capsys, command, cycle):
+        cfg_path = tmp_path / "glob.cfg"
+        cfg_path.write_text(GLOBAL_CFG.replace("cycle = 4",
+                                               f"cycle = {cycle}"))
+        assert run_cli([command, "--config", str(cfg_path)], tmp_path) == 1
+        assert "cycle" in capsys.readouterr().err
+
+    def test_one_solve_per_series_and_response_policy(self, tmp_path,
+                                                      monkeypatch):
+        import roadphases.cli as cli_mod
+        solved = []
+        real_solve = cli_mod.control.solve_lqr
+
+        def counting_solve(model, **kwargs):
+            solved.append(model)
+            return real_solve(model, **kwargs)
+
+        monkeypatch.setattr(cli_mod.control, "solve_lqr", counting_solve)
+        cfg_path = tmp_path / "glob.cfg"
+        cfg_path.write_text(GLOBAL_CFG.replace(
+            "densities = 0.1,0.3,0.5", "densities = 0.1,0.3,0.5\n"
+            "policy_list = local_feedback,global_feedback"))
+        assert run_cli(["diagram", "--config", str(cfg_path)], tmp_path) == 0
+        assert len(solved) == 1
+        assert run_cli(["response", "--config", str(cfg_path)], tmp_path) == 0
+        assert len(solved) == 2

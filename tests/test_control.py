@@ -1,5 +1,7 @@
 """Light policies: plans, feedback laws, Riccati solver, timing allocation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,11 @@ from roadphases.control import (
     build_lq_model,
     global_feedback_timing,
     local_feedback_green,
+    nominal_point,
     open_loop_green,
     solve_lqr,
 )
-from roadphases.dynamics import Simulation, init_occupancy
+from roadphases.dynamics import Simulation, density, init_occupancy
 from roadphases.topology import build_figure_eight, build_torus_city
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -92,12 +95,12 @@ class TestLocalFeedback:
 class TestLQModel:
     def test_figure_eight_aggregated_matrix(self):
         t = build_figure_eight(5, 5)
-        model = build_lq_model(t, d=0.3)
+        model = build_lq_model(t)
         assert model.B.tolist() == [[-0.5, 0.5], [0.5, -0.5]]
 
     def test_city_columns(self):
         t = build_torus_city(2, 2, 2)
-        model = build_lq_model(t, d=0.3)
+        model = build_lq_model(t)
         for col in model.B.T:
             assert col.sum() == pytest.approx(0.0)
             assert sorted(col[col != 0].tolist())[-2:] in (
@@ -108,15 +111,13 @@ class TestLQModel:
 
     def test_nominal_point(self):
         t = build_torus_city(2, 2, 3)
-        model = build_lq_model(t, d=0.25)
-        assert model.xbar.tolist() == [0.25 * 3] * len(t.roads)
-        assert model.ubar[0] <= 0.25
+        xbar, ubar = nominal_point(t, 0.25)
+        assert xbar.tolist() == [0.25 * 3] * len(t.roads)
+        assert ubar[0] <= 0.25
 
 
 def scalar_model(q=1.0, r=1.0, b=1.0):
-    t = build_figure_eight(2, 2)  # carrier for the dataclass; B overridden
-    return LQModel(topology=t, B=np.array([[b]]), Q=np.array([[q]]),
-                   R=np.array([[r]]), xbar=np.zeros(1), ubar=np.zeros(1))
+    return LQModel(B=np.array([[b]]), Q=np.array([[q]]), R=np.array([[r]]))
 
 
 class TestRiccati:
@@ -130,6 +131,16 @@ class TestRiccati:
         sol = solve_lqr(scalar_model(q=0.0))
         assert sol.gain[0, 0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_solve_leaves_model_untouched(self):
+        t = build_torus_city(2, 2, 2)
+        model = build_lq_model(t)
+        before = [m.copy() for m in (model.B, model.Q, model.R)]
+        solve_lqr(model)
+        assert all(np.array_equal(m, b) for m, b in
+                   zip((model.B, model.Q, model.R), before))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.B = np.zeros((1, 1))
+
     def test_requires_positive_definite_R(self):
         with pytest.raises(ValueError):
             solve_lqr(scalar_model(r=0.0))
@@ -142,14 +153,14 @@ class TestRiccati:
 
     def test_city_model_stabilized(self):
         t = build_torus_city(4, 4, 9)
-        model = build_lq_model(t, d=0.3)
+        model = build_lq_model(t)
         sol = solve_lqr(model)
         assert sol.spectral_radius < 1
         assert sol.residual <= 1e-10
 
     def test_residual_is_fixed_point_defect(self):
         t = build_torus_city(2, 2, 2)
-        model = build_lq_model(t, d=0.3)
+        model = build_lq_model(t)
         sol = solve_lqr(model, tol=1e-12)
         ones = np.ones(len(t.roads))
         q, _ = np.linalg.qr(np.column_stack([ones, np.eye(len(t.roads))]))
@@ -162,7 +173,7 @@ class TestRiccati:
     def test_matches_scipy_on_projected_city(self):
         scipy_linalg = pytest.importorskip("scipy.linalg")
         t = build_torus_city(2, 4, 3)
-        model = build_lq_model(t, d=0.4)
+        model = build_lq_model(t)
         sol = solve_lqr(model, tol=1e-13)
         n = len(t.roads)
         ones = np.ones(n)
@@ -174,67 +185,77 @@ class TestRiccati:
 
 
 @pytest.fixture(scope="module")
-def city_model():
+def city():
+    """(topology, gain, xbar, ubar) of a small city at density 0.3."""
     t = build_torus_city(2, 2, 3)
-    model = build_lq_model(t, d=0.3)
-    solve_lqr(model)
-    return model
+    return (t, solve_lqr(build_lq_model(t)).gain, *nominal_point(t, 0.3))
 
 
 class TestGlobalTiming:
 
-    def test_nominal_point_splits_evenly(self, city_model):
-        slots = global_feedback_timing(city_model, city_model.xbar)
+    def test_nominal_point_splits_evenly(self, city):
+        t, gain, xbar, ubar = city
+        slots = global_feedback_timing(t, gain, xbar, ubar, xbar)
         assert slots.tolist() == [2] * 4
 
-    def test_skewed_control_clamps_to_three(self, city_model):
-        model = city_model
-        zero_gain = LQModel(topology=model.topology, B=model.B, Q=model.Q,
-                            R=model.R, xbar=model.xbar,
-                            ubar=np.zeros(len(model.ubar)), cycle=4)
-        zero_gain.gain = np.zeros_like(model.gain)
-        j = model.topology.junctions[0]
-        zero_gain.ubar[j.in_priority] = 0.25
-        slots = global_feedback_timing(zero_gain, model.xbar)
+    def test_skewed_control_clamps_to_three(self, city):
+        t, gain, xbar, _ = city
+        ubar = np.zeros(len(t.roads))
+        ubar[t.junctions[0].in_priority] = 0.25
+        slots = global_feedback_timing(t, np.zeros_like(gain), xbar, ubar,
+                                       xbar)
         assert slots[0] == 3
         assert slots.tolist()[1:] == [2] * 3
 
-    def test_zero_gain_reduces_to_open_loop_split(self, city_model):
-        model = city_model
-        flat = LQModel(topology=model.topology, B=model.B, Q=model.Q,
-                       R=model.R, xbar=model.xbar, ubar=model.ubar, cycle=4)
-        flat.gain = np.zeros_like(model.gain)
-        far = model.xbar + 3.0
-        assert global_feedback_timing(flat, far).tolist() == [2] * 4
+    def test_zero_gain_reduces_to_open_loop_split(self, city):
+        t, gain, xbar, ubar = city
+        far = xbar + 3.0
+        assert global_feedback_timing(t, np.zeros_like(gain), xbar, ubar,
+                                      far).tolist() == [2] * 4
 
-    def test_allocation_within_cycle(self, city_model):
+    def test_allocation_within_cycle(self, city):
+        t, gain, xbar, ubar = city
         rng = np.random.default_rng(0)
         for _ in range(25):
-            x = rng.uniform(0, 3, size=len(city_model.xbar))
-            slots = global_feedback_timing(city_model, x)
+            x = rng.uniform(0, 3, size=len(xbar))
+            slots = global_feedback_timing(t, gain, xbar, ubar, x)
             assert np.all(slots >= 1) and np.all(slots <= 3)
 
-    def test_requires_solved_gain(self):
-        t = build_torus_city(2, 2, 2)
-        model = build_lq_model(t, d=0.2)
+
+class TestGlobalFeedbackPolicy:
+    @pytest.mark.parametrize("cycle", [0, 1])
+    def test_rejects_short_cycle(self, cycle):
+        solution = solve_lqr(build_lq_model(build_torus_city(2, 2, 2)))
         with pytest.raises(ValueError):
-            global_feedback_timing(model, model.xbar)
-        with pytest.raises(ValueError):
-            GlobalFeedbackPolicy(model)
+            GlobalFeedbackPolicy(solution, cycle=cycle)
+
+    def test_linearizes_at_run_density(self):
+        # unequal roads: xbar is not a uniform shift, so the gain sees it
+        t = build_figure_eight(9, 3)
+        solution = solve_lqr(build_lq_model(t))
+        policy = GlobalFeedbackPolicy(solution, cycle=6)
+        for count in (2, 5, 9):
+            a = init_occupancy(t, count=count, seed=1)
+            sim = Simulation(t, a, policy=policy)
+            sim.advance(12)
+            xbar, ubar = nominal_point(t, density(a, t))
+            slots = global_feedback_timing(t, solution.gain, xbar, ubar,
+                                           sim.road_counts(), cycle=6)
+            greens = [bool(policy.greens(12 + p, sim)[0]) for p in range(6)]
+            assert greens == [p < slots[0] for p in range(6)]
 
 
 class TestMutualExclusion:
     @pytest.mark.parametrize("policy_factory", [
-        lambda m: OpenLoopPolicy(),
-        lambda m: LocalFeedbackPolicy(),
-        lambda m: GlobalFeedbackPolicy(m),
+        lambda s: OpenLoopPolicy(),
+        lambda s: LocalFeedbackPolicy(),
+        lambda s: GlobalFeedbackPolicy(s),
     ])
     def test_exactly_one_green(self, policy_factory):
         t = build_torus_city(2, 2, 3)
-        model = build_lq_model(t, d=0.4)
-        solve_lqr(model)
+        solution = solve_lqr(build_lq_model(t))
         a = init_occupancy(t, density=0.4, seed=3)
-        policy = policy_factory(model)
+        policy = policy_factory(solution)
         sim = Simulation(t, a, policy=policy)
         for k in range(60):
             greens = policy.greens(sim.k, sim)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from roadphases.analytic import PhaseLabel, flow_approx, phase_boundaries
-from roadphases.control import LocalFeedbackPolicy, OpenLoopPolicy
+from roadphases.control import (
+    GlobalFeedbackPolicy,
+    LocalFeedbackPolicy,
+    OpenLoopPolicy,
+    build_lq_model,
+    solve_lqr,
+)
 from roadphases.dynamics import DISCRETE, Simulation, init_occupancy
 from roadphases.metrics import (
     DiagramPoint,
@@ -147,6 +153,21 @@ class TestSweep:
         assert once.points == sweep_diagram(t, seeds=(0, 1), **kwargs).points
         assert [p.seed_count for p in once.points] == [2, 2]
 
+    def test_one_global_feedback_policy_serves_every_run(self):
+        t = build_figure_eight(9, 3)
+        solution = solve_lqr(build_lq_model(t))
+        kwargs = dict(horizon=200, burn_in=100)
+        diag = sweep_diagram(t, [0.2, 0.5, 0.8], seeds=(0, 1),
+                             policy=GlobalFeedbackPolicy(solution), **kwargs)
+        assert diag.policy_id == "global_feedback"
+        for p in diag.points:
+            count = round(p.density * t.counting_size)
+            fresh = [estimate_growth_rate(
+                t, init_occupancy(t, count=count, seed=seed),
+                policy=GlobalFeedbackPolicy(solution), **kwargs)[0]
+                for seed in (0, 1)]
+            assert list(p.seed_flows) == fresh
+
     def test_per_road_outputs_satisfy_relation(self):
         t = build_figure_eight(45, 15)
         diag = sweep_diagram(t, [0.2, 0.45, 0.7], seeds=(0,),
@@ -252,6 +273,13 @@ class TestDistanceAndResponse:
         head = trace.distances[0]
         tail = np.mean(trace.distances[-trace_len(trace) // 10:])
         assert tail < head
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_response_rejects_empty_horizon(self, horizon):
+        t = build_torus_city(2, 2, 2)
+        a = clustered_occupancy(t, count=3, seed=0)
+        with pytest.raises(ValueError):
+            run_response_trace(t, a, LocalFeedbackPolicy(), horizon)
 
     def test_cluster_respects_count(self):
         t = build_torus_city(2, 2, 2)
