@@ -235,7 +235,7 @@ def _initial_occupancy(cfg: RunConfig, t: NetworkTopology) -> np.ndarray:
     if sum(v is not None for v in given) != 1:
         raise ConfigError("[occupancy] needs exactly one of "
                           "explicit / count / density")
-    seed = cfg.seeds[0] if cfg.seeds else 0
+    seed = cfg.seeds[0]
     if cfg.occupancy_values is not None:
         return init_occupancy(t, values=list(cfg.occupancy_values))
     if cfg.occupancy_count is not None:
@@ -403,16 +403,15 @@ def cmd_response(cfg: RunConfig, out_dir: Path) -> int:
 def _load_config(args) -> RunConfig:
     if not args.config:
         raise ConfigError("--config is required for this subcommand")
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config not found: {path}")
-    cfg = parse_config(path.read_text())
+    cfg = parse_config(Path(args.config).read_text())
     if args.mode:
         cfg = replace(cfg, mode=args.mode)
     if args.policy:
         cfg = replace(cfg, policy=args.policy)
     if args.seeds is not None:
         cfg = replace(cfg, seeds=tuple(range(args.seeds)))
+    if not cfg.seeds:
+        raise ConfigError("seeds must name at least one seed")
     return cfg
 
 
@@ -452,8 +451,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             return cmd_simulate(_load_config(args), out_dir)
         if args.command == "diagram":
@@ -467,7 +466,7 @@ def main(argv=None) -> int:
         if args.command == "response":
             return cmd_response(_load_config(args), out_dir)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except control.RiccatiError as exc:

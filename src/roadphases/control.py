@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import flow_approx
-from .dynamics import density
+from .dynamics import density, kernel_for
 from .topology import NetworkTopology, ratio_r
 
 FLOW_CAP = 0.25  # a capacity-1 junction approach cannot exceed this
@@ -106,9 +106,9 @@ def nominal_point(t: NetworkTopology,
                   d: float) -> tuple[np.ndarray, np.ndarray]:
     """(xbar, ubar) at density d: density d on every road, and the analytic
     flow approximation at d on every road."""
-    lengths = np.array([r.length_cells for r in t.roads], dtype=float)
+    lengths = kernel_for(t).road_lengths
     ubar = flow_approx(d, ratio_r(t), t.junctions[0].capacity)
-    return d * lengths, np.full(len(t.roads), ubar)
+    return float(d) * lengths, np.full(len(lengths), ubar)
 
 
 class RiccatiError(RuntimeError):
@@ -191,20 +191,17 @@ def global_feedback_timing(t: NetworkTopology, gain: np.ndarray,
 
     The LQ control u = ubar - gain (x - xbar) is clipped to [0, 1/4] per
     road and turned into per-cycle green slots proportionally, with at
-    least one slot per approach.
+    least one slot per approach; half-slot ties round to even, and an
+    approach pair with no control splits the cycle evenly.
     """
+    kern = kernel_for(t)
     u = ubar - gain @ (np.asarray(inventories, float) - xbar)
     u = np.clip(u, 0.0, FLOW_CAP)
-    slots = np.empty(len(t.junctions), dtype=np.int64)
-    for j in t.junctions:
-        u_pr, u_np = u[j.in_priority], u[j.in_nonpriority]
-        total = u_pr + u_np
-        if total <= 0:
-            share = cycle / 2
-        else:
-            share = cycle * u_pr / total
-        slots[j.id] = min(max(int(round(share)), 1), cycle - 1)
-    return slots
+    u_pr = u[kern.pr_road]
+    total = u_pr + u[kern.np_road]
+    share = np.divide(cycle * u_pr, total, where=total > 0,
+                      out=np.full(total.shape, cycle / 2))
+    return np.clip(np.rint(share), 1, cycle - 1).astype(np.int64)
 
 
 class OpenLoopPolicy:
@@ -234,20 +231,17 @@ class LocalFeedbackPolicy:
     policy_id = "local_feedback"
 
     def reset(self, sim):
-        t = sim.topology
-        self._npr = np.array([t.roads[j.in_priority].length_cells
-                              for j in t.junctions])
-        self._nnp = np.array([t.roads[j.in_nonpriority].length_cells
-                              for j in t.junctions])
-        self._pr = np.array([j.in_priority for j in t.junctions])
-        self._np = np.array([j.in_nonpriority for j in t.junctions])
+        kern = sim.kernel
+        self._npr = kern.road_lengths[kern.pr_road]
+        self._nnp = kern.road_lengths[kern.np_road]
 
     def greens(self, k: int, sim) -> np.ndarray:
+        kern = sim.kernel
         y = sim.occupancy()
-        z = np.add.reduceat(y, sim.kernel.road_bounds)[::2]
-        b = y[sim.kernel.road_last]  # a vehicle poised to enter the junction
-        lhs = self._nnp * b[self._pr] + z[self._pr]
-        rhs = self._npr * b[self._np] + z[self._np]
+        z = kern.road_sums(y)
+        # y at a road's last cell: a vehicle poised to enter the junction
+        lhs = self._nnp * y[kern.pr_last] + z[kern.pr_road]
+        rhs = self._npr * y[kern.np_last] + z[kern.np_road]
         return lhs >= rhs
 
     def phase_key(self, k: int):

@@ -52,54 +52,42 @@ class CounterState:
         return CounterState(self.k, self.x.copy(), self.mode)
 
 
+def _fields(items, *names) -> list[np.ndarray]:
+    """One index array per attribute name, in item order."""
+    return [np.array([getattr(i, n) for i in items], dtype=np.intp)
+            for n in names]
+
+
 class StepKernel:
-    """Precomputed index arrays for one synchronous update of a topology."""
+    """The topology as index arrays, shared by the update, the policies and
+    the measurements.  Per-road arrays are indexed by road id, per-junction
+    arrays by junction id."""
 
     def __init__(self, t: NetworkTopology):
-        interior: list[int] = []
-        interior_prev: list[int] = []
-        rc: list[int] = []
-        nxt: list[int] = []
-        for r in t.roads:
-            dest = t.junctions[r.to_junction]
-            entry = dest.slot_b if r.id == dest.in_priority else dest.slot_a
-            for c in r.cells:
-                rc.append(c)
-                nxt.append(c + 1 if c < r.last_cell else entry)
-                if c > r.first_cell:
-                    interior.append(c)
-                    interior_prev.append(c - 1)
-        ix = lambda v: np.asarray(v, dtype=np.intp)
-        self.rc = ix(rc)
-        self.nxt = ix(nxt)
-        self.interior = ix(interior)
-        self.interior_prev = ix(interior_prev)
-        self.first = ix([r.first_cell for r in t.roads])
-        self.feed_junction = ix([r.from_junction for r in t.roads])
-        self.feed_ceil = np.asarray(
-            [r.id == t.junctions[r.from_junction].out_ceil for r in t.roads])
-        self.feed_slot = ix([
-            t.junctions[r.from_junction].slot_b if ceil
-            else t.junctions[r.from_junction].slot_a
-            for r, ceil in zip(t.roads, self.feed_ceil)])
-        self.slot_a = ix([j.slot_a for j in t.junctions])
-        self.slot_b = ix([j.slot_b for j in t.junctions])
-        self.pr_last = ix([t.roads[j.in_priority].last_cell
-                           for j in t.junctions])
-        self.np_last = ix([t.roads[j.in_nonpriority].last_cell
-                           for j in t.junctions])
-        self.out1_first = ix([t.roads[j.out_ceil].first_cell
-                              for j in t.junctions])
-        self.out2_first = ix([t.roads[j.out_floor].first_cell
-                              for j in t.junctions])
-        self.capacity = np.asarray([j.capacity for j in t.junctions])
-        # (start, end) pairs for per-road occupancy sums via reduceat
-        bounds = []
-        for r in t.roads:
-            bounds.extend((r.first_cell, r.first_cell + r.length_cells))
-        self.road_bounds = ix(bounds)
-        self.road_lengths = np.asarray([r.length_cells for r in t.roads])
-        self.road_last = ix([r.last_cell for r in t.roads])
+        self.first, self.road_lengths = _fields(
+            t.roads, "first_cell", "length_cells")
+        self.road_last = self.first + self.road_lengths - 1
+        # (start, end) pairs for per-road sums via reduceat
+        self.road_bounds = np.column_stack(
+            [self.first, self.road_last + 1]).ravel()
+        (self.slot_a, self.slot_b, self.capacity, self.pr_road, self.np_road,
+         out_ceil, out_floor) = _fields(
+            t.junctions, "slot_a", "slot_b", "capacity", "in_priority",
+            "in_nonpriority", "out_ceil", "out_floor")
+        self.pr_last = self.road_last[self.pr_road]
+        self.np_last = self.road_last[self.np_road]
+        self.out1_first = self.first[out_ceil]
+        self.out2_first = self.first[out_floor]
+        # road cells in road order; a road's last cell moves into the entry
+        # slot of the junction it feeds
+        entry = np.empty_like(self.first)
+        entry[self.pr_road], entry[self.np_road] = self.slot_b, self.slot_a
+        self.rc = np.concatenate([np.arange(f, l + 1) for f, l
+                                  in zip(self.first, self.road_last)])
+        self.nxt = self.rc + 1
+        self.nxt[np.cumsum(self.road_lengths) - 1] = entry
+        self.interior = self.rc[~np.isin(self.rc, self.first)]
+        self.interior_prev = self.interior - 1
 
     def junction_shares(self, x: np.ndarray, discrete: bool
                         ) -> tuple[np.ndarray, np.ndarray]:
@@ -113,12 +101,12 @@ class StepKernel:
     def apply(self, x: np.ndarray, a: np.ndarray, discrete: bool,
               gate: np.ndarray | None = None) -> np.ndarray:
         share_c, share_f = self.junction_shares(x, discrete)
-        shares = np.where(self.feed_ceil, share_c[self.feed_junction],
-                          share_f[self.feed_junction])
         x_new = np.empty_like(x)
         up = np.empty_like(x)
         up[self.interior] = a[self.interior_prev] + x[self.interior_prev]
-        up[self.first] = a[self.feed_slot] + shares
+        # each junction sub-cell feeds the first cell of one exit
+        up[self.out1_first] = a[self.slot_b] + share_c
+        up[self.out2_first] = a[self.slot_a] + share_f
         x_new[self.rc] = np.minimum(up[self.rc],
                                     1 - a[self.rc] + x[self.nxt])
         auth = (self.capacity - (a[self.slot_a] + a[self.slot_b])
@@ -148,6 +136,10 @@ class StepKernel:
         y[self.slot_a] = (a[self.slot_a] + share_f - x[self.out2_first])
         return y
 
+    def road_sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-road sums of a per-slot vector (junction slots excluded)."""
+        return np.add.reduceat(v, self.road_bounds)[::2]
+
 
 # Topologies hash by identity; a kernel holds no reference to its topology,
 # so an entry goes away with the topology it was built for.
@@ -170,10 +162,12 @@ def check_occupancy(t: NetworkTopology, a: np.ndarray) -> np.ndarray:
                          f"got shape {a.shape}")
     if not np.all((a >= 0) & (a <= 1)):
         raise ValueError("occupancies must lie in [0, 1]")
-    for j in t.junctions:
-        if a[j.slot_a] + a[j.slot_b] > j.capacity:
-            raise ValueError(
-                f"junction {j.id} holds more than its capacity {j.capacity}")
+    kern = kernel_for(t)
+    over = np.flatnonzero(a[kern.slot_a] + a[kern.slot_b] > kern.capacity)
+    if over.size:
+        j = over[0]
+        raise ValueError(
+            f"junction {j} holds more than its capacity {kern.capacity[j]}")
     return a
 
 
@@ -270,8 +264,7 @@ class Simulation:
 
     def road_counts(self) -> np.ndarray:
         """Vehicles currently on each road (junction interiors excluded)."""
-        y = self.occupancy()
-        return np.add.reduceat(y, self.kernel.road_bounds)[::2]
+        return self.kernel.road_sums(self.occupancy())
 
     def junction_entry_parity(self) -> np.ndarray:
         return (self.x[self.kernel.slot_a] + self.x[self.kernel.slot_b]) % 2

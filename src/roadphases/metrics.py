@@ -112,9 +112,8 @@ def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int,
     converged = abs(flow - half) < CONVERGENCE_TOL
     road_flow = road_density = None
     if per_road:
-        kern = kernel_for(t)
-        deltas = (sim.x - x_burn).astype(float)
-        sums = np.add.reduceat(deltas, kern.road_bounds)[::2]
+        kern = sim.kernel
+        sums = kern.road_sums(sim.x - x_burn)
         road_flow = tuple((sums / kern.road_lengths / window).tolist())
         road_density = tuple(
             (road_cells_acc / window / kern.road_lengths).tolist())
@@ -238,13 +237,6 @@ def classify_phases_empirical(diagram: FundamentalDiagram,
     return Segmentation(labels=labels, segments=tuple(segments))
 
 
-def road_density_vector(t: NetworkTopology, y: np.ndarray) -> np.ndarray:
-    kern = kernel_for(t)
-    counts = np.add.reduceat(np.asarray(y, dtype=float),
-                             kern.road_bounds)[::2]
-    return counts / kern.road_lengths
-
-
 def distance_to_uniform(y: np.ndarray, t: NetworkTopology) -> float:
     """Euclidean distance of per-road densities from the uniform level.
 
@@ -252,10 +244,9 @@ def distance_to_uniform(y: np.ndarray, t: NetworkTopology) -> float:
     junction interiors are not part of any road.
     """
     kern = kernel_for(t)
-    dens = road_density_vector(t, y)
-    total = float(np.sum(np.asarray(y, dtype=float)[kern.rc]))
-    uniform = total / int(kern.road_lengths.sum())
-    return float(np.linalg.norm(dens - uniform))
+    counts = kern.road_sums(np.asarray(y, dtype=float))
+    uniform = float(counts.sum()) / int(kern.road_lengths.sum())
+    return float(np.linalg.norm(counts / kern.road_lengths - uniform))
 
 
 def response_time(trace, band: float) -> tuple[int, bool]:
@@ -288,13 +279,12 @@ def plateau_level(trace: ResponseTrace) -> float:
 def clustered_occupancy(t: NetworkTopology, count: int,
                         seed: int | None = None) -> np.ndarray:
     """Pack cars into consecutive road cells starting at a seeded offset."""
-    cells = sorted(c for r in t.roads for c in r.cells)
+    cells = np.sort(kernel_for(t).rc)
     if not 0 <= count <= len(cells):
         raise ValueError(f"cluster of {count} cars exceeds {len(cells)} cells")
     offset = int(np.random.default_rng(seed).integers(len(cells)))
     a = np.zeros(t.n_slots, dtype=np.int64)
-    for i in range(count):
-        a[cells[(offset + i) % len(cells)]] = 1
+    a[cells[(offset + np.arange(count)) % len(cells)]] = 1
     return a
 
 
@@ -353,7 +343,13 @@ def write_response_csv(trace: ResponseTrace, path) -> None:
 def read_diagram_csv(path) -> FundamentalDiagram:
     """Rebuild a diagram (points only) from its CSV dump."""
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in ("topology_id", "policy", "r", "density", "flow",
+                           "converged", "seed_count")
+               if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path} lacks diagram columns: {', '.join(missing)}")
     if not rows:
         raise ValueError(f"empty diagram CSV: {path}")
     diagram = FundamentalDiagram(

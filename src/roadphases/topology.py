@@ -35,7 +35,6 @@ class RoadSegment:
     length_cells: int
     from_junction: int
     to_junction: int
-    priority_at_destination: bool
     first_cell: int  # slot index of the road's first cell
 
     @property
@@ -132,10 +131,6 @@ class NetworkTopology:
             for rid in ins:
                 if self.roads[rid].to_junction != j.id:
                     raise ValueError("incoming road does not end here")
-            if self.roads[j.in_priority].priority_at_destination is not True:
-                raise ValueError("priority road not flagged as such")
-            if self.roads[j.in_nonpriority].priority_at_destination:
-                raise ValueError("two priority roads at one junction")
             for rid in (j.out_ceil, j.out_floor):
                 if self.roads[rid].from_junction != j.id:
                     raise ValueError("outgoing road does not start here")
@@ -193,8 +188,8 @@ def build_figure_eight(n: int, m: int, capacity: int = 1) -> NetworkTopology:
         raise ValueError("figure-eight needs n >= 2 and m >= 2")
     if capacity not in (1, 2):
         raise ValueError("capacity must be 1 or 2")
-    np_road = RoadSegment(0, "np", n - 1, 0, 0, False, first_cell=0)
-    pr_road = RoadSegment(1, "pr", m - 1, 0, 0, True, first_cell=n)
+    np_road = RoadSegment(0, "np", n - 1, 0, 0, first_cell=0)
+    pr_road = RoadSegment(1, "pr", m - 1, 0, 0, first_cell=n)
     junction = JunctionSpec(
         id=0,
         in_priority=1,
@@ -238,10 +233,10 @@ def build_two_junction(len_r1: int, len_r2: int, len_r3: int,
     # R1: J1 -> J0 (non-priority), R2: J1 -> J0 (priority),
     # R3: J0 -> J1 (non-priority), R4: J0 -> J1 (priority)
     roads = (
-        RoadSegment(0, "R1", len_r1, 1, 0, False, firsts[0]),
-        RoadSegment(1, "R2", len_r2, 1, 0, True, firsts[1]),
-        RoadSegment(2, "R3", len_r3, 0, 1, False, firsts[2]),
-        RoadSegment(3, "R4", len_r4, 0, 1, True, firsts[3]),
+        RoadSegment(0, "R1", len_r1, 1, 0, firsts[0]),
+        RoadSegment(1, "R2", len_r2, 1, 0, firsts[1]),
+        RoadSegment(2, "R3", len_r3, 0, 1, firsts[2]),
+        RoadSegment(3, "R4", len_r4, 0, 1, firsts[3]),
     )
     junctions = (
         JunctionSpec(0, in_priority=1, in_nonpriority=0,
@@ -297,22 +292,15 @@ def build_torus_city(rows: int, cols: int, segment_len: int,
     def v_dest(i: int, j: int) -> int:
         return jid(i + 1, j) if j % 2 == 0 else jid(i - 1, j)
 
-    def horizontal_priority(i: int, j: int) -> bool:
-        return (i + j) % 2 == 0
-
     roads: list[RoadSegment] = []
     for i in range(rows):
         for j in range(cols):
-            di, dj = divmod(h_dest(i, j), cols)
             roads.append(RoadSegment(
                 h_road(i, j), f"h{i}.{j}", segment_len, jid(i, j),
-                h_dest(i, j), horizontal_priority(di, dj),
-                first_cell=segment_len * h_road(i, j)))
-            di, dj = divmod(v_dest(i, j), cols)
+                h_dest(i, j), first_cell=segment_len * h_road(i, j)))
             roads.append(RoadSegment(
                 v_road(i, j), f"v{i}.{j}", segment_len, jid(i, j),
-                v_dest(i, j), not horizontal_priority(di, dj),
-                first_cell=segment_len * v_road(i, j)))
+                v_dest(i, j), first_cell=segment_len * v_road(i, j)))
     roads.sort(key=lambda r: r.id)
 
     n_cells = 2 * rows * cols * segment_len
@@ -325,7 +313,7 @@ def build_torus_city(rows: int, cols: int, segment_len: int,
             h_in = h_road(i, hj)
             v_in = v_road(vi, j)
             h_out, v_out = h_road(i, j), v_road(i, j)
-            if horizontal_priority(i, j):
+            if (i + j) % 2 == 0:                    # horizontal priority
                 in_pr, in_np = h_in, v_in
                 out_ceil, out_floor = v_out, h_out  # odd entrants follow the
             else:                                   # non-priority street
@@ -360,8 +348,8 @@ def ratio_r(t: NetworkTopology) -> Fraction:
     (segment_len + 1) / (2 * segment_len + 1), i.e. one half up to a
     single-position correction per junction.
     """
-    np_positions = sum(r.length_cells + 1 for r in t.roads
-                       if not r.priority_at_destination)
+    np_positions = sum(t.roads[j.in_nonpriority].length_cells + 1
+                       for j in t.junctions)
     return Fraction(np_positions, t.counting_size)
 
 

@@ -439,3 +439,53 @@ class TestGlobalFeedbackCommands:
         assert len(solved) == 1
         assert run_cli(["response", "--config", str(cfg_path)], tmp_path) == 0
         assert len(solved) == 2
+
+
+class TestEmptySeeds:
+    CONFIGS = {"simulate": TABLE1_CFG, "diagram": DIAGRAM_CFG,
+               "response": RESPONSE_CFG}
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["simulate", "diagram", "response"])
+    def test_exits_one_naming_seeds(self, tmp_path, capsys, command, how):
+        cfg_text = self.CONFIGS[command]
+        cfg_path = tmp_path / "cfg.ini"
+        extra = []
+        if how == "flag":
+            extra = ["--seeds", "0"]
+        else:
+            cfg_text = cfg_text.replace("seeds = 0,1", "seeds =") \
+                .replace("seeds = 0", "seeds =")
+        cfg_path.write_text(cfg_text)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), command, "--config", str(cfg_path),
+                     *extra]) == 1
+        assert "seeds" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+class TestFileErrors:
+    def test_missing_phases_input(self, tmp_path, capsys):
+        assert run_cli(["phases", "--input", str(tmp_path / "missing.csv")],
+                       tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_csv_without_diagram_columns(self, tmp_path, capsys):
+        path = tmp_path / "other.csv"
+        path.write_text("density,flow\n0.1,0.1\n")
+        assert run_cli(["phases", "--input", str(path)], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "topology_id" in err and "seed_count" in err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert run_cli(["simulate", "--config", str(tmp_path)],
+                       tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["--out", str(out), "eigen", "--n", "5",
+                     "--m", "5"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

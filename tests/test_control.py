@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from roadphases.control import (
+    FLOW_CAP,
     GlobalFeedbackPolicy,
     LQRSolution,
     LocalFeedbackInputs,
@@ -22,7 +23,11 @@ from roadphases.control import (
     solve_lqr,
 )
 from roadphases.dynamics import Simulation, density, init_occupancy
-from roadphases.topology import build_figure_eight, build_torus_city
+from roadphases.topology import (
+    build_figure_eight,
+    build_torus_city,
+    build_two_junction,
+)
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 
@@ -220,6 +225,103 @@ class TestGlobalTiming:
             x = rng.uniform(0, 3, size=len(xbar))
             slots = global_feedback_timing(t, gain, xbar, ubar, x)
             assert np.all(slots >= 1) and np.all(slots <= 3)
+
+
+def loop_timing(t, gain, xbar, ubar, inventories, cycle):
+    """Per-junction reference for global_feedback_timing."""
+    u = ubar - gain @ (np.asarray(inventories, float) - xbar)
+    u = np.clip(u, 0.0, FLOW_CAP)
+    slots = np.empty(len(t.junctions), dtype=np.int64)
+    for j in t.junctions:
+        u_pr, u_np = u[j.in_priority], u[j.in_nonpriority]
+        total = u_pr + u_np
+        share = cycle / 2 if total <= 0 else cycle * u_pr / total
+        slots[j.id] = min(max(int(round(share)), 1), cycle - 1)
+    return slots
+
+
+TIMING_NETWORKS = {
+    "city_2x2x3": lambda: build_torus_city(2, 2, 3),
+    "city_8x8x9": lambda: build_torus_city(8, 8, 9),
+    "figure_eight": lambda: build_figure_eight(9, 3),
+    "two_junction": lambda: build_two_junction(20, 10, 10, 20),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TIMING_NETWORKS))
+def solved_network(request):
+    """(topology, solved gain) of each timing network."""
+    t = TIMING_NETWORKS[request.param]()
+    return t, solve_lqr(build_lq_model(t)).gain
+
+
+@pytest.mark.parametrize("cycle", [2, 3, 4, 7])
+class TestTimingMatchesLoop:
+    def test_random_inventories(self, solved_network, cycle):
+        t, gain = solved_network
+        n = len(t.roads)
+        lengths = np.array([r.length_cells for r in t.roads])
+        rng = np.random.default_rng(cycle)
+        for g in (np.zeros_like(gain), gain):
+            for _ in range(40):
+                xbar, _ = nominal_point(t, rng.uniform())
+                # outside [0, 1/4] on both sides, so clipping and
+                # zero-control pairs occur
+                ubar = rng.uniform(-0.1, 0.35, n)
+                x = rng.uniform(0, 1, n) * lengths
+                got = global_feedback_timing(t, g, xbar, ubar, x, cycle)
+                assert got.dtype == np.int64
+                assert got.tolist() == \
+                    loop_timing(t, g, xbar, ubar, x, cycle).tolist()
+
+    def test_ties_round_half_to_even(self, solved_network, cycle):
+        t, gain = solved_network
+        n = len(t.roads)
+        zero, xbar = np.zeros_like(gain), np.zeros(n)
+        rng = np.random.default_rng(cycle)
+        pr = [j.in_priority for j in t.junctions]
+        nonpr = [j.in_nonpriority for j in t.junctions]
+        for _ in range(10):
+            # u_pr / total = (k + 1/2) / cycle exactly
+            k = rng.integers(0, cycle, len(t.junctions))
+            ubar = np.empty(n)
+            ubar[pr] = (2 * k + 1) / 64
+            ubar[nonpr] = (2 * cycle - 2 * k - 1) / 64
+            share = cycle * ubar[pr] / (ubar[pr] + ubar[nonpr])
+            assert share.tolist() == (k + 0.5).tolist()
+            got = global_feedback_timing(t, zero, xbar, ubar, xbar, cycle)
+            assert got.tolist() == \
+                loop_timing(t, zero, xbar, ubar, xbar, cycle).tolist()
+        # total = 0: no control on either approach splits the cycle
+        got = global_feedback_timing(t, zero, xbar, np.zeros(n), xbar, cycle)
+        assert got.tolist() == \
+            loop_timing(t, zero, xbar, np.zeros(n), xbar, cycle).tolist()
+
+
+class TestLocalFeedbackPolicy:
+    @pytest.mark.parametrize("t", [build_torus_city(4, 4, 3),
+                                   build_two_junction(7, 3, 5, 4)],
+                             ids=["city_4x4x3", "two_junction"])
+    def test_matches_scalar_rule_along_a_run(self, t):
+        policy = LocalFeedbackPolicy()
+        seen = set()
+        for seed in range(3):
+            a = init_occupancy(t, density=0.4, seed=seed)
+            sim = Simulation(t, a, policy=policy)
+            for _ in range(60):
+                y = sim.occupancy()
+                z = [int(sum(y[c] for c in r.cells)) for r in t.roads]
+                b = [int(y[r.last_cell]) for r in t.roads]
+                expected = []
+                for j in t.junctions:
+                    r1, r2 = t.roads[j.in_priority], t.roads[j.in_nonpriority]
+                    expected.append(local_feedback_green(LocalFeedbackInputs(
+                        n1=r1.length_cells, n2=r2.length_cells,
+                        z1=z[r1.id], z2=z[r2.id], b1=b[r1.id], b2=b[r2.id])))
+                assert policy.greens(sim.k, sim).tolist() == expected
+                seen.update(expected)
+                sim.advance()
+        assert seen == {True, False}
 
 
 class TestGlobalFeedbackPolicy:

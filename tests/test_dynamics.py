@@ -16,6 +16,7 @@ from roadphases.dynamics import (
     counter_lines,
     density,
     init_occupancy,
+    kernel_for,
     occupancy_at,
     occupancy_line,
     simulate,
@@ -206,6 +207,17 @@ class TestInitOccupancy:
         with pytest.raises(ValueError):
             init_occupancy(fig8_55, values=[np.nan] + A55[1:])
 
+    def test_names_first_overfull_junction(self):
+        t = build_torus_city(3, 3, 2)
+        a = np.zeros(t.n_slots, dtype=np.int64)
+        for j in (t.junctions[7], t.junctions[4]):
+            a[j.slot_a] = a[j.slot_b] = 1
+        with pytest.raises(ValueError, match=r"^junction 4 holds more than "
+                                             r"its capacity 1$"):
+            check_occupancy(t, a)
+        # capacity 2 admits both sub-cells
+        check_occupancy(build_torus_city(3, 3, 2, capacity=2), a)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(6))
@@ -318,6 +330,28 @@ class TestKernelCache:
         del sim, t
         gc.collect()
         assert ref() is None
+
+
+class TestKernelArrays:
+    @pytest.mark.parametrize("t", [build_figure_eight(9, 3),
+                                   build_two_junction(7, 3, 5, 4),
+                                   build_torus_city(3, 4, 2)],
+                             ids=["figure_eight", "two_junction", "city"])
+    def test_match_topology_walk(self, t):
+        kern = kernel_for(t)
+        assert kern.pr_road.tolist() == [j.in_priority for j in t.junctions]
+        assert kern.np_road.tolist() == \
+            [j.in_nonpriority for j in t.junctions]
+        assert kern.pr_last.tolist() == \
+            [t.roads[j.in_priority].last_cell for j in t.junctions]
+        assert kern.np_last.tolist() == \
+            [t.roads[j.in_nonpriority].last_cell for j in t.junctions]
+        sim = Simulation(t, init_occupancy(t, density=0.5, seed=2))
+        for _ in range(30):
+            y = sim.occupancy()
+            assert sim.road_counts().tolist() == \
+                [int(sum(y[c] for c in r.cells)) for r in t.roads]
+            sim.advance()
 
 
 class TestDumps:

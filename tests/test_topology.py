@@ -55,18 +55,17 @@ class TestTwoJunction:
         t = build_two_junction(20, 10, 10, 20)
         assert t.counting_size == 62
         assert len(t.junctions) == 2
-        assert [r.priority_at_destination for r in t.roads] == [
-            False, True, False, True]
+        assert [(j.in_priority, j.in_nonpriority) for j in t.junctions] == [
+            (1, 0), (3, 2)]
         # non-priority circuit R1 + R3 plus the two junctions
         assert ratio_r(t) == Fraction(32, 62)
         assert abs(ratio_r(t) - Fraction(1, 2)) <= Fraction(2, 62)
 
     def test_priority_unique_per_junction(self):
         t = build_two_junction(5, 7, 9, 11)
-        for j in t.junctions:
-            flags = [t.roads[j.in_priority].priority_at_destination,
-                     t.roads[j.in_nonpriority].priority_at_destination]
-            assert flags == [True, False]
+        priority = {j.in_priority for j in t.junctions}
+        nonpriority = {j.in_nonpriority for j in t.junctions}
+        assert priority == {1, 3} and nonpriority == {0, 2}
 
     def test_symmetric(self):
         t = build_two_junction(10, 10, 10, 10)
