@@ -1,11 +1,12 @@
 """Junction management policies: periodic lights, local and global feedback.
 
-Every policy answers one question per junction per step: which of the two
-incoming approaches is green.  The priority-to-the-right rule is the absence
-of a policy (gate None).  The global feedback solves a discrete-time LQR
-around a nominal operating point: roads are car inventories, the control is
-the per-road outflow during green, and the interconnection matrix routes
-half of each road's outflow to each of its junction's exits.
+Every policy answers one question per junction per step, for every lane of
+a stacked simulation: which of the two incoming approaches is green.  The
+priority-to-the-right rule is the absence of a policy (gate None).  The
+global feedback solves a discrete-time LQR around a nominal operating point:
+roads are car inventories, the control is the per-road outflow during green,
+and the interconnection matrix routes half of each road's outflow to each of
+its junction's exits.
 """
 
 from __future__ import annotations
@@ -105,10 +106,14 @@ def build_lq_model(t: NetworkTopology, q_scale: float = 1.0,
 def nominal_point(t: NetworkTopology,
                   d: float) -> tuple[np.ndarray, np.ndarray]:
     """(xbar, ubar) at density d: density d on every road, and the analytic
-    flow approximation at d on every road."""
-    lengths = kernel_for(t).road_lengths
-    ubar = flow_approx(d, ratio_r(t), t.junctions[0].capacity)
-    return float(d) * lengths, np.full(len(lengths), ubar)
+    flow approximation at d on every road.  The approximation assumes one
+    capacity at every junction."""
+    kern = kernel_for(t)
+    if np.any(kern.capacity != kern.capacity[0]):
+        raise ValueError("the nominal point needs one junction capacity, got "
+                         f"capacities {sorted(set(kern.capacity.tolist()))}")
+    ubar = flow_approx(d, ratio_r(t), int(kern.capacity[0]))
+    return float(d) * kern.road_lengths, np.full(len(kern.road_lengths), ubar)
 
 
 class RiccatiError(RuntimeError):
@@ -192,13 +197,18 @@ def global_feedback_timing(t: NetworkTopology, gain: np.ndarray,
     The LQ control u = ubar - gain (x - xbar) is clipped to [0, 1/4] per
     road and turned into per-cycle green slots proportionally, with at
     least one slot per approach; half-slot ties round to even, and an
-    approach pair with no control splits the cycle evenly.
+    approach pair with no control splits the cycle evenly.  Inventories,
+    ``xbar`` and ``ubar`` may be (roads,) or stacked (lanes, roads); the
+    slots then come per lane.
     """
     kern = kernel_for(t)
-    u = ubar - gain @ (np.asarray(inventories, float) - xbar)
+    v = np.asarray(inventories, float) - xbar
+    # gain @ v per lane, with the same BLAS product as for one vector
+    # (v @ gain.T sums in another order and can flip a rint tie)
+    u = ubar - np.matmul(gain, v[..., None])[..., 0]
     u = np.clip(u, 0.0, FLOW_CAP)
-    u_pr = u[kern.pr_road]
-    total = u_pr + u[kern.np_road]
+    u_pr = u[..., kern.pr_road]
+    total = u_pr + u[..., kern.np_road]
     share = np.divide(cycle * u_pr, total, where=total > 0,
                       out=np.full(total.shape, cycle / 2))
     return np.clip(np.rint(share), 1, cycle - 1).astype(np.int64)
@@ -240,8 +250,8 @@ class LocalFeedbackPolicy:
         y = sim.occupancy()
         z = kern.road_sums(y)
         # y at a road's last cell: a vehicle poised to enter the junction
-        lhs = self._nnp * y[kern.pr_last] + z[kern.pr_road]
-        rhs = self._npr * y[kern.np_last] + z[kern.np_road]
+        lhs = self._nnp * y[..., kern.pr_last] + z[..., kern.pr_road]
+        rhs = self._npr * y[..., kern.np_last] + z[..., kern.np_road]
         return lhs >= rhs
 
     def phase_key(self, k: int):
@@ -251,8 +261,8 @@ class LocalFeedbackPolicy:
 class GlobalFeedbackPolicy:
     """LQ feedback quantized into green slots, refreshed each cycle.
 
-    The gain is the network's; each run linearizes at its own density,
-    which ``reset`` reads from the run's initial occupancy.
+    The gain is the network's; each run (each lane of a stack) linearizes
+    at its own density, which ``reset`` reads from its initial occupancy.
     """
 
     policy_id = "global_feedback"
@@ -265,7 +275,10 @@ class GlobalFeedbackPolicy:
 
     def reset(self, sim):
         t = sim.topology
-        self._xbar, self._ubar = nominal_point(t, density(sim.a, t))
+        points = [nominal_point(t, density(a, t))
+                  for a in sim.a.reshape(-1, t.n_slots)]
+        shape = sim.a.shape[:-1] + (len(t.roads),)
+        self._xbar, self._ubar = (np.reshape(v, shape) for v in zip(*points))
         self._slots = self._timing(sim)
 
     def _timing(self, sim) -> np.ndarray:

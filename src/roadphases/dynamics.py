@@ -24,6 +24,10 @@ unconditionally.
 Traffic lights are an optional per-junction gate: when gating, the priority
 subtraction becomes symmetric (both entries read the other at time k) and an
 entry counter may grow only under a green light.
+
+Independent runs on one network can be stacked as the rows of a (lanes,
+slots) array and advanced by the same update; every operation is
+elementwise per lane, so each lane matches its run stepped alone bit for bit.
 """
 
 from __future__ import annotations
@@ -86,59 +90,84 @@ class StepKernel:
                                   in zip(self.first, self.road_last)])
         self.nxt = self.rc + 1
         self.nxt[np.cumsum(self.road_lengths) - 1] = entry
-        self.interior = self.rc[~np.isin(self.rc, self.first)]
-        self.interior_prev = self.interior - 1
+        # upstream supply of each road cell in rc order, as an index into
+        # [a + x, a_b + ceil share, a_a + floor share]: the previous cell,
+        # or the junction sub-cell that feeds the first cell of an exit
+        n, n_junctions = t.n_slots, len(self.slot_a)
+        supply = np.arange(-1, n - 1)
+        supply[self.out1_first] = n + np.arange(n_junctions)
+        supply[self.out2_first] = n + n_junctions + np.arange(n_junctions)
+        self.rc_supply = supply[self.rc]
+        # a step yields road cells in rc order, then the slot_b values, then
+        # the slot_a values; this gather puts them back in slot order
+        self.slot_order = np.argsort(
+            np.concatenate([self.rc, self.slot_b, self.slot_a]))
 
-    def junction_shares(self, x: np.ndarray, discrete: bool
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-junction (ceil share, floor share) of total entries."""
-        entries = x[self.slot_a] + x[self.slot_b]
-        if discrete:
-            return (entries + 1) // 2, entries // 2
-        half = entries * 0.5
-        return half, half
+    # apply and occupancy take one run's (slots,) vector or a (lanes,
+    # slots) stack and work slots-first on its transpose, so that each
+    # gather along axis 0 copies a whole row of lanes.  A stack in Fortran
+    # order, as Simulation keeps it, makes those transposes free; results
+    # come back as (lanes, slots) in Fortran order.
 
     def apply(self, x: np.ndarray, a: np.ndarray, discrete: bool,
               gate: np.ndarray | None = None) -> np.ndarray:
-        share_c, share_f = self.junction_shares(x, discrete)
-        x_new = np.empty_like(x)
-        up = np.empty_like(x)
-        up[self.interior] = a[self.interior_prev] + x[self.interior_prev]
-        # each junction sub-cell feeds the first cell of one exit
-        up[self.out1_first] = a[self.slot_b] + share_c
-        up[self.out2_first] = a[self.slot_a] + share_f
-        x_new[self.rc] = np.minimum(up[self.rc],
-                                    1 - a[self.rc] + x[self.nxt])
-        auth = (self.capacity - (a[self.slot_a] + a[self.slot_b])
-                + x[self.out1_first] + x[self.out2_first])
-        up_pr = a[self.pr_last] + x[self.pr_last]
-        up_np = a[self.np_last] + x[self.np_last]
+        """One synchronous update of every lane.  ``a`` has the shape of
+        ``x``; ``gate`` is (junctions,) for every lane, or (lanes,
+        junctions)."""
+        x, a = x.T, a.T
+        x_a, x_b = x.take(self.slot_a, 0), x.take(self.slot_b, 0)
+        a_a, a_b = a.take(self.slot_a, 0), a.take(self.slot_b, 0)
+        share_c, share_f = _shares(x_a + x_b, discrete)
+        supply = np.concatenate([a + x, a_b + share_c, a_a + share_f])
+        road = np.minimum(supply.take(self.rc_supply, 0),
+                          1 - a.take(self.rc, 0) + x.take(self.nxt, 0))
+        auth = (_junction_rows(self.capacity, x.ndim) - (a_a + a_b)
+                + x.take(self.out1_first, 0) + x.take(self.out2_first, 0))
+        up_pr = supply.take(self.pr_last, 0)
+        up_np = supply.take(self.np_last, 0)
         if gate is None:
-            x_pr = np.minimum(up_pr, auth - x[self.slot_a])
+            x_pr = np.minimum(up_pr, auth - x_a)
             x_np = np.minimum(up_np, auth - x_pr)
         else:
-            g = gate.astype(x.dtype)
-            x_pr = np.minimum(np.minimum(up_pr, auth - x[self.slot_a]),
-                              x[self.slot_b] + g)
-            x_np = np.minimum(np.minimum(up_np, auth - x[self.slot_b]),
-                              x[self.slot_a] + (1 - g))
-        x_new[self.slot_b] = x_pr
-        x_new[self.slot_a] = x_np
-        return x_new
+            g = _junction_rows(gate, x.ndim).astype(x.dtype)
+            x_pr = np.minimum(np.minimum(up_pr, auth - x_a), x_b + g)
+            x_np = np.minimum(np.minimum(up_np, auth - x_b), x_a + (1 - g))
+        return self._in_slot_order(road, x_pr, x_np)
 
     def occupancy(self, x: np.ndarray, a: np.ndarray,
                   discrete: bool) -> np.ndarray:
         """Reconstruct per-slot occupancies from counters."""
-        share_c, share_f = self.junction_shares(x, discrete)
-        y = np.empty_like(x)
-        y[self.rc] = a[self.rc] + x[self.rc] - x[self.nxt]
-        y[self.slot_b] = (a[self.slot_b] + share_c - x[self.out1_first])
-        y[self.slot_a] = (a[self.slot_a] + share_f - x[self.out2_first])
-        return y
+        x, a = x.T, a.T
+        share_c, share_f = _shares(
+            x.take(self.slot_a, 0) + x.take(self.slot_b, 0), discrete)
+        return self._in_slot_order(
+            a.take(self.rc, 0) + x.take(self.rc, 0) - x.take(self.nxt, 0),
+            a.take(self.slot_b, 0) + share_c - x.take(self.out1_first, 0),
+            a.take(self.slot_a, 0) + share_f - x.take(self.out2_first, 0))
+
+    def _in_slot_order(self, road: np.ndarray, at_b: np.ndarray,
+                       at_a: np.ndarray) -> np.ndarray:
+        return np.concatenate([road, at_b, at_a]).take(self.slot_order, 0).T
 
     def road_sums(self, v: np.ndarray) -> np.ndarray:
-        """Per-road sums of a per-slot vector (junction slots excluded)."""
-        return np.add.reduceat(v, self.road_bounds)[::2]
+        """Per-road sums of a per-slot vector, or of each lane of a (lanes,
+        slots) stack (junction slots excluded)."""
+        return np.add.reduceat(v, self.road_bounds, axis=-1)[..., ::2]
+
+
+def _shares(entries: np.ndarray, discrete: bool
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """(ceil share, floor share) of each junction's total entries."""
+    if discrete:
+        return (entries + 1) // 2, entries // 2
+    half = entries * 0.5
+    return half, half
+
+
+def _junction_rows(v: np.ndarray, ndim: int) -> np.ndarray:
+    """A (junctions,) or (lanes, junctions) array as junction rows that
+    broadcast against the slots-first gathers of an ``ndim``-axis state."""
+    return v.T.reshape(v.shape[-1:] + (-1,) * (ndim - 1))
 
 
 # Topologies hash by identity; a kernel holds no reference to its topology,
@@ -216,30 +245,39 @@ def init_occupancy(t: NetworkTopology, values=None, count: int | None = None,
 
 
 class Simulation:
-    """A single self-contained simulation run (single-threaded).
+    """A stack of independent runs on one network, advanced together.
+
+    ``a`` is one initial placement (slots,) or a stack of them (lanes,
+    slots), one lane per run; ``x`` and every per-slot result take its
+    shape, and a 1-D ``a`` is a single run.  Lanes share the mode, the step
+    count and the policy but nothing else, so each lane follows exactly the
+    trajectory it would follow alone.
 
     ``policy`` is any object with ``reset(sim)`` and
-    ``greens(k, sim) -> bool array`` (True = priority approach green), or
-    None for the bare priority-to-the-right rule.
+    ``greens(k, sim) -> bool array`` (True = priority approach green), of
+    shape (junctions,) for every lane or (lanes, junctions), or None for the
+    bare priority-to-the-right rule.
     """
 
     def __init__(self, t: NetworkTopology, a, mode: str = DISCRETE,
                  policy=None):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        a = check_occupancy(t, np.asarray(a))
+        a = np.asarray(a)
+        for lane in (a if a.ndim == 2 else [a]):
+            check_occupancy(t, lane)
         self.topology = t
         self.mode = mode
         self.kernel = kernel_for(t)
-        if mode == DISCRETE:
-            if np.any(a != np.round(a)):
-                raise ValueError("discrete mode needs integer occupancies")
-            self.a = a.astype(np.int64)
-            self.x = np.zeros(t.n_slots, dtype=np.int64)
-        else:
-            self.a = a.astype(np.float64)
-            self.x = np.zeros(t.n_slots, dtype=np.float64)
+        if mode == DISCRETE and np.any(a != np.round(a)):
+            raise ValueError("discrete mode needs integer occupancies")
+        # Fortran order keeps each slot's lanes adjacent, so the kernel's
+        # gathers copy whole rows
+        dtype = np.int64 if mode == DISCRETE else np.float64
+        self.a = a.astype(dtype, order="F")
+        self.x = np.zeros(a.shape, dtype=dtype, order="F")
         self.k = 0
+        self._y = None
         self.policy = policy
         if policy is not None:
             policy.reset(self)
@@ -255,19 +293,25 @@ class Simulation:
                 gate = self.policy.greens(self.k, self)
             self.x = self.kernel.apply(self.x, self.a, self.discrete, gate)
             self.k += 1
+            self._y = None
 
     def state(self) -> CounterState:
         return CounterState(self.k, self.x.copy(), self.mode)
 
     def occupancy(self) -> np.ndarray:
-        return self.kernel.occupancy(self.x, self.a, self.discrete)
+        """Occupancies of the current step, built once and read-only."""
+        if self._y is None:
+            self._y = self.kernel.occupancy(self.x, self.a, self.discrete)
+            self._y.flags.writeable = False
+        return self._y
 
     def road_counts(self) -> np.ndarray:
         """Vehicles currently on each road (junction interiors excluded)."""
         return self.kernel.road_sums(self.occupancy())
 
     def junction_entry_parity(self) -> np.ndarray:
-        return (self.x[self.kernel.slot_a] + self.x[self.kernel.slot_b]) % 2
+        kern = self.kernel
+        return (self.x[..., kern.slot_a] + self.x[..., kern.slot_b]) % 2
 
 
 def step(state: CounterState, a, t: NetworkTopology,

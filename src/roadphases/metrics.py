@@ -4,8 +4,9 @@ The average flow of a run is the mean per-step counter increment over a
 measurement window [burn_in, K]; the estimate is flagged converged when the
 half-window estimate agrees within 1e-3, or when an exact periodic regime
 was found (the per-period average is then exact).  Diagram sweeps take the
-median over seeds per density.  All runs are independent and sequential;
-sweep points could be farmed out, aggregation happens at the end either way.
+median over seeds per density.  A sweep advances all of its (density, seed)
+runs together, as the lanes of one stacked simulation; lanes never interact,
+so every run's flow is exactly the flow it has when run alone.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ def _policy_id(policy) -> str:
 
 
 def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int,
-             burn_in: int, per_road: bool):
-    """One run; returns (flow, converged, road_flow, road_density)."""
+             burn_in: int, per_road: bool) -> list[tuple]:
+    """Runs from a stack of placements (lanes, slots), advanced together;
+    returns (flow, converged, road_flow, road_density) per lane."""
     if not horizon > burn_in >= 0:
         raise ValueError("need horizon > burn_in >= 0")
     sim = Simulation(t, a, mode, policy)
@@ -98,7 +100,7 @@ def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int,
     x_burn = sim.x.copy()
     mid = (horizon + burn_in) // 2
     x_mid = x_burn
-    road_cells_acc = np.zeros(len(t.roads))
+    road_cells_acc = np.zeros((len(sim.x), len(t.roads)))
     for _ in range(burn_in, horizon):
         sim.advance()
         if per_road:
@@ -106,18 +108,22 @@ def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int,
         if sim.k == mid:
             x_mid = sim.x.copy()
     window = horizon - burn_in
-    flow = float(np.mean(sim.x - x_burn)) / window
-    half = float(np.mean(x_mid - x_burn)) / (mid - burn_in) if mid > burn_in \
-        else flow
-    converged = abs(flow - half) < CONVERGENCE_TOL
-    road_flow = road_density = None
-    if per_road:
-        kern = sim.kernel
-        sums = kern.road_sums(sim.x - x_burn)
-        road_flow = tuple((sums / kern.road_lengths / window).tolist())
-        road_density = tuple(
-            (road_cells_acc / window / kern.road_lengths).tolist())
-    return flow, converged, road_flow, road_density
+    # C order: each lane's row is contiguous, so np.mean sums it exactly as
+    # it sums the counters of a lone run
+    gained = np.ascontiguousarray(sim.x - x_burn)
+    gained_mid = x_mid - x_burn
+    kern = sim.kernel
+    road_flow = kern.road_sums(gained) / kern.road_lengths / window
+    road_density = road_cells_acc / window / kern.road_lengths
+    runs = []
+    for lane in range(len(gained)):
+        flow = float(np.mean(gained[lane])) / window
+        half = float(np.mean(gained_mid[lane])) / (mid - burn_in) \
+            if mid > burn_in else flow
+        runs.append((flow, abs(flow - half) < CONVERGENCE_TOL,
+                     tuple(road_flow[lane].tolist()) if per_road else None,
+                     tuple(road_density[lane].tolist()) if per_road else None))
+    return runs
 
 
 def estimate_growth_rate(t: NetworkTopology, a, mode: str = DISCRETE,
@@ -126,8 +132,8 @@ def estimate_growth_rate(t: NetworkTopology, a, mode: str = DISCRETE,
     """Average per-step counter increment over [burn_in, horizon]."""
     horizon = default_horizon(t) if horizon is None else horizon
     burn_in = horizon // 2 if burn_in is None else burn_in
-    flow, converged, _, _ = _measure(t, a, mode, policy, horizon, burn_in,
-                                     per_road=False)
+    flow, converged, _, _ = _measure(t, [a], mode, policy, horizon, burn_in,
+                                     per_road=False)[0]
     return flow, converged
 
 
@@ -166,40 +172,39 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
                   per_road: bool = False) -> FundamentalDiagram:
     """Fundamental diagram over a density grid, median flow across seeds.
 
-    ``policy`` is None or one gate policy, reset at the start of every run.
+    ``policy`` is None or one gate policy; every (density, seed) run is a
+    lane of one stacked simulation, so the policy is reset once for all.
     """
     horizon = default_horizon(t) if horizon is None else horizon
     burn_in = horizon // 2 if burn_in is None else burn_in
     seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("sweep_diagram needs at least one seed")
     diagram = FundamentalDiagram(
         topology_id=t.topology_id, r=float(ratio_r(t)),
         policy_id=_policy_id(policy), mode=mode)
+    counts = []
     for d in densities:
         if not 0 <= d <= 1:
             raise ValueError(f"density {d} outside [0, 1]")
-        count = round(d * t.counting_size)
-        flows, flags, rf, rd = [], [], [], []
-        for seed in seeds:
-            a = init_occupancy(t, count=count, seed=seed)
-            flow, ok, road_flow, road_density = _measure(
-                t, a, mode, policy, horizon, burn_in, per_road)
-            flows.append(flow)
-            flags.append(ok)
-            if per_road:
-                rf.append(road_flow)
-                rd.append(road_density)
-        point = DiagramPoint(
+        counts.append(round(d * t.counting_size))
+    placements = [init_occupancy(t, count=count, seed=seed)
+                  for count in counts for seed in seeds]
+    runs = _measure(t, placements, mode, policy, horizon, burn_in,
+                    per_road) if placements else []
+    for i, count in enumerate(counts):
+        flows, flags, rf, rd = zip(*runs[i * len(seeds):(i + 1) * len(seeds)])
+        diagram.points.append(DiagramPoint(
             density=count / t.counting_size,
             flow=statistics.median(flows),
             converged=all(flags),
             seed_count=len(seeds),
-            seed_flows=tuple(flows),
+            seed_flows=flows,
             road_flow=tuple(statistics.median(col) for col in zip(*rf))
             if per_road else None,
             road_density=tuple(statistics.median(col) for col in zip(*rd))
             if per_road else None,
-        )
-        diagram.points.append(point)
+        ))
     return diagram
 
 

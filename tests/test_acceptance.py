@@ -41,10 +41,10 @@ from roadphases.dynamics import (
 )
 from roadphases.metrics import (
     clustered_occupancy,
-    estimate_growth_rate,
     plateau_level,
     response_time,
     run_response_trace,
+    sweep_diagram,
 )
 from roadphases.topology import (
     build_figure_eight,
@@ -86,14 +86,10 @@ def report(num, text):
 
 def median_flow(t, d, mode, policy_builder=None, seeds=(0, 1, 2),
                 horizon=None):
-    flows = []
-    for seed in seeds:
-        a = init_occupancy(t, count=round(d * t.counting_size), seed=seed)
-        policy = policy_builder() if policy_builder else None
-        f, _ = estimate_growth_rate(t, a, mode, policy=policy,
-                                    horizon=horizon)
-        flows.append(f)
-    return statistics.median(flows)
+    """Median growth rate over seeds at density d (burn-in horizon // 2)."""
+    policy = policy_builder() if policy_builder else None
+    return sweep_diagram(t, [d], mode, policy, seeds=seeds,
+                         horizon=horizon).points[0].flow
 
 
 def test_criterion_1_table_reproduction():
@@ -195,15 +191,10 @@ def fig8_45_15_sweep():
     """Median continuous growth rate for every car count of the 45/15 ring."""
     t = build_figure_eight(45, 15)
     K = 100 * t.counting_size
-    flows = {}
-    for N in range(60):
-        per_seed = []
-        for seed in (0, 1, 2):
-            a = init_occupancy(t, count=N, seed=seed)
-            f, _ = estimate_growth_rate(t, a, CONTINUOUS, horizon=K)
-            per_seed.append(f)
-        flows[N] = statistics.median(per_seed)
-    return t, flows
+    diagram = sweep_diagram(t, [N / 59 for N in range(60)], CONTINUOUS,
+                            seeds=(0, 1, 2), horizon=K)
+    assert [round(p.density * 59) for p in diagram.points] == list(range(60))
+    return t, dict(enumerate(diagram.flows))
 
 
 def test_criterion_5_diagram_vs_formula(fig8_45_15_sweep):

@@ -120,6 +120,14 @@ class TestLQModel:
         assert xbar.tolist() == [0.25 * 3] * len(t.roads)
         assert ubar[0] <= 0.25
 
+    def test_nominal_point_needs_one_capacity(self):
+        t = build_two_junction(5, 4, 4, 5)
+        mixed = dataclasses.replace(t, junctions=(
+            t.junctions[0], dataclasses.replace(t.junctions[1], capacity=2)))
+        mixed.validate()
+        with pytest.raises(ValueError, match=r"capacities \[1, 2\]"):
+            nominal_point(mixed, 0.3)
+
 
 def scalar_model(q=1.0, r=1.0, b=1.0):
     return LQModel(B=np.array([[b]]), Q=np.array([[q]]), R=np.array([[r]]))
@@ -296,6 +304,36 @@ class TestTimingMatchesLoop:
         got = global_feedback_timing(t, zero, xbar, np.zeros(n), xbar, cycle)
         assert got.tolist() == \
             loop_timing(t, zero, xbar, np.zeros(n), xbar, cycle).tolist()
+
+
+    def test_stacked_lanes_match_single_calls(self, solved_network, cycle):
+        t, gain = solved_network
+        n, lanes = len(t.roads), 7
+        lengths = np.array([r.length_cells for r in t.roads])
+        rng = np.random.default_rng(cycle)
+        pr = [j.in_priority for j in t.junctions]
+        nonpr = [j.in_nonpriority for j in t.junctions]
+        for g in (np.zeros_like(gain), gain):
+            xbar = np.stack([nominal_point(t, d)[0]
+                             for d in rng.uniform(size=lanes)])
+            ubar = rng.uniform(-0.1, 0.35, (lanes, n))
+            x = rng.uniform(0, 1, (lanes, n)) * lengths
+            # lane 0 sits at its nominal point with share = k + 1/2 at
+            # every junction, lane 1 has no control anywhere
+            k = rng.integers(0, cycle, len(t.junctions))
+            x[:2] = xbar[:2]
+            ubar[0, pr] = (2 * k + 1) / 64
+            ubar[0, nonpr] = (2 * cycle - 2 * k - 1) / 64
+            ubar[1] = 0.0
+            got = global_feedback_timing(t, g, xbar, ubar, x, cycle)
+            assert got.shape == (lanes, len(t.junctions))
+            assert got.dtype == np.int64
+            for lane in range(lanes):
+                single = global_feedback_timing(t, g, xbar[lane], ubar[lane],
+                                                x[lane], cycle)
+                assert got[lane].tolist() == single.tolist()
+            assert got[0].tolist() == \
+                loop_timing(t, g, xbar[0], ubar[0], x[0], cycle).tolist()
 
 
 class TestLocalFeedbackPolicy:

@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadphases.dynamics import (
     CONTINUOUS,
@@ -352,6 +354,89 @@ class TestKernelArrays:
             assert sim.road_counts().tolist() == \
                 [int(sum(y[c] for c in r.cells)) for r in t.roads]
             sim.advance()
+
+
+LANE_NETWORKS = {
+    "figure_eight": build_figure_eight(9, 4),
+    "two_junction": build_two_junction(5, 3, 4, 6),
+    "torus": build_torus_city(2, 3, 3),
+}
+
+
+class TestLaneStack:
+    """A (lanes, slots) stack against one 1-D call per lane."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(LANE_NETWORKS)),
+           discrete=st.booleans(), lanes=st.integers(1, 7),
+           gate=st.sampled_from(["none", "shared", "per_lane"]),
+           fortran=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_stack_matches_rows(self, name, discrete, lanes, gate, fortran,
+                                seed):
+        t = LANE_NETWORKS[name]
+        kern = kernel_for(t)
+        rng = np.random.default_rng(seed)
+        a = np.stack([init_occupancy(
+            t, count=int(rng.integers(t.counting_size + 1)),
+            seed=int(rng.integers(1 << 30))) for _ in range(lanes)])
+        # any counters will do: the kernel is a pure function of (x, a)
+        x = rng.integers(0, 40, size=a.shape)
+        if not discrete:
+            a, x = a.astype(float), x * rng.uniform(0.1, 3, size=a.shape)
+        if fortran:
+            a, x = np.asfortranarray(a), np.asfortranarray(x)
+        gates = {"none": None,
+                 "shared": rng.integers(2, size=len(t.junctions)) > 0,
+                 "per_lane": rng.integers(2, size=(lanes,
+                                                   len(t.junctions))) > 0}
+        g = gates[gate]
+        stacked = {"apply": kern.apply(x, a, discrete, g),
+                   "occupancy": kern.occupancy(x, a, discrete),
+                   "road_sums": kern.road_sums(x)}
+        for lane in range(lanes):
+            g_lane = g[lane] if gate == "per_lane" else g
+            single = {"apply": kern.apply(x[lane], a[lane], discrete, g_lane),
+                      "occupancy": kern.occupancy(x[lane], a[lane], discrete),
+                      "road_sums": kern.road_sums(x[lane])}
+            for op, rows in stacked.items():
+                assert rows.shape[0] == lanes and rows.dtype == x.dtype
+                assert np.array_equal(rows[lane], single[op]), (op, lane)
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_fig8_lanes_match_reference(self, discrete):
+        n, m = 9, 5
+        t = build_figure_eight(n, m)
+        a = np.stack([init_occupancy(t, count=c, seed=c)
+                      for c in (0, 2, 5, 7, 10, 13)])
+        sim = Simulation(t, a, DISCRETE if discrete else CONTINUOUS)
+        refs = [reference_trajectory(lane.tolist(), n, m, 40,
+                                     discrete=discrete) for lane in a]
+        for k in range(41):
+            assert sim.x.shape == a.shape
+            for lane, ref in enumerate(refs):
+                assert sim.x[lane].tolist() == as_list(ref[k], n + m), \
+                    f"lane {lane}, k={k}"
+            sim.advance()
+
+    def test_every_lane_is_validated(self, fig8_55):
+        bad = list(A55)
+        bad[4] = bad[9] = 1
+        with pytest.raises(ValueError, match="capacity"):
+            Simulation(fig8_55, [A55, bad])
+        with pytest.raises(ValueError, match="integer"):
+            Simulation(fig8_55, [A55, [0.5] + A55[1:]])
+
+
+class TestOccupancyOfStep:
+    def test_built_once_and_read_only(self, fig8_55):
+        sim = Simulation(fig8_55, A55, DISCRETE)
+        y = sim.occupancy()
+        assert sim.occupancy() is y
+        with pytest.raises(ValueError):
+            y[0] = 1
+        sim.advance()
+        assert sim.occupancy() is not y
+        assert y.tolist() == A55
 
 
 class TestDumps:

@@ -1,5 +1,7 @@
 """Flow estimation, period detection, sweeps, phases, response traces."""
 
+import statistics
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,13 @@ from roadphases.control import (
     build_lq_model,
     solve_lqr,
 )
-from roadphases.dynamics import DISCRETE, Simulation, init_occupancy
+from roadphases.dynamics import (
+    CONTINUOUS,
+    DISCRETE,
+    Simulation,
+    StepKernel,
+    init_occupancy,
+)
 from roadphases.metrics import (
     DiagramPoint,
     FundamentalDiagram,
@@ -29,7 +37,11 @@ from roadphases.metrics import (
     write_response_csv,
     write_road_csv,
 )
-from roadphases.topology import build_figure_eight, build_torus_city
+from roadphases.topology import (
+    build_figure_eight,
+    build_torus_city,
+    build_two_junction,
+)
 
 A55 = [0, 1, 0, 1, 0, 1, 0, 0, 1, 0]
 
@@ -193,6 +205,85 @@ class TestSweep:
         t = build_figure_eight(5, 5)
         with pytest.raises(ValueError):
             sweep_diagram(t, [1.2], seeds=(0,), horizon=20)
+        with pytest.raises(ValueError, match="at least one seed"):
+            sweep_diagram(t, [0.2], seeds=(), horizon=20)
+
+
+def lone_run(t, a, mode, policy, horizon, burn_in):
+    """One run stepped on its own: (flow, converged, road_flow,
+    road_density), measured as sweeps did before runs were stacked."""
+    sim = Simulation(t, a, mode, policy)
+    sim.advance(burn_in)
+    x_burn = sim.x.copy()
+    mid = (horizon + burn_in) // 2
+    x_mid = x_burn
+    road_cells_acc = np.zeros(len(t.roads))
+    for _ in range(burn_in, horizon):
+        sim.advance()
+        road_cells_acc += sim.road_counts()
+        if sim.k == mid:
+            x_mid = sim.x.copy()
+    window = horizon - burn_in
+    flow = float(np.mean(sim.x - x_burn)) / window
+    half = float(np.mean(x_mid - x_burn)) / (mid - burn_in)
+    kern = sim.kernel
+    sums = kern.road_sums(sim.x - x_burn)
+    return (flow, abs(flow - half) < 1e-3,
+            tuple((sums / kern.road_lengths / window).tolist()),
+            tuple((road_cells_acc / window / kern.road_lengths).tolist()))
+
+
+SWEEP_POLICIES = {
+    "priority": lambda t: None,
+    "open_loop": lambda t: OpenLoopPolicy(),
+    "local_feedback": lambda t: LocalFeedbackPolicy(),
+    "global_feedback": lambda t: GlobalFeedbackPolicy(
+        solve_lqr(build_lq_model(t)), cycle=3),
+}
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("policy", sorted(SWEEP_POLICIES))
+    @pytest.mark.parametrize("mode", [CONTINUOUS, DISCRETE])
+    @pytest.mark.parametrize("t", [build_two_junction(7, 3, 5, 4),
+                                   build_torus_city(3, 3, 4)],
+                             ids=["two_junction", "city"])
+    def test_points_match_lone_runs(self, t, mode, policy):
+        policy = SWEEP_POLICIES[policy](t)
+        densities, seeds = [0.1, 0.35, 0.6], (0, 1, 2)
+        diag = sweep_diagram(t, densities, mode, policy, seeds=seeds,
+                             horizon=90, burn_in=40, per_road=True)
+        for d, p in zip(densities, diag.points):
+            count = round(d * t.counting_size)
+            runs = [lone_run(t, init_occupancy(t, count=count, seed=seed),
+                             mode, policy, 90, 40) for seed in seeds]
+            flows, flags, road_flow, road_density = zip(*runs)
+            assert p.seed_flows == flows
+            assert p.flow == statistics.median(flows)
+            assert p.converged == all(flags)
+            assert p.road_flow == tuple(
+                statistics.median(col) for col in zip(*road_flow))
+            assert p.road_density == tuple(
+                statistics.median(col) for col in zip(*road_density))
+
+    def test_one_occupancy_rebuild_per_state(self, monkeypatch):
+        t = build_torus_city(2, 2, 3)
+        rebuilds = []
+        real = StepKernel.occupancy
+
+        def counting(self, x, a, discrete):
+            rebuilds.append(x.shape)
+            return real(self, x, a, discrete)
+
+        monkeypatch.setattr(StepKernel, "occupancy", counting)
+        sweep_diagram(t, [0.3, 0.5], DISCRETE, LocalFeedbackPolicy(),
+                      seeds=(0, 1), horizon=40, burn_in=10, per_road=True)
+        # states 0..39 set the lights, states 11..40 are measured
+        assert rebuilds == [(4, t.n_slots)] * 41
+        rebuilds.clear()
+        run_response_trace(t, clustered_occupancy(t, 5, seed=0),
+                           LocalFeedbackPolicy(), horizon=25)
+        assert rebuilds == [(t.n_slots,)] * 26
 
 
 class TestClassifyEmpirical:
