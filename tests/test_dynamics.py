@@ -356,9 +356,11 @@ class TestKernelArrays:
             sim.advance()
 
 
+# roads of up to 20 cells, so per-road float sums go past numpy's 8-term
+# unrolled block
 LANE_NETWORKS = {
-    "figure_eight": build_figure_eight(9, 4),
-    "two_junction": build_two_junction(5, 3, 4, 6),
+    "figure_eight": build_figure_eight(21, 4),
+    "two_junction": build_two_junction(12, 3, 10, 6),
     "torus": build_torus_city(2, 3, 3),
 }
 
