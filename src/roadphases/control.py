@@ -278,7 +278,8 @@ class GlobalFeedbackPolicy:
         points = [nominal_point(t, density(a, t))
                   for a in sim.a.reshape(-1, t.n_slots)]
         shape = sim.a.shape[:-1] + (len(t.roads),)
-        self._xbar, self._ubar = (np.reshape(v, shape) for v in zip(*points))
+        self._xbar = np.reshape([xbar for xbar, _ in points], shape)
+        self._ubar = np.reshape([ubar for _, ubar in points], shape)
         self._slots = self._timing(sim)
 
     def _timing(self, sim) -> np.ndarray:

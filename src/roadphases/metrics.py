@@ -5,14 +5,14 @@ measurement window [burn_in, K]; the estimate is flagged converged when the
 half-window estimate agrees within 1e-3, or when an exact periodic regime
 was found (the per-period average is then exact).  Diagram sweeps take the
 median over seeds per density.  A sweep advances all of its (density, seed)
-runs together, as the lanes of one stacked simulation (or of a few, on very
-wide networks); lanes never interact, so every run's flow is exactly the
-flow it has when run alone.
+runs together, as the lanes of one stacked simulation; lanes never
+interact, so every run's flow is exactly the flow it has when run alone.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import statistics
 from dataclasses import dataclass, field
 
@@ -24,12 +24,6 @@ from .topology import NetworkTopology, ratio_r
 
 CONVERGENCE_TOL = 1e-3
 DEFAULT_EPS = 0.02
-# Lanes x slots of one stacked run.  Larger stacks step slower per lane (on
-# a 2-vCPU Xeon with numpy 2.4, an 8x8x9 city took 7-8 us per lane-step up
-# to about 64k values and 12 us at 230k; a 94,208-slot grid 0.86 ms with one
-# lane and 1.1 ms with three), so a sweep advances its runs in blocks of at
-# most this size.
-_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -180,8 +174,7 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
     """Fundamental diagram over a density grid, median flow across seeds.
 
     ``policy`` is None or one gate policy; every (density, seed) run is a
-    lane of one stacked simulation (of a few, on very wide networks), and
-    the policy is reset for each stack.
+    lane of one stacked simulation, for which the policy is reset once.
     """
     horizon = default_horizon(t) if horizon is None else horizon
     burn_in = horizon // 2 if burn_in is None else burn_in
@@ -196,12 +189,10 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
         if not 0 <= d <= 1:
             raise ValueError(f"density {d} outside [0, 1]")
         counts.append(round(d * t.counting_size))
-    placements = [init_occupancy(t, count=count, seed=seed)
-                  for count in counts for seed in seeds]
-    block = max(1, _BLOCK_VALUES // t.n_slots)
-    runs = [run for i in range(0, len(placements), block)
-            for run in _measure(t, placements[i:i + block], mode, policy,
-                                horizon, burn_in, per_road)]
+    placements = np.zeros((len(counts) * len(seeds), t.n_slots), np.int64)
+    for lane, (count, seed) in enumerate(itertools.product(counts, seeds)):
+        placements[lane] = init_occupancy(t, count=count, seed=seed)
+    runs = _measure(t, placements, mode, policy, horizon, burn_in, per_road)
     for i, count in enumerate(counts):
         flows, flags, rf, rd = zip(*runs[i * len(seeds):(i + 1) * len(seeds)])
         diagram.points.append(DiagramPoint(

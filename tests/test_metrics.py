@@ -266,24 +266,31 @@ class TestStackedSweep:
             assert p.road_density == tuple(
                 statistics.median(col) for col in zip(*road_density))
 
-    def test_wide_stacks_split_into_blocks(self, monkeypatch):
+    def test_one_measure_call_per_sweep(self, monkeypatch):
         import roadphases.metrics as metrics_mod
         t = build_torus_city(2, 2, 3)
-        kwargs = dict(densities=[0.2, 0.5], mode=DISCRETE,
-                      policy=LocalFeedbackPolicy(), seeds=(0, 1, 2),
-                      horizon=60, per_road=True)
-        whole = sweep_diagram(t, **kwargs)
         calls = []
         real = metrics_mod._measure
 
         def counting(t, a, *args):
-            calls.append(len(a))
+            calls.append(np.shape(a))
             return real(t, a, *args)
 
         monkeypatch.setattr(metrics_mod, "_measure", counting)
-        monkeypatch.setattr(metrics_mod, "_BLOCK_VALUES", 4 * t.n_slots - 1)
-        assert sweep_diagram(t, **kwargs).points == whole.points
-        assert calls == [3, 3]
+        diag = sweep_diagram(t, [0.2, 0.5], DISCRETE, LocalFeedbackPolicy(),
+                             seeds=(0, 1, 2), horizon=60, per_road=True)
+        assert calls == [(6, t.n_slots)]
+        assert len(diag.points) == 2
+
+    @pytest.mark.parametrize("mode", [DISCRETE, CONTINUOUS])
+    def test_empty_density_grid(self, mode):
+        t = build_torus_city(2, 2, 3)
+        solution = solve_lqr(build_lq_model(t))
+        for policy in (None, OpenLoopPolicy(), LocalFeedbackPolicy(),
+                       GlobalFeedbackPolicy(solution)):
+            diag = sweep_diagram(t, [], mode, policy, seeds=(0,),
+                                 horizon=20, per_road=True)
+            assert diag.points == []
 
     def test_one_occupancy_rebuild_per_state(self, monkeypatch):
         t = build_torus_city(2, 2, 3)
