@@ -39,7 +39,8 @@ class OpenLoopPlan:
 
 
 def open_loop_green(plan: OpenLoopPlan, junction: int, k: int) -> bool:
-    """True when the priority-labelled approach is green at step k."""
+    """True when the priority-labelled approach is green at step k (the
+    scalar reference rule of OpenLoopPolicy)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     offset = plan.offsets[junction] if plan.offsets else plan.offset
@@ -63,7 +64,8 @@ class LocalFeedbackInputs:
 
 
 def local_feedback_green(inputs: LocalFeedbackInputs) -> bool:
-    """True when road 1 gets green: n2*b1 + z1 >= n1*b2 + z2.
+    """True when road 1 gets green: n2*b1 + z1 >= n1*b2 + z2 (the scalar
+    reference rule of LocalFeedbackPolicy).
 
     Grants green to the single approach with a vehicle poised to enter, and
     otherwise to the relatively more crowded road; ties go to road 1.
@@ -93,13 +95,14 @@ def build_lq_model(t: NetworkTopology, q_scale: float = 1.0,
     its destination junction and removes it from road i, so columns sum to
     zero (cars are conserved).
     """
-    n = len(t.roads)
+    kern = kernel_for(t)
+    n = len(kern.road_lengths)
+    # every road enters one junction, as its priority or non-priority road
+    road = np.concatenate([kern.pr_road, kern.np_road])
     B = np.zeros((n, n))
-    for road in t.roads:
-        j = t.junctions[road.to_junction]
-        B[road.id, road.id] -= 1.0
-        B[j.out_ceil, road.id] += 0.5
-        B[j.out_floor, road.id] += 0.5
+    np.add.at(B, (road, road), -1.0)
+    for out in (kern.out_ceil, kern.out_floor):
+        np.add.at(B, (np.tile(out, 2), road), 0.5)
     return LQModel(B=B, Q=q_scale * np.eye(n), R=r_scale * np.eye(n))
 
 
@@ -223,10 +226,15 @@ class OpenLoopPolicy:
         self._greens_by_phase: np.ndarray | None = None
 
     def reset(self, sim):
-        t = sim.topology
-        self._greens_by_phase = np.array(
-            [[open_loop_green(self.plan, j.id, k) for j in t.junctions]
-             for k in range(self.plan.cycle)])
+        plan, n = self.plan, sim.kernel.slot_a.size
+        if plan.offsets and len(plan.offsets) != n:
+            raise ValueError(f"offsets needs one entry per junction ({n}), "
+                             f"got {len(plan.offsets)}")
+        # reduced as Python ints first, so that no offset wraps in int64
+        offsets = [o % plan.cycle for o in plan.offsets or (plan.offset,)]
+        # (cycle, junctions): row k holds the greens of phase k
+        phase = np.arange(plan.cycle)[:, None] + np.broadcast_to(offsets, n)
+        self._greens_by_phase = phase % plan.cycle < plan.green_first
 
     def greens(self, k: int, sim) -> np.ndarray:
         return self._greens_by_phase[k % self.plan.cycle]

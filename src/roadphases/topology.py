@@ -9,7 +9,8 @@ Vehicles leaving a junction split evenly between the two outgoing roads.
 State vectors (cumulative counters, occupancies) are indexed by "slots":
 one slot per road cell plus two slots per junction.  Densities are defined
 over "counting positions": one per road cell plus ONE per junction, so a
-network with C road cells and J junctions has C + J counting positions.
+network with C road cells and J junctions has C + J counting positions
+(listed in slot order by ``dynamics.StepKernel.counting``).
 
 Three closed families are provided:
 
@@ -86,21 +87,6 @@ class NetworkTopology:
 
     def road_cell_count(self) -> int:
         return sum(r.length_cells for r in self.roads)
-
-    def counting_positions(self) -> list[tuple[str, int]]:
-        """Positions in canonical order: ("cell", slot) or ("junction", id).
-
-        A junction sits at the ordinal place of its slot_a, so the
-        figure-eight order is: non-priority cells, junction, priority cells.
-        """
-        items: list[tuple[int, tuple[str, int]]] = []
-        for r in self.roads:
-            for c in r.cells:
-                items.append((c, ("cell", c)))
-        for j in self.junctions:
-            items.append((j.slot_a, ("junction", j.id)))
-        items.sort(key=lambda kv: kv[0])
-        return [pos for _, pos in items]
 
     def validate(self) -> None:
         """Check structural invariants; raise ValueError on violation."""

@@ -31,6 +31,16 @@ from roadphases.topology import (
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 
+# capacity-2 networks included: the index arrays do not depend on it
+WALK_NETWORKS = {
+    "figure_eight": build_figure_eight(5, 5),
+    "figure_eight_cap2": build_figure_eight(6, 4, capacity=2),
+    "two_junction": build_two_junction(3, 2, 4, 2),
+    "city_2x2x2": build_torus_city(2, 2, 2),
+    "city_3x4x2_cap2": build_torus_city(3, 4, 2, capacity=2),
+    "city_8x8x9": build_torus_city(8, 8, 9),
+}
+
 
 class TestOpenLoop:
     def test_default_cycle(self):
@@ -55,6 +65,37 @@ class TestOpenLoop:
             OpenLoopPlan(cycle=1)
         with pytest.raises(ValueError):
             OpenLoopPlan(cycle=4, green_first=4)
+
+    @pytest.mark.parametrize("cycle", [2, 3, 4, 7])
+    @pytest.mark.parametrize("name", sorted(WALK_NETWORKS))
+    def test_policy_table_matches_scalar_rule(self, name, cycle):
+        t = WALK_NETWORKS[name]
+        n = len(t.junctions)
+        sim = Simulation(t, np.zeros(t.n_slots, dtype=np.int64))
+        for green_first in range(1, cycle):
+            plans = [OpenLoopPlan(cycle, green_first, offset)
+                     for offset in (0, 1, -3, cycle + 2, 2 ** 63 - 1)]
+            plans += [OpenLoopPlan(cycle, green_first, offset=1,
+                                   offsets=tuple(range(n))),
+                      OpenLoopPlan(cycle, green_first,
+                                   offsets=tuple(5 - 3 * j for j in range(n)))]
+            for plan in plans:
+                policy = OpenLoopPolicy(plan)
+                policy.reset(sim)
+                table = [[open_loop_green(plan, j.id, k) for j in t.junctions]
+                         for k in range(cycle)]
+                for k in range(2 * cycle + 1):
+                    greens = policy.greens(k, sim)
+                    assert greens.dtype == bool
+                    assert greens.tolist() == table[k % cycle], (plan, k)
+
+    @pytest.mark.parametrize("offsets", [(0,), (0, 1, 2, 3, 0)])
+    def test_policy_rejects_wrong_offset_count(self, offsets):
+        t = build_torus_city(2, 2, 2)
+        policy = OpenLoopPolicy(OpenLoopPlan(offsets=offsets))
+        with pytest.raises(ValueError, match=r"one entry per junction \(4\), "
+                                             rf"got {len(offsets)}$"):
+            Simulation(t, np.zeros(t.n_slots, dtype=np.int64), policy=policy)
 
     def test_flow_cap_under_cycle_four(self):
         # a single approach can enter at most once per cycle
@@ -113,6 +154,19 @@ class TestLQModel:
         # diagonal -1 plus two +1/2 entries unless a road feeds itself
         offdiag = model.B - np.diag(np.diag(model.B))
         assert np.all((offdiag == 0) | (offdiag == 0.5))
+
+    @pytest.mark.parametrize("name", sorted(WALK_NETWORKS))
+    def test_matches_road_walk(self, name):
+        t = WALK_NETWORKS[name]
+        n = len(t.roads)
+        B = np.zeros((n, n))
+        for road in t.roads:
+            j = t.junctions[road.to_junction]
+            B[road.id, road.id] -= 1.0
+            B[j.out_ceil, road.id] += 0.5
+            B[j.out_floor, road.id] += 0.5
+        got = build_lq_model(t).B
+        assert got.dtype == B.dtype and got.tobytes() == B.tobytes()
 
     def test_nominal_point(self):
         t = build_torus_city(2, 2, 3)

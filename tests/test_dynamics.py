@@ -1,5 +1,6 @@
 """Counter dynamics: frozen-table reproduction, reference oracle, invariants."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -21,6 +22,7 @@ from roadphases.dynamics import (
     kernel_for,
     occupancy_at,
     occupancy_line,
+    occupancy_lines,
     simulate,
     step,
 )
@@ -60,6 +62,65 @@ TABLE_POSITIONS = [
     [0, 1, 0, 1, 0, 1, 0, 0, 1, 0],
     [0, 0, 1, 1, 0, 0, 1, 0, 0, 1],
 ]
+
+
+def walk_positions(t):
+    """Counting positions as a walk over the topology lists them: ("cell",
+    slot) or ("junction", id), each junction at the place of its slot_a."""
+    items = [(c, ("cell", c)) for r in t.roads for c in r.cells]
+    items += [(j.slot_a, ("junction", j.id)) for j in t.junctions]
+    return [pos for _, pos in sorted(items)]
+
+
+def walk_placement(t, count, seed):
+    """Seeded placement, one position and one sub-cell draw at a time."""
+    rng = np.random.default_rng(seed)
+    positions = walk_positions(t)
+    chosen = rng.choice(len(positions), size=count, replace=False)
+    a = np.zeros(t.n_slots, dtype=np.int64)
+    for idx in sorted(chosen):
+        kind, ref = positions[idx]
+        if kind == "cell":
+            a[ref] = 1
+        else:
+            j = t.junctions[ref]
+            a[j.slot_b if rng.integers(2) else j.slot_a] = 1
+    return a
+
+
+def walk_line(t, y):
+    """Occupancy line, one counting position at a time."""
+    chars = []
+    for kind, ref in walk_positions(t):
+        if kind == "cell":
+            chars.append("1" if y[ref] else "0")
+        else:
+            j = t.junctions[ref]
+            west, south = y[j.slot_a], y[j.slot_b]
+            chars.append("B" if west and south else
+                         "W" if west else "S" if south else "0")
+    return "".join(chars)
+
+
+def _swap_junction_slots(t):
+    """The same network with the slot pairs of junctions 0 and 1 swapped,
+    so that junction ids and counting order disagree."""
+    j0, j1 = t.junctions
+    return dataclasses.replace(t, junctions=(
+        dataclasses.replace(j0, slot_a=j1.slot_a, slot_b=j1.slot_b),
+        dataclasses.replace(j1, slot_a=j0.slot_a, slot_b=j0.slot_b)))
+
+
+PLACEMENT_NETWORKS = {
+    "figure_eight": build_figure_eight(5, 4),
+    "figure_eight_cap2": build_figure_eight(4, 6, capacity=2),
+    "two_junction": build_two_junction(3, 2, 4, 2),
+    "two_junction_cap2": build_two_junction(2, 3, 2, 2, capacity=2),
+    "two_junction_swapped": _swap_junction_slots(
+        build_two_junction(2, 4, 3, 2)),
+    "torus": build_torus_city(2, 2, 2),
+    "torus_cap2": build_torus_city(2, 3, 1, capacity=2),
+}
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +270,29 @@ class TestInitOccupancy:
         with pytest.raises(ValueError):
             init_occupancy(fig8_55, values=[np.nan] + A55[1:])
 
+    @pytest.mark.parametrize("name", sorted(PLACEMENT_NETWORKS))
+    def test_placements_match_position_walk(self, name):
+        t = PLACEMENT_NETWORKS[name]
+        t.validate()
+        for count in range(t.counting_size + 1):
+            for seed in range(6):
+                want = walk_placement(t, count, seed)
+                got = init_occupancy(t, count=count, seed=seed)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (count, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subcell_draws_match_scalar_draws(self, seed):
+        # init_occupancy draws every junction's sub-cell in one call; the
+        # placements stay those of one call per junction only while numpy
+        # gives both the same values
+        for k in (1, 2, 3, 7, 64, 1001):
+            one, many = (np.random.default_rng(seed) for _ in range(2))
+            one.choice(50, size=3 * seed, replace=False)
+            many.choice(50, size=3 * seed, replace=False)
+            assert [int(one.integers(2)) for _ in range(k)] == \
+                many.integers(2, size=k).tolist()
+
     def test_names_first_overfull_junction(self):
         t = build_torus_city(3, 3, 2)
         a = np.zeros(t.n_slots, dtype=np.int64)
@@ -321,6 +405,25 @@ class TestStepValidation:
         state = CounterState(0, np.full(10, 0.5), DISCRETE)
         with pytest.raises(ValueError):
             step(state, A55, fig8_55)
+
+    def test_step_rejects_unknown_mode(self, fig8_55):
+        state = CounterState(0, np.zeros(10, dtype=np.int64), "discrete ")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            step(state, A55, fig8_55)
+
+    def test_occupancy_rejects_long_state(self, fig8_55):
+        state = CounterState(0, np.zeros(12, dtype=np.int64), DISCRETE)
+        with pytest.raises(ValueError, match=r"state has shape \(12,\)"):
+            occupancy_at(state, A55, fig8_55)
+        with pytest.raises(ValueError, match=r"state has shape \(12,\)"):
+            occupancy_lines(fig8_55, [state], A55)
+
+    def test_occupancy_rejects_short_state(self, fig8_55):
+        state = CounterState(0, np.zeros(7, dtype=np.int64), DISCRETE)
+        with pytest.raises(ValueError, match=r"state has shape \(7,\)"):
+            occupancy_at(state, A55, fig8_55)
+        with pytest.raises(ValueError, match=r"state has shape \(7,\)"):
+            occupancy_lines(fig8_55, [state], A55)
 
 
 class TestKernelCache:
@@ -454,3 +557,20 @@ class TestDumps:
         line = occupancy_line(fig8_55, y1)
         assert len(line) == fig8_55.counting_size
         assert line == "0011S0100"[:len(line)]
+
+    @pytest.mark.parametrize("name", ["figure_eight_cap2",
+                                      "two_junction_cap2", "torus_cap2",
+                                      "two_junction_swapped"])
+    def test_occupancy_line_matches_position_walk(self, name):
+        t = PLACEMENT_NETWORKS[name]
+        at_junction = [i for i, (kind, _) in enumerate(walk_positions(t))
+                       if kind == "junction"]
+        seen = set()
+        for seed in range(4):
+            a = init_occupancy(t, density=0.7, seed=seed)
+            for state in simulate(t, a, DISCRETE, horizon=40):
+                line = occupancy_line(t, occupancy_at(state, a, t))
+                assert line == walk_line(t, occupancy_at(state, a, t))
+                seen.update(line[i] for i in at_junction)
+        assert seen == ({"0", "W", "S", "B"} if t.junctions[0].capacity == 2
+                        else {"0", "W", "S"})

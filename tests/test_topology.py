@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from roadphases.dynamics import kernel_for
 from roadphases.topology import (
     build_figure_eight,
     build_torus_city,
@@ -151,10 +152,12 @@ class TestStructure:
 
     def test_counting_positions_cover_everything(self):
         t = build_two_junction(4, 3, 5, 2)
-        positions = t.counting_positions()
-        assert len(positions) == t.counting_size
-        cells = [ref for kind, ref in positions if kind == "cell"]
-        assert len(set(cells)) == t.road_cell_count()
+        counting = kernel_for(t).counting
+        assert counting.size == t.counting_size
+        # every road cell once, and each junction once, at its slot_a
+        assert counting.tolist() == sorted(
+            [c for r in t.roads for c in r.cells]
+            + [j.slot_a for j in t.junctions])
 
 
 class TestSerialization:
