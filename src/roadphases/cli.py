@@ -382,12 +382,13 @@ def cmd_response(cfg: RunConfig, out_dir: Path) -> int:
     horizon = 8 * t.counting_size if cfg.response_horizon is None \
         else cfg.response_horizon
     count = round(cfg.response_density * t.counting_size)
+    starts = np.array([metrics.clustered_occupancy(t, count, seed)
+                       for seed in cfg.seeds])
     summary = ["policy,seed,response_time,settled,plateau"]
     for name in cfg.response_policies:
         policy = make_policy(name, cfg, t)
-        for seed in cfg.seeds:
-            a = metrics.clustered_occupancy(t, count, seed=seed)
-            trace = metrics.run_response_trace(t, a, policy, horizon)
+        traces = metrics.run_response_trace(t, starts, policy, horizon)
+        for seed, trace in zip(cfg.seeds, traces):
             band = cfg.response_band_fraction * trace.distances[0]
             rt, settled = metrics.response_time(trace, band)
             plateau = metrics.plateau_level(trace)

@@ -155,9 +155,11 @@ def solve_lqr(model: LQModel, tol: float = 1e-10,
     returned gain acts on full-space deviations.  Raises RiccatiError if the
     residual does not reach tol within max_iter sweeps.
     """
-    eigs = np.linalg.eigvalsh(model.R)
-    if eigs.min() <= 0:
+    if np.linalg.eigvalsh(model.R).min() <= 0:
         raise ValueError("R must be positive definite")
+    q_eigs = np.linalg.eigvalsh(model.Q)  # zeros may round to just below 0
+    if q_eigs.min() < -1e-12 * max(1.0, q_eigs.max()):
+        raise ValueError("Q must be positive semidefinite")
     V = _mass_projection(model.B)
     if V is not None:
         B = V.T @ model.B

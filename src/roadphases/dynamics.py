@@ -34,6 +34,7 @@ elementwise per lane, so each lane matches its run stepped alone bit for bit.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass
 
@@ -283,7 +284,9 @@ class Simulation:
     ``policy`` is any object with ``reset(sim)`` and
     ``greens(k, sim) -> bool array`` (True = priority approach green), of
     shape (junctions,) for every lane or (lanes, junctions), or None for the
-    bare priority-to-the-right rule.
+    bare priority-to-the-right rule.  The simulation resets and steps its
+    own shallow copy, ``sim.policy``, so one policy object may serve any
+    number of live runs.
     """
 
     def __init__(self, t: NetworkTopology, a, mode: str = DISCRETE,
@@ -294,9 +297,9 @@ class Simulation:
         self.kernel = kernel_for(t)
         self.k = 0
         self._y = None
-        self.policy = policy
+        self.policy = copy.copy(policy)
         if policy is not None:
-            policy.reset(self)
+            self.policy.reset(self)
 
     @property
     def discrete(self) -> bool:
@@ -324,10 +327,6 @@ class Simulation:
     def road_counts(self) -> np.ndarray:
         """Vehicles currently on each road (junction interiors excluded)."""
         return self.kernel.road_sums(self.occupancy())
-
-    def junction_entry_parity(self) -> np.ndarray:
-        kern = self.kernel
-        return (self.x[..., kern.slot_a] + self.x[..., kern.slot_b]) % 2
 
 
 def step(state: CounterState, a, t: NetworkTopology,

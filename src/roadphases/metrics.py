@@ -4,16 +4,15 @@ The average flow of a run is the mean per-step counter increment over a
 measurement window [burn_in, K]; the estimate is flagged converged when the
 half-window estimate agrees within 1e-3, or when an exact periodic regime
 was found (the per-period average is then exact).  Diagram sweeps take the
-median over seeds per density.  A sweep advances all of its (density, seed)
-runs together, as the lanes of one stacked simulation; lanes never
-interact, so every run's flow is exactly the flow it has when run alone.
+median over seeds per density.  Sweeps and response traces advance all of
+their runs together, as the lanes of one stacked simulation; lanes never
+interact, so every run's results are exactly those it has when run alone.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,9 +90,10 @@ def _policy_id(policy) -> str:
 
 
 def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int,
-             burn_in: int, per_road: bool) -> list[tuple]:
+             burn_in: int, per_road: bool) -> tuple:
     """Runs from a stack of placements (lanes, slots), advanced together;
-    returns (flow, converged, road_flow, road_density) per lane."""
+    returns per-lane arrays (flow, converged, road_flow, road_density); the
+    road densities are zero unless ``per_road`` accumulates them."""
     if not horizon > burn_in >= 0:
         raise ValueError("need horizon > burn_in >= 0")
     sim = Simulation(t, a, mode, policy)
@@ -109,22 +109,16 @@ def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int,
         if sim.k == mid:
             x_mid = sim.x.copy()
     window = horizon - burn_in
-    # C order: each lane's row is contiguous, so np.mean sums it exactly as
-    # it sums the counters of a lone run
+    # C order: each lane's row is contiguous, so a row mean sums it exactly
+    # as np.mean sums the counters of a lone run
     gained = np.ascontiguousarray(sim.x - x_burn)
-    gained_mid = x_mid - x_burn
+    flow = gained.mean(axis=1) / window
+    half = (x_mid - x_burn).mean(axis=1) / (mid - burn_in) \
+        if mid > burn_in else flow
     kern = sim.kernel
-    road_flow = kern.road_sums(gained) / kern.road_lengths / window
-    road_density = road_cells_acc / window / kern.road_lengths
-    runs = []
-    for lane in range(len(gained)):
-        flow = float(np.mean(gained[lane])) / window
-        half = float(np.mean(gained_mid[lane])) / (mid - burn_in) \
-            if mid > burn_in else flow
-        runs.append((flow, abs(flow - half) < CONVERGENCE_TOL,
-                     tuple(road_flow[lane].tolist()) if per_road else None,
-                     tuple(road_density[lane].tolist()) if per_road else None))
-    return runs
+    return (flow, np.abs(flow - half) < CONVERGENCE_TOL,
+            kern.road_sums(gained) / kern.road_lengths / window,
+            road_cells_acc / window / kern.road_lengths)
 
 
 def estimate_growth_rate(t: NetworkTopology, a, mode: str = DISCRETE,
@@ -134,35 +128,33 @@ def estimate_growth_rate(t: NetworkTopology, a, mode: str = DISCRETE,
     horizon = default_horizon(t) if horizon is None else horizon
     burn_in = horizon // 2 if burn_in is None else burn_in
     flow, converged, _, _ = _measure(t, [a], mode, policy, horizon, burn_in,
-                                     per_road=False)[0]
-    return flow, converged
+                                     per_road=False)
+    return float(flow[0]), bool(converged[0])
 
 
 def detect_period(t: NetworkTopology, a, policy=None,
                   max_steps: int | None = None) -> PeriodResult | None:
-    """Earliest exact recurrence of (occupancy, junction parities, light phase).
+    """Earliest exact recurrence of (counters up to a shift, light phase).
 
-    Discrete mode only.  Counters themselves never repeat (they grow), but an
-    occupancy recurrence with equal junction-entry parities and light phase
-    pins the state up to a uniform counter shift, which the dynamics carry
-    along unchanged, so the regime is exactly periodic from there on.
+    Discrete mode only.  Counters never repeat (they grow), but when x - x[0]
+    at step k equals its value at an earlier step s under the same phase, x
+    at k is x at s plus a uniform shift c, which the dynamics carry along
+    unchanged: the regime is periodic from s on, with flow c per period.
     """
     max_steps = 20 * t.counting_size if max_steps is None else max_steps
     sim = Simulation(t, a, DISCRETE, policy)
-    phase_key = getattr(policy, "phase_key", lambda k: ())
-    seen: dict[bytes | tuple, int] = {}
-    snapshots: list[np.ndarray] = []
+    phase_key = getattr(sim.policy, "phase_key", lambda k: ())
+    seen: dict[tuple, int] = {}
+    x0: list[int] = []  # x[0] at each step
     for k in range(max_steps + 1):
-        key = (sim.occupancy().tobytes(),
-               sim.junction_entry_parity().tobytes(),
-               phase_key(k))
+        key = ((sim.x - sim.x[0]).tobytes(), phase_key(k))
         if key in seen:
             start = seen[key]
             period = k - start
-            flow = float(np.mean(sim.x - snapshots[start])) / period
+            flow = float(sim.x[0] - x0[start]) / period
             return PeriodResult(period=period, start=start, flow=flow)
         seen[key] = k
-        snapshots.append(sim.x.copy())
+        x0.append(sim.x[0])
         sim.advance()
     return None
 
@@ -192,19 +184,22 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
     placements = np.zeros((len(counts) * len(seeds), t.n_slots), np.int64)
     for lane, (count, seed) in enumerate(itertools.product(counts, seeds)):
         placements[lane] = init_occupancy(t, count=count, seed=seed)
-    runs = _measure(t, placements, mode, policy, horizon, burn_in, per_road)
+    # lane i * len(seeds) + j is the run of counts[i] and seeds[j]
+    flows, flags, road_flow, road_density = (
+        v.reshape(len(counts), len(seeds), *v.shape[1:])
+        for v in _measure(t, placements, mode, policy, horizon, burn_in,
+                          per_road))
+    flow, road_flow, road_density = (
+        np.median(v, axis=1) for v in (flows, road_flow, road_density))
     for i, count in enumerate(counts):
-        flows, flags, rf, rd = zip(*runs[i * len(seeds):(i + 1) * len(seeds)])
         diagram.points.append(DiagramPoint(
             density=count / t.counting_size,
-            flow=statistics.median(flows),
-            converged=all(flags),
+            flow=float(flow[i]),
+            converged=bool(flags[i].all()),
             seed_count=len(seeds),
-            seed_flows=flows,
-            road_flow=tuple(statistics.median(col) for col in zip(*rf))
-            if per_road else None,
-            road_density=tuple(statistics.median(col) for col in zip(*rd))
-            if per_road else None,
+            seed_flows=tuple(flows[i].tolist()),
+            road_flow=tuple(road_flow[i].tolist()) if per_road else None,
+            road_density=tuple(road_density[i].tolist()) if per_road else None,
         ))
     return diagram
 
@@ -216,6 +211,8 @@ def classify_phases_empirical(diagram: FundamentalDiagram,
     Free when flow tracks density, freeze when flow vanishes, saturation
     when flow sits at the diagram's maximum, recession otherwise.
     """
+    if not 0 <= eps < np.inf:
+        raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
     if not diagram.points:
         return Segmentation(labels=(), segments=())
     max_flow = max(p.flow for p in diagram.points)
@@ -243,42 +240,41 @@ def classify_phases_empirical(diagram: FundamentalDiagram,
     return Segmentation(labels=labels, segments=tuple(segments))
 
 
-def distance_to_uniform(y: np.ndarray, t: NetworkTopology) -> float:
-    """Euclidean distance of per-road densities from the uniform level.
+def distance_to_uniform(y: np.ndarray, t: NetworkTopology):
+    """Euclidean distance of per-road densities from the uniform level, as
+    a float, or per lane of a (lanes, slots) stack as an array.
 
     The uniform level is total road-cell occupancy over total road cells;
     junction interiors are not part of any road.
     """
     kern = kernel_for(t)
-    counts = kern.road_sums(np.asarray(y, dtype=float))
-    uniform = float(counts.sum()) / int(kern.road_lengths.sum())
-    return float(np.linalg.norm(counts / kern.road_lengths - uniform))
+    counts = kern.road_sums(np.ascontiguousarray(y, dtype=float))
+    uniform = counts.sum(axis=-1, keepdims=True) / int(kern.road_lengths.sum())
+    # one 1-D norm (a BLAS dot) per lane: norm(axis=-1) sums in another order
+    dist = [float(np.linalg.norm(v))
+            for v in np.atleast_2d(counts / kern.road_lengths - uniform)]
+    return dist[0] if counts.ndim == 1 else np.array(dist)
 
 
 def response_time(trace, band: float) -> tuple[int, bool]:
     """First step after which the trace stays within band of its plateau.
 
-    The plateau is the mean of the last 10% of samples.  A trace that never
-    settles reports its full length with a False flag.
+    The plateau is plateau_level's.  A trace that never settles reports its
+    full length with a False flag.
     """
-    values = np.asarray(
-        trace.distances if isinstance(trace, ResponseTrace) else trace,
-        dtype=float)
+    if not 0 <= band < np.inf:
+        raise ValueError(f"band must be a finite number >= 0, got {band!r}")
+    values = np.asarray(getattr(trace, "distances", trace), dtype=float)
     if values.size == 0:
         raise ValueError("empty response trace")
-    tail = values[-max(1, values.size // 10):]
-    plateau = float(tail.mean())
-    bad = np.nonzero(np.abs(values - plateau) > band)[0]
-    if bad.size == 0:
-        return 0, True
-    settle = int(bad[-1]) + 1
-    if settle >= values.size:
-        return int(values.size), False
-    return settle, True
+    bad = np.flatnonzero(np.abs(values - plateau_level(values)) > band)
+    settle = int(bad[-1]) + 1 if bad.size else 0
+    return settle, settle < values.size
 
 
-def plateau_level(trace: ResponseTrace) -> float:
-    values = np.asarray(trace.distances, dtype=float)
+def plateau_level(trace) -> float:
+    """Mean of the last 10% of a trace's samples."""
+    values = np.asarray(getattr(trace, "distances", trace), dtype=float)
     return float(values[-max(1, values.size // 10):].mean())
 
 
@@ -294,9 +290,9 @@ def clustered_occupancy(t: NetworkTopology, count: int,
     return a
 
 
-def run_response_trace(t: NetworkTopology, a, policy,
-                       horizon: int) -> ResponseTrace:
-    """Distance-to-uniform time series under one policy."""
+def run_response_trace(t: NetworkTopology, a, policy, horizon: int):
+    """Distance-to-uniform time series under one policy: a ResponseTrace,
+    or a list of one per lane of a (lanes, slots) stack."""
     if horizon < 1:
         raise ValueError("response horizon must be >= 1")
     sim = Simulation(t, a, DISCRETE, policy)
@@ -304,7 +300,9 @@ def run_response_trace(t: NetworkTopology, a, policy,
     for _ in range(horizon):
         sim.advance()
         distances.append(distance_to_uniform(sim.occupancy(), t))
-    return ResponseTrace(policy_id=_policy_id(policy), distances=distances)
+    traces = [ResponseTrace(policy_id=_policy_id(policy), distances=lane)
+              for lane in np.column_stack(distances).tolist()]
+    return traces if sim.x.ndim == 2 else traces[0]
 
 
 def write_diagram_csv(

@@ -343,6 +343,17 @@ class TestPhasesCommand:
         assert lines[0] == "d_lo,d_hi,phase"
         assert len(lines) >= 2
 
+    @pytest.mark.parametrize("eps", ["nan", "-0.01", "inf"])
+    def test_rejects_eps_that_cannot_be_met(self, tmp_path, capsys, eps):
+        csv_path = tmp_path / "diagram.csv"
+        csv_path.write_text("topology_id,policy,r,density,flow,phase,"
+                            "converged,seed_count\n"
+                            "t,priority,0.5,0.5,0.25,saturation,1,1\n")
+        assert run_cli(["phases", "--input", str(csv_path), "--eps", eps],
+                       tmp_path) == 1
+        assert "eps" in capsys.readouterr().err
+        assert not (tmp_path / "phases.csv").exists()
+
 
 RESPONSE_CFG = """\
 [topology]
@@ -383,6 +394,16 @@ class TestResponseCommand:
         assert "horizon" in capsys.readouterr().err
         assert not (tmp_path / "response_summary.csv").exists()
 
+    @pytest.mark.parametrize("fraction", ["-0.5", "nan", "inf"])
+    def test_rejects_band_that_cannot_be_met(self, tmp_path, capsys,
+                                             fraction):
+        cfg_path = tmp_path / "resp.cfg"
+        cfg_path.write_text(RESPONSE_CFG.replace(
+            "horizon = 200", f"horizon = 200\nband_fraction = {fraction}"))
+        assert run_cli(["response", "--config", str(cfg_path)], tmp_path) == 1
+        assert "band" in capsys.readouterr().err
+        assert not (tmp_path / "response_summary.csv").exists()
+
 
 GLOBAL_CFG = """\
 [topology]
@@ -419,6 +440,15 @@ class TestGlobalFeedbackCommands:
                                                f"cycle = {cycle}"))
         assert run_cli([command, "--config", str(cfg_path)], tmp_path) == 1
         assert "cycle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["diagram", "response"])
+    def test_indefinite_state_weight_exits_one(self, tmp_path, capsys,
+                                               command):
+        cfg_path = tmp_path / "glob.cfg"
+        cfg_path.write_text(GLOBAL_CFG.replace("cycle = 4",
+                                               "cycle = 4\nq_scale = -1"))
+        assert run_cli([command, "--config", str(cfg_path)], tmp_path) == 1
+        assert "Q must be positive semidefinite" in capsys.readouterr().err
 
     def test_one_solve_per_series_and_response_policy(self, tmp_path,
                                                       monkeypatch):

@@ -212,6 +212,17 @@ class TestRiccati:
         with pytest.raises(ValueError):
             solve_lqr(scalar_model(r=0.0))
 
+    @pytest.mark.parametrize("q", [-1.0, -1e-6])
+    def test_requires_positive_semidefinite_Q(self, q):
+        with pytest.raises(ValueError, match="Q must be positive semi"):
+            solve_lqr(scalar_model(q=q))
+
+    def test_accepts_singular_Q_despite_rounding(self):
+        model = build_lq_model(build_torus_city(2, 2, 2))
+        total = np.ones_like(model.Q)  # weighs the total inventory only
+        assert np.linalg.eigvalsh(total).min() < 0  # zeros round below 0
+        solve_lqr(LQModel(model.B, total, model.R))
+
     def test_non_convergence_reports_residual(self):
         with pytest.raises(RiccatiError) as err:
             solve_lqr(scalar_model(), tol=1e-14, max_iter=3)
@@ -410,7 +421,7 @@ class TestLocalFeedbackPolicy:
                     expected.append(local_feedback_green(LocalFeedbackInputs(
                         n1=r1.length_cells, n2=r2.length_cells,
                         z1=z[r1.id], z2=z[r2.id], b1=b[r1.id], b2=b[r2.id])))
-                assert policy.greens(sim.k, sim).tolist() == expected
+                assert sim.policy.greens(sim.k, sim).tolist() == expected
                 seen.update(expected)
                 sim.advance()
         assert seen == {True, False}
@@ -435,7 +446,8 @@ class TestGlobalFeedbackPolicy:
             xbar, ubar = nominal_point(t, density(a, t))
             slots = global_feedback_timing(t, solution.gain, xbar, ubar,
                                            sim.road_counts(), cycle=6)
-            greens = [bool(policy.greens(12 + p, sim)[0]) for p in range(6)]
+            greens = [bool(sim.policy.greens(12 + p, sim)[0])
+                      for p in range(6)]
             assert greens == [p < slots[0] for p in range(6)]
 
 
@@ -452,7 +464,44 @@ class TestMutualExclusion:
         policy = policy_factory(solution)
         sim = Simulation(t, a, policy=policy)
         for k in range(60):
-            greens = policy.greens(sim.k, sim)
+            greens = sim.policy.greens(sim.k, sim)
             assert greens.shape == (len(t.junctions),)
             assert greens.dtype == bool  # one approach green <=> other red
             sim.advance()
+
+
+class TestSharedPolicy:
+    """Each Simulation resets and steps its own copy of the policy."""
+
+    @staticmethod
+    def lone_x(t, a, policy, steps):
+        sim = Simulation(t, a, policy=policy)
+        sim.advance(steps)
+        return sim.x
+
+    def test_interleaved_runs_share_global_feedback(self):
+        t = build_torus_city(3, 3, 4)
+        shared = GlobalFeedbackPolicy(solve_lqr(build_lq_model(t)))
+        starts = [init_occupancy(t, density=d, seed=1) for d in (0.2, 0.6)]
+        sims = [Simulation(t, a, policy=shared) for a in starts]
+        for _ in range(200):
+            for sim in sims:
+                sim.advance()
+        for a, sim in zip(starts, sims):
+            lone = self.lone_x(t, a, GlobalFeedbackPolicy(shared.solution),
+                               200)
+            assert np.array_equal(sim.x, lone)
+
+    @pytest.mark.parametrize("make", [OpenLoopPolicy, LocalFeedbackPolicy])
+    def test_one_policy_serves_two_networks(self, make):
+        shared = make()
+        nets = [build_torus_city(3, 3, 4), build_torus_city(2, 2, 7)]
+        starts = [init_occupancy(t, density=0.3, seed=2) for t in nets]
+        sims = [Simulation(t, a, policy=shared)
+                for t, a in zip(nets, starts)]
+        for _ in range(50):
+            for sim in sims:
+                sim.advance()
+        for t, a, sim in zip(nets, starts, sims):
+            assert sim.policy is not shared
+            assert np.array_equal(sim.x, self.lone_x(t, a, make(), 50))

@@ -23,6 +23,7 @@ from roadphases.dynamics import (
 from roadphases.metrics import (
     DiagramPoint,
     FundamentalDiagram,
+    PeriodResult,
     ResponseTrace,
     classify_phases_empirical,
     clustered_occupancy,
@@ -44,6 +45,23 @@ from roadphases.topology import (
 )
 
 A55 = [0, 1, 0, 1, 0, 1, 0, 0, 1, 0]
+
+SWEEP_POLICIES = {
+    "priority": lambda t: None,
+    "open_loop": lambda t: OpenLoopPolicy(),
+    "local_feedback": lambda t: LocalFeedbackPolicy(),
+    "global_feedback": lambda t: GlobalFeedbackPolicy(
+        solve_lqr(build_lq_model(t)), cycle=3),
+}
+
+PERIOD_NETWORKS = {
+    "figure_eight": build_figure_eight(7, 4),
+    "figure_eight_cap2": build_figure_eight(6, 5, capacity=2),
+    "two_junction": build_two_junction(4, 3, 5, 2),
+    "two_junction_cap2": build_two_junction(3, 4, 2, 3, capacity=2),
+    "city": build_torus_city(2, 2, 3),
+    "city_cap2": build_torus_city(2, 3, 2, capacity=2),
+}
 
 
 class TestGrowthRate:
@@ -114,6 +132,42 @@ class TestDetectPeriod:
         t = build_figure_eight(30, 20)
         a = init_occupancy(t, density=0.45, seed=5)
         assert detect_period(t, a, max_steps=3) is None
+
+    @pytest.mark.parametrize("policy", sorted(SWEEP_POLICIES))
+    @pytest.mark.parametrize("t", PERIOD_NETWORKS.values(),
+                             ids=PERIOD_NETWORKS.keys())
+    def test_matches_occupancy_walk(self, t, policy):
+        policy = SWEEP_POLICIES[policy](t)
+        found = []
+        for count in range(1, t.counting_size, 3):
+            for seed in (0, 1):
+                a = init_occupancy(t, count=count, seed=seed)
+                res = detect_period(t, a, policy)
+                assert res == occupancy_walk_period(
+                    t, a, policy, 20 * t.counting_size)
+                found.append(res is not None)
+        assert any(found)
+
+
+def occupancy_walk_period(t, a, policy, max_steps):
+    """The reference detect_period is pinned to: the earliest recurrence of
+    (occupancy, junction-entry parities, light phase)."""
+    sim = Simulation(t, a, DISCRETE, policy)
+    kern = sim.kernel
+    phase_key = getattr(sim.policy, "phase_key", lambda k: ())
+    seen, snapshots = {}, []
+    for k in range(max_steps + 1):
+        parity = (sim.x[kern.slot_a] + sim.x[kern.slot_b]) % 2
+        key = (sim.occupancy().tobytes(), parity.tobytes(), phase_key(k))
+        if key in seen:
+            start = seen[key]
+            period = k - start
+            flow = float(np.mean(sim.x - snapshots[start])) / period
+            return PeriodResult(period=period, start=start, flow=flow)
+        seen[key] = k
+        snapshots.append(sim.x.copy())
+        sim.advance()
+    return None
 
 
 class TestSweep:
@@ -233,15 +287,6 @@ def lone_run(t, a, mode, policy, horizon, burn_in):
             tuple((road_cells_acc / window / kern.road_lengths).tolist()))
 
 
-SWEEP_POLICIES = {
-    "priority": lambda t: None,
-    "open_loop": lambda t: OpenLoopPolicy(),
-    "local_feedback": lambda t: LocalFeedbackPolicy(),
-    "global_feedback": lambda t: GlobalFeedbackPolicy(
-        solve_lqr(build_lq_model(t)), cycle=3),
-}
-
-
 class TestStackedSweep:
     @pytest.mark.parametrize("policy", sorted(SWEEP_POLICIES))
     @pytest.mark.parametrize("mode", [CONTINUOUS, DISCRETE])
@@ -250,21 +295,26 @@ class TestStackedSweep:
                              ids=["two_junction", "city"])
     def test_points_match_lone_runs(self, t, mode, policy):
         policy = SWEEP_POLICIES[policy](t)
-        densities, seeds = [0.1, 0.35, 0.6], (0, 1, 2)
-        diag = sweep_diagram(t, densities, mode, policy, seeds=seeds,
-                             horizon=90, burn_in=40, per_road=True)
-        for d, p in zip(densities, diag.points):
-            count = round(d * t.counting_size)
-            runs = [lone_run(t, init_occupancy(t, count=count, seed=seed),
-                             mode, policy, 90, 40) for seed in seeds]
-            flows, flags, road_flow, road_density = zip(*runs)
-            assert p.seed_flows == flows
-            assert p.flow == statistics.median(flows)
-            assert p.converged == all(flags)
-            assert p.road_flow == tuple(
-                statistics.median(col) for col in zip(*road_flow))
-            assert p.road_density == tuple(
-                statistics.median(col) for col in zip(*road_density))
+        densities = [0.1, 0.35, 0.6]
+        lone = {(d, seed): lone_run(
+                    t, init_occupancy(t, count=round(d * t.counting_size),
+                                      seed=seed), mode, policy, 90, 40)
+                for d in densities for seed in range(4)}
+        # an odd seed count takes the middle flow, an even one averages two
+        for seeds in ((0, 1, 2), (0, 1, 2, 3)):
+            diag = sweep_diagram(t, densities, mode, policy, seeds=seeds,
+                                 horizon=90, burn_in=40, per_road=True)
+            for d, p in zip(densities, diag.points):
+                flows, flags, road_flow, road_density = zip(
+                    *(lone[d, seed] for seed in seeds))
+                assert p.seed_flows == flows
+                assert p.flow == statistics.median(flows)
+                assert type(p.flow) is float
+                assert p.converged == all(flags)
+                assert p.road_flow == tuple(
+                    statistics.median(col) for col in zip(*road_flow))
+                assert p.road_density == tuple(
+                    statistics.median(col) for col in zip(*road_density))
 
     def test_one_measure_call_per_sweep(self, monkeypatch):
         import roadphases.metrics as metrics_mod
@@ -307,9 +357,9 @@ class TestStackedSweep:
         # states 0..39 set the lights, states 11..40 are measured
         assert rebuilds == [(4, t.n_slots)] * 41
         rebuilds.clear()
-        run_response_trace(t, clustered_occupancy(t, 5, seed=0),
-                           LocalFeedbackPolicy(), horizon=25)
-        assert rebuilds == [(t.n_slots,)] * 26
+        starts = np.array([clustered_occupancy(t, 5, seed=s) for s in (0, 1)])
+        run_response_trace(t, starts, LocalFeedbackPolicy(), horizon=25)
+        assert rebuilds == [(2, t.n_slots)] * 26
 
 
 class TestClassifyEmpirical:
@@ -344,6 +394,12 @@ class TestClassifyEmpirical:
         seg = classify_phases_empirical(self._diagram(pairs), eps=0.02)
         labels = {s.label for s in seg.segments}
         assert labels == {PhaseLabel.FREE, PhaseLabel.FREEZE}
+
+    @pytest.mark.parametrize("eps", [-0.01, float("nan"), float("inf")])
+    def test_rejects_eps_that_cannot_be_met(self, eps):
+        diag = self._diagram([(0.1, 0.1), (0.5, 0.25)])
+        with pytest.raises(ValueError, match="eps"):
+            classify_phases_empirical(diag, eps)
 
     def test_segments_tile_the_axis(self):
         pairs = [(k / 20, flow_approx(k / 20, 0.6)) for k in range(21)]
@@ -382,6 +438,32 @@ class TestDistanceAndResponse:
         assert not settled
         assert steps == 20
 
+    @pytest.mark.parametrize("band", [-0.5, float("nan"), float("inf")])
+    def test_response_time_rejects_band_that_cannot_be_met(self, band):
+        with pytest.raises(ValueError, match="band"):
+            response_time([4.0, 2.0, 1.0, 1.0], band)
+
+    def test_stacked_distance_matches_lone_formula(self):
+        t = build_torus_city(3, 3, 4)
+        y = np.random.default_rng(7).integers(0, 9, (5, t.n_slots)) / 8
+        assert distance_to_uniform(y, t).tolist() == [
+            lone_distance(lane, t) for lane in y]
+        assert distance_to_uniform(y[0], t) == lone_distance(y[0], t)
+
+    @pytest.mark.parametrize("policy", ["open_loop", "local_feedback",
+                                        "global_feedback"])
+    def test_stacked_traces_match_lone_runs(self, policy):
+        t = build_torus_city(3, 3, 4)
+        policy = SWEEP_POLICIES[policy](t)
+        starts = np.array([clustered_occupancy(t, 14, seed=s)
+                           for s in range(3)])
+        traces = run_response_trace(t, starts, policy, horizon=80)
+        assert len(traces) == len(starts)
+        for a, trace in zip(starts, traces):
+            lone = run_response_trace(t, a, policy, horizon=80)
+            assert trace.distances == lone.distances
+            assert trace.policy_id == lone.policy_id
+
     def test_clustered_start_relaxes_under_local_feedback(self):
         t = build_torus_city(2, 2, 4)
         a = clustered_occupancy(t, count=10, seed=0)
@@ -408,6 +490,14 @@ class TestDistanceAndResponse:
 
 def trace_len(trace: ResponseTrace) -> int:
     return len(trace.distances)
+
+
+def lone_distance(y, t):
+    """The one-run distance formula, one BLAS dot per call."""
+    kern = StepKernel(t)
+    counts = kern.road_sums(np.asarray(y, dtype=float))
+    uniform = float(counts.sum()) / int(kern.road_lengths.sum())
+    return float(np.linalg.norm(counts / kern.road_lengths - uniform))
 
 
 class TestCsvRoundTrips:
