@@ -280,6 +280,7 @@ def _series_for_diagram(cfg: RunConfig):
 
 def cmd_diagram(cfg: RunConfig, out_dir: Path, strict: bool = False,
                 plot: bool = False) -> int:
+    metrics.check_tolerance("eps", cfg.eps)
     series_data = []
     all_converged = True
     for label, t, policy_name in _series_for_diagram(cfg):
@@ -379,6 +380,7 @@ def cmd_response(cfg: RunConfig, out_dir: Path) -> int:
     t = cfg.build_topology()
     if cfg.mode != DISCRETE:
         raise ConfigError("response scenarios run in discrete mode")
+    metrics.check_tolerance("band_fraction", cfg.response_band_fraction)
     horizon = 8 * t.counting_size if cfg.response_horizon is None \
         else cfg.response_horizon
     count = round(cfg.response_density * t.counting_size)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import flow_approx
-from .dynamics import density, kernel_for
+from .dynamics import kernel_for
 from .topology import NetworkTopology, ratio_r
 
 FLOW_CAP = 0.25  # a capacity-1 junction approach cannot exceed this
@@ -106,17 +106,18 @@ def build_lq_model(t: NetworkTopology, q_scale: float = 1.0,
     return LQModel(B=B, Q=q_scale * np.eye(n), R=r_scale * np.eye(n))
 
 
-def nominal_point(t: NetworkTopology,
-                  d: float) -> tuple[np.ndarray, np.ndarray]:
-    """(xbar, ubar) at density d: density d on every road, and the analytic
-    flow approximation at d on every road.  The approximation assumes one
-    capacity at every junction."""
+def nominal_point(t: NetworkTopology, d) -> tuple[np.ndarray, np.ndarray]:
+    """(xbar, ubar) at density d, or per density of an array d with roads as
+    the last axis: density d and the analytic flow approximation at d on
+    every road.  The approximation assumes one capacity at every junction."""
     kern = kernel_for(t)
     if np.any(kern.capacity != kern.capacity[0]):
         raise ValueError("the nominal point needs one junction capacity, got "
                          f"capacities {sorted(set(kern.capacity.tolist()))}")
-    ubar = flow_approx(d, ratio_r(t), int(kern.capacity[0]))
-    return float(d) * kern.road_lengths, np.full(len(kern.road_lengths), ubar)
+    flow = np.vectorize(flow_approx, otypes=[float], excluded={1, 2})
+    d = np.asarray(d, dtype=float)[..., None]
+    ubar = flow(d, ratio_r(t), int(kern.capacity[0]))
+    return d * kern.road_lengths, np.repeat(ubar, len(kern.road_lengths), -1)
 
 
 class RiccatiError(RuntimeError):
@@ -256,12 +257,12 @@ class LocalFeedbackPolicy:
         self._nnp = kern.road_lengths[kern.np_road]
 
     def greens(self, k: int, sim) -> np.ndarray:
-        kern = sim.kernel
-        y = sim.occupancy()
-        z = kern.road_sums(y)
-        # y at a road's last cell: a vehicle poised to enter the junction
-        lhs = self._nnp * y[..., kern.pr_last] + z[..., kern.pr_road]
-        rhs = self._npr * y[..., kern.np_last] + z[..., kern.np_road]
+        kern, x, z = sim.kernel, sim.x, sim.road_counts()
+        # a car poised to enter: the occupancy of each road's last cell
+        b = sim.a[..., kern.road_last] + (x[..., kern.road_last]
+                                          - x[..., kern.entry])
+        lhs = self._nnp * b[..., kern.pr_road] + z[..., kern.pr_road]
+        rhs = self._npr * b[..., kern.np_road] + z[..., kern.np_road]
         return lhs >= rhs
 
     def phase_key(self, k: int):
@@ -284,12 +285,8 @@ class GlobalFeedbackPolicy:
         self.cycle = cycle
 
     def reset(self, sim):
-        t = sim.topology
-        points = [nominal_point(t, density(a, t))
-                  for a in sim.a.reshape(-1, t.n_slots)]
-        shape = sim.a.shape[:-1] + (len(t.roads),)
-        self._xbar = np.reshape([xbar for xbar, _ in points], shape)
-        self._ubar = np.reshape([ubar for _, ubar in points], shape)
+        d = sim.a.sum(-1) / sim.topology.counting_size
+        self._xbar, self._ubar = nominal_point(sim.topology, d)
         self._slots = self._timing(sim)
 
     def _timing(self, sim) -> np.ndarray:

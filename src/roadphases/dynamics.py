@@ -2,9 +2,10 @@
 
 State is a vector x of cumulative inflow counters, one per slot: x[c] counts
 vehicles that have entered road cell c since time 0, and each junction slot
-counts vehicles that have entered the junction from one incoming road.  One
-synchronous update advances every counter by a min of an upstream supply term
-and a downstream space term:
+counts vehicles that have entered the junction from one incoming road; they
+are the whole state (a road holds its placed cars + x[its first cell] - x[the
+entry slot it feeds]).  One synchronous update advances every counter by a
+min of an upstream supply term and a downstream space term:
 
 * road cell:          min(a_prev + x_prev,  1 - a + x_next)
 * junction entry (priority road):
@@ -82,9 +83,8 @@ class StepKernel:
         self.np_last = self.road_last[self.np_road]
         self.out1_first = self.first[self.out_ceil]
         self.out2_first = self.first[self.out_floor]
-        # road cells in road order; a road's last cell moves into the entry
-        # slot of the junction it feeds
-        entry = np.empty_like(self.first)
+        # road cells in road order; a road's last cell feeds its entry slot
+        entry = self.entry = np.empty_like(self.first)
         entry[self.pr_road], entry[self.np_road] = self.slot_b, self.slot_a
         self.rc = np.concatenate([np.arange(f, l + 1) for f, l
                                   in zip(self.first, self.road_last)])
@@ -140,7 +140,7 @@ class StepKernel:
 
     def occupancy(self, x: np.ndarray, a: np.ndarray,
                   discrete: bool) -> np.ndarray:
-        """Reconstruct per-slot occupancies from counters."""
+        """Reconstruct per-slot occupancies from counters (for dumps)."""
         x, a = x.T, a.T
         share_c, share_f = _shares(
             x.take(self.slot_a, 0) + x.take(self.slot_b, 0), discrete)
@@ -279,7 +279,8 @@ class Simulation:
     slots), one lane per run; ``x`` and every per-slot result take its
     shape, and a 1-D ``a`` is a single run.  Lanes share the mode, the step
     count and the policy but nothing else, so each lane follows exactly the
-    trajectory it would follow alone.
+    trajectory it would follow alone.  The counters ``x`` are the only state
+    that changes; road counts are read from them, not from occupancies.
 
     ``policy`` is any object with ``reset(sim)`` and
     ``greens(k, sim) -> bool array`` (True = priority approach green), of
@@ -296,37 +297,27 @@ class Simulation:
         self.mode = mode
         self.kernel = kernel_for(t)
         self.k = 0
-        self._y = None
+        self._placed = self.kernel.road_sums(self.a)
         self.policy = copy.copy(policy)
         if policy is not None:
             self.policy.reset(self)
 
-    @property
-    def discrete(self) -> bool:
-        return self.mode == DISCRETE
-
     def advance(self, steps: int = 1) -> None:
         for _ in range(steps):
-            gate = None
-            if self.policy is not None:
-                gate = self.policy.greens(self.k, self)
-            self.x = self.kernel.apply(self.x, self.a, self.discrete, gate)
+            gate = (None if self.policy is None
+                    else self.policy.greens(self.k, self))
+            self.x = self.kernel.apply(self.x, self.a, self.mode == DISCRETE,
+                                       gate)
             self.k += 1
-            self._y = None
 
     def state(self) -> CounterState:
         return CounterState(self.k, self.x.copy(), self.mode)
 
-    def occupancy(self) -> np.ndarray:
-        """Occupancies of the current step, built once and read-only."""
-        if self._y is None:
-            self._y = self.kernel.occupancy(self.x, self.a, self.discrete)
-            self._y.flags.writeable = False
-        return self._y
-
     def road_counts(self) -> np.ndarray:
         """Vehicles currently on each road (junction interiors excluded)."""
-        return self.kernel.road_sums(self.occupancy())
+        x, kern = self.x, self.kernel
+        # the difference first: exact whenever the counters are
+        return self._placed + (x[..., kern.first] - x[..., kern.entry])
 
 
 def step(state: CounterState, a, t: NetworkTopology,

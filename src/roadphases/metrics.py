@@ -204,6 +204,12 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
     return diagram
 
 
+def check_tolerance(name: str, value: float) -> None:
+    """Reject a tolerance no result can meet: negative, infinite or NaN."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def classify_phases_empirical(diagram: FundamentalDiagram,
                               eps: float = DEFAULT_EPS) -> Segmentation:
     """Label each diagram point and merge runs into phase segments.
@@ -211,8 +217,7 @@ def classify_phases_empirical(diagram: FundamentalDiagram,
     Free when flow tracks density, freeze when flow vanishes, saturation
     when flow sits at the diagram's maximum, recession otherwise.
     """
-    if not 0 <= eps < np.inf:
-        raise ValueError(f"eps must be a finite number >= 0, got {eps!r}")
+    check_tolerance("eps", eps)
     if not diagram.points:
         return Segmentation(labels=(), segments=())
     max_flow = max(p.flow for p in diagram.points)
@@ -248,7 +253,12 @@ def distance_to_uniform(y: np.ndarray, t: NetworkTopology):
     junction interiors are not part of any road.
     """
     kern = kernel_for(t)
-    counts = kern.road_sums(np.ascontiguousarray(y, dtype=float))
+    return _distances(kern.road_sums(np.ascontiguousarray(y, float)), kern)
+
+
+def _distances(counts: np.ndarray, kern):
+    """distance_to_uniform from per-road car counts, one lane or a stack."""
+    counts = np.ascontiguousarray(counts, dtype=float)
     uniform = counts.sum(axis=-1, keepdims=True) / int(kern.road_lengths.sum())
     # one 1-D norm (a BLAS dot) per lane: norm(axis=-1) sums in another order
     dist = [float(np.linalg.norm(v))
@@ -262,8 +272,7 @@ def response_time(trace, band: float) -> tuple[int, bool]:
     The plateau is plateau_level's.  A trace that never settles reports its
     full length with a False flag.
     """
-    if not 0 <= band < np.inf:
-        raise ValueError(f"band must be a finite number >= 0, got {band!r}")
+    check_tolerance("band", band)
     values = np.asarray(getattr(trace, "distances", trace), dtype=float)
     if values.size == 0:
         raise ValueError("empty response trace")
@@ -296,10 +305,10 @@ def run_response_trace(t: NetworkTopology, a, policy, horizon: int):
     if horizon < 1:
         raise ValueError("response horizon must be >= 1")
     sim = Simulation(t, a, DISCRETE, policy)
-    distances = [distance_to_uniform(sim.occupancy(), t)]
+    distances = [_distances(sim.road_counts(), sim.kernel)]
     for _ in range(horizon):
         sim.advance()
-        distances.append(distance_to_uniform(sim.occupancy(), t))
+        distances.append(_distances(sim.road_counts(), sim.kernel))
     traces = [ResponseTrace(policy_id=_policy_id(policy), distances=lane)
               for lane in np.column_stack(distances).tolist()]
     return traces if sim.x.ndim == 2 else traces[0]

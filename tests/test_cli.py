@@ -68,6 +68,20 @@ def run_cli(args, tmp_path):
     return main(["--out", str(tmp_path), *args])
 
 
+def count_calls(monkeypatch, name):
+    """Record the calls the CLI makes to one metrics function."""
+    import roadphases.cli as cli_mod
+    calls = []
+    real = getattr(cli_mod.metrics, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod.metrics, name, counting)
+    return calls
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = parse_config(TABLE1_CFG)
@@ -193,6 +207,17 @@ class TestDiagramCommand:
             (out2 / "diagram.csv").read_bytes()
         assert (out1 / "diagram.dat").read_bytes() == \
             (out2 / "diagram.dat").read_bytes()
+
+    @pytest.mark.parametrize("eps", ["nan", "-0.01", "inf"])
+    def test_rejects_eps_before_any_sweep(self, tmp_path, capsys,
+                                          monkeypatch, eps):
+        sweeps = count_calls(monkeypatch, "sweep_diagram")
+        cfg_path = tmp_path / "diag.cfg"
+        cfg_path.write_text(DIAGRAM_CFG + f"eps = {eps}\n")
+        assert run_cli(["diagram", "--config", str(cfg_path)], tmp_path) == 1
+        assert "eps" in capsys.readouterr().err
+        assert not (tmp_path / "diagram.csv").exists()
+        assert sweeps == []
 
     def test_csv_phases_agree_on_reread(self, tmp_path):
         cfg_path = tmp_path / "diag.cfg"
@@ -396,13 +421,15 @@ class TestResponseCommand:
 
     @pytest.mark.parametrize("fraction", ["-0.5", "nan", "inf"])
     def test_rejects_band_that_cannot_be_met(self, tmp_path, capsys,
-                                             fraction):
+                                             monkeypatch, fraction):
+        runs = count_calls(monkeypatch, "run_response_trace")
         cfg_path = tmp_path / "resp.cfg"
         cfg_path.write_text(RESPONSE_CFG.replace(
             "horizon = 200", f"horizon = 200\nband_fraction = {fraction}"))
         assert run_cli(["response", "--config", str(cfg_path)], tmp_path) == 1
         assert "band" in capsys.readouterr().err
         assert not (tmp_path / "response_summary.csv").exists()
+        assert runs == []  # rejected before any policy is run
 
 
 GLOBAL_CFG = """\

@@ -174,6 +174,18 @@ class TestLQModel:
         assert xbar.tolist() == [0.25 * 3] * len(t.roads)
         assert ubar[0] <= 0.25
 
+    def test_nominal_point_of_density_array(self):
+        t = build_figure_eight(9, 3)
+        d = np.array([[0.0, 0.2, 0.5], [0.7, 0.3, 1.0]])
+        xbar, ubar = nominal_point(t, d)
+        assert xbar.shape == ubar.shape == (2, 3, len(t.roads))
+        for i, j in np.ndindex(d.shape):
+            one = nominal_point(t, float(d[i, j]))
+            assert xbar[i, j].tolist() == one[0].tolist()
+            assert ubar[i, j].tolist() == one[1].tolist()
+        empty = nominal_point(t, np.zeros(0))
+        assert [v.shape for v in empty] == [(0, len(t.roads))] * 2
+
     def test_nominal_point_needs_one_capacity(self):
         t = build_two_junction(5, 4, 4, 5)
         mixed = dataclasses.replace(t, junctions=(
@@ -412,7 +424,7 @@ class TestLocalFeedbackPolicy:
             a = init_occupancy(t, density=0.4, seed=seed)
             sim = Simulation(t, a, policy=policy)
             for _ in range(60):
-                y = sim.occupancy()
+                y = sim.kernel.occupancy(sim.x, sim.a, True)
                 z = [int(sum(y[c] for c in r.cells)) for r in t.roads]
                 b = [int(y[r.last_cell]) for r in t.roads]
                 expected = []

@@ -334,7 +334,7 @@ class TestInvariants:
         total = a.sum()
         for _ in range(6 * t.counting_size):
             sim.advance()
-            y = sim.occupancy()
+            y = sim.kernel.occupancy(sim.x, sim.a, True)
             assert y.sum() == total
             assert np.all(y >= 0) and np.all(y <= 1)
 
@@ -453,7 +453,7 @@ class TestKernelArrays:
             [t.roads[j.in_nonpriority].last_cell for j in t.junctions]
         sim = Simulation(t, init_occupancy(t, density=0.5, seed=2))
         for _ in range(30):
-            y = sim.occupancy()
+            y = kern.occupancy(sim.x, sim.a, True)
             assert sim.road_counts().tolist() == \
                 [int(sum(y[c] for c in r.cells)) for r in t.roads]
             sim.advance()
@@ -532,16 +532,64 @@ class TestLaneStack:
             Simulation(fig8_55, [A55, [0.5] + A55[1:]])
 
 
-class TestOccupancyOfStep:
-    def test_built_once_and_read_only(self, fig8_55):
-        sim = Simulation(fig8_55, A55, DISCRETE)
-        y = sim.occupancy()
-        assert sim.occupancy() is y
-        with pytest.raises(ValueError):
-            y[0] = 1
-        sim.advance()
-        assert sim.occupancy() is not y
-        assert y.tolist() == A55
+ROAD_COUNT_NETWORKS = {
+    "figure_eight": build_figure_eight(9, 5),
+    "figure_eight_cap2": build_figure_eight(6, 4, capacity=2),
+    "two_junction": build_two_junction(5, 4, 4, 5),
+    "two_junction_cap2": build_two_junction(3, 4, 2, 3, capacity=2),
+    "torus": build_torus_city(2, 3, 3),
+    "torus_cap2": build_torus_city(2, 2, 2, capacity=2),
+}
+
+
+class TestRoadCounts:
+    """Road counts read from the counters against the occupancy rebuild."""
+
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["one_run", "stacked"])
+    @pytest.mark.parametrize("t", ROAD_COUNT_NETWORKS.values(),
+                             ids=ROAD_COUNT_NETWORKS.keys())
+    def test_equal_occupancy_sums_in_discrete_mode(self, t, stacked):
+        kern = kernel_for(t)
+        counts = np.linspace(0, t.counting_size, 6).round().astype(int)
+        a = np.stack([init_occupancy(t, count=c, seed=i)
+                      for i, c in enumerate(counts)])
+        sim = Simulation(t, a if stacked else a[2], DISCRETE)
+        for _ in range(6 * t.counting_size):
+            z = sim.road_counts()
+            assert z.dtype == np.int64
+            assert np.array_equal(z, kern.road_sums(
+                kern.occupancy(sim.x, sim.a, True)))
+            sim.advance()
+
+    def test_exact_while_continuous_counters_are(self):
+        n, m, horizon = 45, 15, 300
+        t = build_figure_eight(n, m)
+        a = np.stack([init_occupancy(t, count=c, seed=c)
+                      for c in (5, 15, 25, 35, 45, 55)])
+        sim = Simulation(t, a, CONTINUOUS)
+        refs = [reference_trajectory(lane.tolist(), n, m, horizon)
+                for lane in a]
+        a_ref = [{i + 1: Fraction(int(v)) for i, v in enumerate(lane)}
+                 for lane in a]
+        exact = [True] * len(a)
+        checked = 0
+        for k in range(horizon + 1):
+            z = sim.road_counts()
+            for lane, ref in enumerate(refs):
+                # floats and Fractions compare exactly
+                exact[lane] &= sim.x[lane].tolist() == as_list(ref[k], n + m)
+                if exact[lane]:
+                    # a count can need more bits than any counter: it must
+                    # then be the exact count rounded once
+                    y = reference_occupancy(ref[k], a_ref[lane], n, m)
+                    assert z[lane].tolist() == [
+                        float(sum(y[c + 1] for c in r.cells))
+                        for r in t.roads]
+                    checked += 1
+            sim.advance()
+        # every run is exact for its first 100 steps at least
+        assert checked >= 100 * len(a)
 
 
 class TestDumps:

@@ -158,7 +158,8 @@ def occupancy_walk_period(t, a, policy, max_steps):
     seen, snapshots = {}, []
     for k in range(max_steps + 1):
         parity = (sim.x[kern.slot_a] + sim.x[kern.slot_b]) % 2
-        key = (sim.occupancy().tobytes(), parity.tobytes(), phase_key(k))
+        y = kern.occupancy(sim.x, sim.a, True)
+        key = (y.tobytes(), parity.tobytes(), phase_key(k))
         if key in seen:
             start = seen[key]
             period = k - start
@@ -342,8 +343,9 @@ class TestStackedSweep:
                                  horizon=20, per_road=True)
             assert diag.points == []
 
-    def test_one_occupancy_rebuild_per_state(self, monkeypatch):
+    def test_no_occupancy_rebuild_while_stepping(self, monkeypatch):
         t = build_torus_city(2, 2, 3)
+        solution = solve_lqr(build_lq_model(t))
         rebuilds = []
         real = StepKernel.occupancy
 
@@ -352,14 +354,13 @@ class TestStackedSweep:
             return real(self, x, a, discrete)
 
         monkeypatch.setattr(StepKernel, "occupancy", counting)
-        sweep_diagram(t, [0.3, 0.5], DISCRETE, LocalFeedbackPolicy(),
-                      seeds=(0, 1), horizon=40, burn_in=10, per_road=True)
-        # states 0..39 set the lights, states 11..40 are measured
-        assert rebuilds == [(4, t.n_slots)] * 41
-        rebuilds.clear()
+        for policy in (LocalFeedbackPolicy(), GlobalFeedbackPolicy(solution)):
+            sweep_diagram(t, [0.3, 0.5], DISCRETE, policy, seeds=(0, 1),
+                          horizon=40, burn_in=10, per_road=True)
         starts = np.array([clustered_occupancy(t, 5, seed=s) for s in (0, 1)])
         run_response_trace(t, starts, LocalFeedbackPolicy(), horizon=25)
-        assert rebuilds == [(2, t.n_slots)] * 26
+        # road counts and poised cars are read from the counters
+        assert rebuilds == []
 
 
 class TestClassifyEmpirical:
@@ -463,6 +464,7 @@ class TestDistanceAndResponse:
             lone = run_response_trace(t, a, policy, horizon=80)
             assert trace.distances == lone.distances
             assert trace.policy_id == lone.policy_id
+            assert trace.distances == lone_trace(t, a, policy, horizon=80)
 
     def test_clustered_start_relaxes_under_local_feedback(self):
         t = build_torus_city(2, 2, 4)
@@ -490,6 +492,17 @@ class TestDistanceAndResponse:
 
 def trace_len(trace: ResponseTrace) -> int:
     return len(trace.distances)
+
+
+def lone_trace(t, a, policy, horizon):
+    """distance_to_uniform of the rebuilt occupancy, one step at a time."""
+    sim = Simulation(t, a, DISCRETE, policy)
+    distances = []
+    for _ in range(horizon + 1):
+        y = sim.kernel.occupancy(sim.x, sim.a, True)
+        distances.append(distance_to_uniform(y, t))
+        sim.advance()
+    return distances
 
 
 def lone_distance(y, t):
