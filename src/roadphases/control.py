@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import flow_approx
-from .dynamics import kernel_for
+from .dynamics import density, kernel_for
 from .topology import NetworkTopology, ratio_r
 
 FLOW_CAP = 0.25  # a capacity-1 junction approach cannot exceed this
@@ -285,8 +285,8 @@ class GlobalFeedbackPolicy:
         self.cycle = cycle
 
     def reset(self, sim):
-        d = sim.a.sum(-1) / sim.topology.counting_size
-        self._xbar, self._ubar = nominal_point(sim.topology, d)
+        self._xbar, self._ubar = nominal_point(
+            sim.topology, density(sim.a, sim.topology))
         self._slots = self._timing(sim)
 
     def _timing(self, sim) -> np.ndarray:

@@ -188,17 +188,20 @@ def kernel_for(t: NetworkTopology) -> StepKernel:
 
 
 def check_occupancy(t: NetworkTopology, a: np.ndarray) -> np.ndarray:
-    """Validate an initial car placement against the topology constraints."""
+    """Validate one car placement (slots,), or a (lanes, slots) stack of
+    them, against the topology constraints.  An overfull stack is reported
+    at the lowest overfull junction of its first faulty lane."""
     a = np.asarray(a)
-    if a.shape != (t.n_slots,):
+    if a.ndim not in (1, 2) or a.shape[-1] != t.n_slots:
         raise ValueError(f"occupancy must have {t.n_slots} entries, "
                          f"got shape {a.shape}")
     if not np.all((a >= 0) & (a <= 1)):
         raise ValueError("occupancies must lie in [0, 1]")
     kern = kernel_for(t)
-    over = np.flatnonzero(a[kern.slot_a] + a[kern.slot_b] > kern.capacity)
+    over = np.argwhere(a[..., kern.slot_a] + a[..., kern.slot_b]
+                       > kern.capacity)
     if over.size:
-        j = over[0]
+        j = over[0, -1]
         raise ValueError(
             f"junction {j} holds more than its capacity {kern.capacity[j]}")
     return a
@@ -208,16 +211,14 @@ def _validated(t: NetworkTopology, mode: str, a,
                x=None) -> tuple[np.ndarray, np.ndarray]:
     """(a, x) checked for ``mode`` and cast to its dtype.
 
-    ``a`` is one placement (slots,) or a stack of them (lanes, slots), each
+    ``a`` is one placement (slots,) or a stack of them (lanes, slots),
     checked by check_occupancy; ``x`` defaults to zeros and must have the
     shape of ``a``.  Fortran order keeps each slot's lanes adjacent, so the
     kernel's gathers copy whole rows.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    a = np.asarray(a)
-    for lane in (a if a.ndim == 2 else [a]):
-        check_occupancy(t, lane)
+    a = check_occupancy(t, a)
     x = np.zeros(a.shape) if x is None else np.asarray(x)
     if x.shape != a.shape:
         raise ValueError(f"state has shape {x.shape}, need {a.shape}")
@@ -228,9 +229,10 @@ def _validated(t: NetworkTopology, mode: str, a,
     return a.astype(dtype, order="F"), x.astype(dtype, order="F")
 
 
-def density(a: np.ndarray, t: NetworkTopology) -> float:
-    """Vehicles per counting position (each junction counts once)."""
-    return float(np.sum(a)) / t.counting_size
+def density(a: np.ndarray, t: NetworkTopology) -> float | np.ndarray:
+    """Vehicles per counting position (each junction counts once), of one
+    placement, or of each lane of a (lanes, slots) stack."""
+    return np.asarray(a).sum(-1) / t.counting_size
 
 
 def init_occupancy(t: NetworkTopology, values=None, count: int | None = None,

@@ -2,11 +2,12 @@
 
 The average flow of a run is the mean per-step counter increment over a
 measurement window [burn_in, K]; the estimate is flagged converged when the
-half-window estimate agrees within 1e-3, or when an exact periodic regime
-was found (the per-period average is then exact).  Diagram sweeps take the
-median over seeds per density.  Sweeps and response traces advance all of
-their runs together, as the lanes of one stacked simulation; lanes never
-interact, so every run's results are exactly those it has when run alone.
+half-window estimate, over [burn_in, (burn_in + K) // 2], agrees within
+1e-3.  Exact periodic regimes are found separately, by ``detect_period``.
+Diagram sweeps take the median over seeds per density.  Sweeps and response
+traces advance all of their runs together, as the lanes of one stacked
+simulation; lanes never interact, so every run's results are exactly those
+it has when run alone.
 """
 
 from __future__ import annotations

@@ -12,6 +12,10 @@ over "counting positions": one per road cell plus ONE per junction, so a
 network with C road cells and J junctions has C + J counting positions
 (listed in slot order by ``dynamics.StepKernel.counting``).
 
+Every ``NetworkTopology`` is validated when it is constructed, by a builder,
+by hand or by ``dataclasses.replace``: its slots tile 0..n-1, every road
+enters one junction and leaves one, and the network is strongly connected.
+
 Three closed families are provided:
 
 * ``build_figure_eight``   -- two circular roads crossing at one junction.
@@ -23,7 +27,8 @@ Three closed families are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -85,74 +90,60 @@ class NetworkTopology:
         inner = ",".join(f"{k}={v}" for k, v in self.params.items())
         return f"{self.family}({inner})"
 
-    def road_cell_count(self) -> int:
-        return sum(r.length_cells for r in self.roads)
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
-        """Check structural invariants; raise ValueError on violation."""
-        if self.counting_size != self.road_cell_count() + len(self.junctions):
-            raise ValueError("counting_size inconsistent with cells/junctions")
-        if self.n_slots != self.road_cell_count() + 2 * len(self.junctions):
-            raise ValueError("slot count inconsistent")
-        seen: set[int] = set()
-        for r in self.roads:
+        """Check structural invariants; raise ValueError on violation.
+
+        Given the checks before it, strong connectivity of the junction
+        graph is that of the cell graph: every cell lies on a road, and both
+        sub-cells of a junction feed both of its exits.
+        """
+        roads, junctions = self.roads, self.junctions
+        for r in roads:
             if r.length_cells < 1:
                 raise ValueError(f"road {r.id} has no cells")
-            for c in r.cells:
-                if c in seen:
-                    raise ValueError(f"slot {c} assigned twice")
-                seen.add(c)
-        for j in self.junctions:
-            for s in (j.slot_a, j.slot_b):
-                if s in seen:
-                    raise ValueError(f"slot {s} assigned twice")
-                seen.add(s)
-            if j.capacity not in (1, 2):
-                raise ValueError("junction capacity must be 1 or 2")
-            ins = {j.in_priority, j.in_nonpriority}
-            if len(ins) != 2:
-                raise ValueError("junction needs two distinct incoming roads")
-            if len({j.out_ceil, j.out_floor}) != 2:
-                raise ValueError("junction needs two distinct outgoing roads")
-            for rid in ins:
-                if self.roads[rid].to_junction != j.id:
-                    raise ValueError("incoming road does not end here")
-            for rid in (j.out_ceil, j.out_floor):
-                if self.roads[rid].from_junction != j.id:
-                    raise ValueError("outgoing road does not start here")
-        if seen != set(range(self.n_slots)):
-            raise ValueError("slot indices not contiguous")
-        if not self._strongly_connected():
-            raise ValueError("cell graph is not strongly connected")
-
-    def _successors(self) -> dict[int, list[int]]:
-        """Successor slots of each slot (junction slots fan out to both exits)."""
-        succ: dict[int, list[int]] = {}
-        for r in self.roads:
-            dest = self.junctions[r.to_junction]
-            entry = dest.slot_b if r.id == dest.in_priority else dest.slot_a
-            for c in r.cells:
-                succ[c] = [c + 1] if c < r.last_cell else [entry]
-        for j in self.junctions:
-            outs = [self.roads[j.out_ceil].first_cell,
-                    self.roads[j.out_floor].first_cell]
-            succ[j.slot_a] = outs
-            succ[j.slot_b] = outs
-        return succ
-
-    def _strongly_connected(self) -> bool:
-        succ = self._successors()
-        pred: dict[int, list[int]] = {s: [] for s in succ}
-        for s, outs in succ.items():
-            for o in outs:
-                pred[o].append(s)
-        return (_reaches_all(succ, 0, self.n_slots)
-                and _reaches_all(pred, 0, self.n_slots))
+        # road cells and junction sub-cells as (first slot, size) runs,
+        # which must tile 0 .. n_slots - 1
+        end = 0
+        for start, size in sorted(
+                [(r.first_cell, r.length_cells) for r in roads]
+                + [(s, 1) for j in junctions for s in (j.slot_a, j.slot_b)]):
+            if start != end:
+                raise ValueError(f"slot {min(start, end)} missing or reused")
+            end += size
+        if end != self.n_slots:
+            raise ValueError(f"{end} slots assigned, {self.n_slots} declared")
+        if self.counting_size != self.n_slots - len(junctions):
+            raise ValueError("counting_size inconsistent with cells/junctions")
+        if ([r.id for r in roads] != list(range(len(roads)))
+                or [j.id for j in junctions] != list(range(len(junctions)))):
+            raise ValueError("road and junction ids must count up from 0")
+        # each road once among the junctions' in-roads and once among their
+        # out-roads, at the junctions its own fields name
+        ins = sorted((r, j.id) for j in junctions
+                     for r in (j.in_priority, j.in_nonpriority))
+        outs = sorted((r, j.id) for j in junctions
+                      for r in (j.out_ceil, j.out_floor))
+        if ins != [(r.id, r.to_junction) for r in roads]:
+            raise ValueError("junction in-roads disagree with the roads")
+        if outs != [(r.id, r.from_junction) for r in roads]:
+            raise ValueError("junction out-roads disagree with the roads")
+        if any(j.capacity not in (1, 2) for j in junctions):
+            raise ValueError("junction capacity must be 1 or 2")
+        edges = [(r.from_junction, r.to_junction) for r in roads]
+        if not (junctions and _reaches_all(edges, len(junctions))
+                and _reaches_all([(v, u) for u, v in edges], len(junctions))):
+            raise ValueError("network is not strongly connected")
 
 
-def _reaches_all(adj: dict[int, list[int]], start: int, n: int) -> bool:
-    seen = {start}
-    stack = [start]
+def _reaches_all(edges: list[tuple[int, int]], n: int) -> bool:
+    """Whether node 0 of a directed graph on nodes 0..n-1 reaches them all."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+    seen, stack = {0}, [0]
     while stack:
         for nxt in adj[stack.pop()]:
             if nxt not in seen:
@@ -172,8 +163,6 @@ def build_figure_eight(n: int, m: int, capacity: int = 1) -> NetworkTopology:
     """
     if n < 2 or m < 2:
         raise ValueError("figure-eight needs n >= 2 and m >= 2")
-    if capacity not in (1, 2):
-        raise ValueError("capacity must be 1 or 2")
     np_road = RoadSegment(0, "np", n - 1, 0, 0, first_cell=0)
     pr_road = RoadSegment(1, "pr", m - 1, 0, 0, first_cell=n)
     junction = JunctionSpec(
@@ -186,7 +175,7 @@ def build_figure_eight(n: int, m: int, capacity: int = 1) -> NetworkTopology:
         slot_b=n + m - 1,
         capacity=capacity,
     )
-    t = NetworkTopology(
+    return NetworkTopology(
         family="figure_eight",
         params={"n": n, "m": m, "capacity": capacity},
         roads=(np_road, pr_road),
@@ -194,8 +183,6 @@ def build_figure_eight(n: int, m: int, capacity: int = 1) -> NetworkTopology:
         n_slots=n + m,
         counting_size=n + m - 1,
     )
-    t.validate()
-    return t
 
 
 def build_two_junction(len_r1: int, len_r2: int, len_r3: int,
@@ -210,8 +197,6 @@ def build_two_junction(len_r1: int, len_r2: int, len_r3: int,
     lengths = (len_r1, len_r2, len_r3, len_r4)
     if any(l < 2 for l in lengths):
         raise ValueError("all road lengths must be >= 2")
-    if capacity not in (1, 2):
-        raise ValueError("capacity must be 1 or 2")
     firsts = [0]
     for l in lengths[:-1]:
         firsts.append(firsts[-1] + l)
@@ -232,7 +217,7 @@ def build_two_junction(len_r1: int, len_r2: int, len_r3: int,
                      out_ceil=0, out_floor=1,
                      slot_a=total + 2, slot_b=total + 3, capacity=capacity),
     )
-    t = NetworkTopology(
+    return NetworkTopology(
         family="two_junction",
         params={"len_r1": len_r1, "len_r2": len_r2, "len_r3": len_r3,
                 "len_r4": len_r4, "capacity": capacity},
@@ -241,8 +226,6 @@ def build_two_junction(len_r1: int, len_r2: int, len_r3: int,
         n_slots=total + 4,
         counting_size=total + 2,
     )
-    t.validate()
-    return t
 
 
 def build_torus_city(rows: int, cols: int, segment_len: int,
@@ -259,8 +242,6 @@ def build_torus_city(rows: int, cols: int, segment_len: int,
         raise ValueError("torus city needs rows >= 2 and cols >= 2")
     if segment_len < 1:
         raise ValueError("segment_len must be >= 1")
-    if capacity not in (1, 2):
-        raise ValueError("capacity must be 1 or 2")
 
     def jid(i: int, j: int) -> int:
         return (i % rows) * cols + (j % cols)
@@ -312,7 +293,7 @@ def build_torus_city(rows: int, cols: int, segment_len: int,
                 slot_b=n_cells + 2 * jid(i, j) + 1,
                 capacity=capacity))
 
-    t = NetworkTopology(
+    return NetworkTopology(
         family="torus_city",
         params={"rows": rows, "cols": cols, "segment_len": segment_len,
                 "capacity": capacity},
@@ -321,8 +302,6 @@ def build_torus_city(rows: int, cols: int, segment_len: int,
         n_slots=n_cells + 2 * rows * cols,
         counting_size=n_cells + rows * cols,
     )
-    t.validate()
-    return t
 
 
 def ratio_r(t: NetworkTopology) -> Fraction:
@@ -339,12 +318,6 @@ def ratio_r(t: NetworkTopology) -> Fraction:
     return Fraction(np_positions, t.counting_size)
 
 
-_FAMILY_KEYS = {
-    "figure_eight": ("n", "m", "capacity"),
-    "two_junction": ("len_r1", "len_r2", "len_r3", "len_r4", "capacity"),
-    "torus_city": ("rows", "cols", "segment_len", "capacity"),
-}
-
 _BUILDERS = {
     "figure_eight": build_figure_eight,
     "two_junction": build_two_junction,
@@ -355,13 +328,13 @@ _BUILDERS = {
 def topology_to_text(t: NetworkTopology) -> str:
     """Key = value description, parseable by parse_topology_text."""
     lines = [f"family = {t.family}"]
-    for k in _FAMILY_KEYS[t.family]:
-        lines.append(f"{k} = {t.params[k]}")
+    lines += [f"{k} = {v}" for k, v in t.params.items()]
     return "\n".join(lines) + "\n"
 
 
 def parse_topology_text(text: str) -> NetworkTopology:
-    """Rebuild a topology from its key = value description."""
+    """Rebuild a topology from its key = value description: the family
+    builder's arguments, of which those with a default may be left out."""
     kv: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -374,16 +347,10 @@ def parse_topology_text(text: str) -> NetworkTopology:
     family = kv.pop("family", None)
     if family not in _BUILDERS:
         raise ValueError(f"unknown topology family: {family!r}")
-    keys = _FAMILY_KEYS[family]
-    unknown = set(kv) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown topology keys: {sorted(unknown)}")
-    args = {}
-    for k in keys:
-        if k == "capacity":
-            args[k] = int(kv.get(k, "1"))
-        elif k in kv:
-            args[k] = int(kv[k])
-        else:
-            raise ValueError(f"missing topology key: {k}")
-    return _BUILDERS[family](**args)
+    build = _BUILDERS[family]
+    args = {k: int(v) for k, v in kv.items()}
+    try:
+        inspect.signature(build).bind(**args)
+    except TypeError as e:
+        raise ValueError(f"bad {family} topology: {e}") from None
+    return build(**args)

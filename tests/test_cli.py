@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -546,3 +547,106 @@ class TestFileErrors:
         assert main(["--out", str(out), "eigen", "--n", "5",
                      "--m", "5"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# Four discrete runs whose every output file is pinned by its sha256: the
+# README promises byte-identical outputs for identical configs and seeds.
+# None uses global feedback or response traces, so no BLAS or LAPACK
+# rounding enters the bytes, and discrete flows are integer sums divided
+# once, so the digests hold on any platform.
+PINNED_RUNS = {
+    "fig8_table3": ("simulate", TABLE1_CFG.replace("continuous", "discrete")),
+    "city_open_loop": ("simulate", """\
+[topology]
+family = torus_city
+rows = 3
+cols = 3
+segment_len = 5
+
+[run]
+mode = discrete
+horizon = 300
+policy = open_loop
+seeds = 0
+
+[occupancy]
+density = 0.4
+"""),
+    "fig8_priority_diagram": ("diagram", """\
+[topology]
+family = figure_eight
+n = 45
+m = 15
+
+[run]
+mode = discrete
+horizon = 240
+seeds = 0,1
+
+[diagram]
+densities = counts(0,59)
+"""),
+    "city_local_feedback_roads": ("diagram", """\
+[topology]
+family = torus_city
+rows = 3
+cols = 3
+segment_len = 4
+
+[run]
+mode = discrete
+horizon = 200
+seeds = 0,1
+
+[diagram]
+densities = linspace(0,1,6)
+policy_list = local_feedback
+per_road = true
+"""),
+}
+
+PINNED_DIGESTS = {
+    "city_local_feedback_roads": {
+        "diagram.csv":
+            "18a6ef98af0b3657bbaaa308713665b59fa3dac8ee5bddc2d0ec362892d8b2d3",
+        "diagram.dat":
+            "9591c4dc32fddb25a7d20340c42aa5cf2d750885c4cc4e81e78d2d220a6e4e7f",
+        "diagram_roads.csv":
+            "f7c139399a6d128070cfc4522890ecc30f8a4c432d2d13dae7da4e9ae295e658",
+    },
+    "city_open_loop": {
+        "counters.tsv":
+            "0c07f94eeb38e1d450793b968b7fca5a4be3e464448dd40ab431fc958291b065",
+        "occupancy.txt":
+            "4dd53b421b5f11387e42cdd23099d85df1b200fb9835f59b71218839a2c82f6b",
+    },
+    "fig8_priority_diagram": {
+        "diagram.csv":
+            "7b139f6bdc0a2345f9fde540f994f136b54ab3a44f2a2f22b7835c5a5ca5aca3",
+        "diagram.dat":
+            "5c05a09a8d175babf9cc93bb1e1e90569983c2351d80c50188a2d27a0ce58391",
+    },
+    "fig8_table3": {
+        "counters.tsv":
+            "410aeb19f1b981c94650c6c820a4dedd8eee9d0650c35c6e8672c2829c4f974b",
+        "occupancy.txt":
+            "72b32fc3f5ae4f3bb6b45081ad228d90b672714431562c8d6bf542cf1ac20bde",
+    },
+}
+
+
+def output_digests(command: str, cfg_text: str, tmp_path) -> dict:
+    """sha256 of every file one CLI run writes, by file name."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(cfg_text)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), command, "--config", str(cfg_path)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_outputs_match_recorded_digests(self, name, tmp_path):
+        assert output_digests(*PINNED_RUNS[name], tmp_path) == \
+            PINNED_DIGESTS[name]

@@ -247,6 +247,12 @@ class TestInitOccupancy:
         again = init_occupancy(t, count=12, seed=7)
         assert np.array_equal(a, again)
 
+    def test_stack_density_is_per_lane(self):
+        t = build_torus_city(2, 3, 2)
+        stack = np.stack([init_occupancy(t, count=c, seed=c)
+                          for c in (0, 5, 17, t.counting_size)])
+        assert density(stack, t).tolist() == [density(a, t) for a in stack]
+
     def test_density_spec_rounds_count(self):
         t = build_figure_eight(40, 20)
         a = init_occupancy(t, density=0.5, seed=0)
@@ -303,6 +309,13 @@ class TestInitOccupancy:
             check_occupancy(t, a)
         # capacity 2 admits both sub-cells
         check_occupancy(build_torus_city(3, 3, 2, capacity=2), a)
+        # a stack is reported at its first faulty lane
+        lanes = np.zeros((2, t.n_slots), dtype=np.int64)
+        for lane, j in zip(lanes, (t.junctions[7], t.junctions[4])):
+            lane[j.slot_a] = lane[j.slot_b] = 1
+        with pytest.raises(ValueError, match=r"^junction 7 holds more than "
+                                             r"its capacity 1$"):
+            check_occupancy(t, lanes)
 
 
 class TestInvariants:

@@ -1,11 +1,15 @@
 """Network builders: sizes, wiring invariants, ratios, serialization."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from roadphases.dynamics import kernel_for
 from roadphases.topology import (
+    JunctionSpec,
+    NetworkTopology,
+    RoadSegment,
     build_figure_eight,
     build_torus_city,
     build_two_junction,
@@ -123,6 +127,81 @@ class TestTorusCity:
             build_torus_city(4, 4, 0)
 
 
+def _network(roads, junctions, n_slots, counting_size):
+    return NetworkTopology("hand_built", {}, tuple(roads), tuple(junctions),
+                           n_slots, counting_size)
+
+
+def _fig8_parts(road0, junction_id, first):
+    """A 5/5 figure-eight's roads and junction, ids and slots shifted."""
+    np_road = RoadSegment(road0, "np", 4, junction_id, junction_id, first)
+    pr_road = RoadSegment(road0 + 1, "pr", 4, junction_id, junction_id,
+                          first + 5)
+    junction = JunctionSpec(junction_id, in_priority=road0 + 1,
+                            in_nonpriority=road0, out_ceil=road0,
+                            out_floor=road0 + 1, slot_a=first + 4,
+                            slot_b=first + 9)
+    return [np_road, pr_road], [junction]
+
+
+_TJ = build_two_junction(3, 4, 5, 6)
+
+
+def _two_junction_with(road=None, junctions=None):
+    """The 3/4/5/6 two-junction network with road 0 or the junctions
+    replaced (18 road cells, junction slots 18-21)."""
+    roads = (road or _TJ.roads[0],) + _TJ.roads[1:]
+    return _network(roads, junctions or _TJ.junctions, 22, 20)
+
+
+def _swap_exits(junctions):
+    j0, j1 = junctions
+    return (dataclasses.replace(j0, out_ceil=j1.out_ceil,
+                                out_floor=j1.out_floor),
+            dataclasses.replace(j1, out_ceil=j0.out_ceil,
+                                out_floor=j0.out_floor))
+
+
+_F8_ROADS, _F8_JUNCTIONS = _fig8_parts(0, 0, 0)
+
+# Each constructs a NetworkTopology, by hand or by dataclasses.replace,
+# that breaks one structural rule.
+BROKEN_NETWORKS = {
+    "unlisted_road": lambda: _network(
+        _F8_ROADS + [RoadSegment(2, "extra", 1, 0, 0, 10)], _F8_JUNCTIONS,
+        11, 10),
+    "disjoint_figure_eights": lambda: _network(
+        *(a + b for a, b in zip(_fig8_parts(0, 0, 0), _fig8_parts(2, 1, 10))),
+        20, 18),
+    "to_junction_disagrees": lambda: _two_junction_with(
+        road=dataclasses.replace(_TJ.roads[0], to_junction=1)),
+    "slot_used_twice": lambda: _network(
+        [_F8_ROADS[0], dataclasses.replace(_F8_ROADS[1], first_cell=4)],
+        _F8_JUNCTIONS, 10, 9),
+    "capacity_3": lambda: _network(
+        _F8_ROADS, [dataclasses.replace(_F8_JUNCTIONS[0], capacity=3)],
+        10, 9),
+    "in_road_twice": lambda: _two_junction_with(junctions=(
+        dataclasses.replace(_TJ.junctions[0], in_nonpriority=1),
+        _TJ.junctions[1])),
+    "zero_length_road": lambda: _network(
+        [dataclasses.replace(_F8_ROADS[0], length_cells=0), _F8_ROADS[1]],
+        _F8_JUNCTIONS, 10, 9),
+    "exits_swapped": lambda: _two_junction_with(
+        junctions=_swap_exits(_TJ.junctions)),
+    # both roads of a figure-eight labelled 0, and the junction naming
+    # road 0 for both entries and both exits: the road at position 1 is
+    # listed nowhere, though every listing agrees with a road's fields
+    "repeated_road_id": lambda: _network(
+        [_F8_ROADS[0], dataclasses.replace(_F8_ROADS[1], id=0)],
+        [dataclasses.replace(_F8_JUNCTIONS[0], in_priority=0, out_floor=0)],
+        10, 9),
+    "replaced_capacity_3": lambda: dataclasses.replace(
+        build_figure_eight(5, 5), junctions=(
+            dataclasses.replace(_F8_JUNCTIONS[0], capacity=3),)),
+}
+
+
 class TestStructure:
     @pytest.mark.parametrize("build,args", [
         (build_figure_eight, (5, 5)),
@@ -136,7 +215,16 @@ class TestStructure:
 
     def test_closure_every_cell_on_a_cycle(self):
         t = build_torus_city(2, 2, 2)
-        succ = t._successors()
+        # slot successors from the kernel's routing: a road cell feeds the
+        # next cell or its junction's entry slot, and both sub-cells of a
+        # junction feed the first cells of both exits
+        kern = kernel_for(t)
+        succ = {int(c): [int(n)] for c, n in zip(kern.rc, kern.nxt)}
+        for ends in zip(kern.slot_a, kern.slot_b, kern.out1_first,
+                        kern.out2_first):
+            a, b, *outs = map(int, ends)
+            succ[a] = succ[b] = outs
+        assert sorted(succ) == list(range(t.n_slots))
         for start in range(t.n_slots):
             seen = set()
             frontier = {start}
@@ -149,6 +237,22 @@ class TestStructure:
                             nxt.add(o)
                 frontier = nxt
             assert start in seen  # returns to itself
+
+    @pytest.mark.parametrize("case,message", [
+        ("unlisted_road", "in-roads disagree"),
+        ("disjoint_figure_eights", "not strongly connected"),
+        ("to_junction_disagrees", "in-roads disagree"),
+        ("slot_used_twice", "slot 4 missing or reused"),
+        ("capacity_3", "capacity must be 1 or 2"),
+        ("in_road_twice", "in-roads disagree"),
+        ("zero_length_road", "road 0 has no cells"),
+        ("exits_swapped", "out-roads disagree"),
+        ("repeated_road_id", "ids must count up from 0"),
+        ("replaced_capacity_3", "capacity must be 1 or 2"),
+    ])
+    def test_rejects_broken_networks(self, case, message):
+        with pytest.raises(ValueError, match=message):
+            BROKEN_NETWORKS[case]()
 
     def test_counting_positions_cover_everything(self):
         t = build_two_junction(4, 3, 5, 2)
@@ -166,6 +270,7 @@ class TestSerialization:
         (build_figure_eight, (5, 5)),
         (build_two_junction, (20, 10, 10, 20)),
         (build_torus_city, (4, 4, 9)),
+        (build_torus_city, (2, 3, 2, 2)),
     ])
     def test_round_trip(self, build, args):
         t = build(*args)
@@ -173,6 +278,7 @@ class TestSerialization:
         assert again.family == t.family
         assert again.params == t.params
         assert again.counting_size == t.counting_size
+        assert again.junctions == t.junctions
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -181,3 +287,11 @@ class TestSerialization:
             parse_topology_text("family = figure_eight\nn = 5\nq = 2\nm = 5\n")
         with pytest.raises(ValueError):
             parse_topology_text("family = figure_eight\nn = 5\n")
+        with pytest.raises(ValueError):
+            parse_topology_text("family = figure_eight\nn = 5\nm = five\n")
+
+    def test_capacity_defaults_to_one(self):
+        t = parse_topology_text(
+            "family = torus_city\nrows = 2\ncols = 3\nsegment_len = 2\n")
+        assert t.params["capacity"] == 1
+        assert {j.capacity for j in t.junctions} == {1}
