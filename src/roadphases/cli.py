@@ -122,6 +122,11 @@ _FIELDS = (
 
 
 def parse_config(text: str) -> RunConfig:
+    return _parse_config(text)[0]
+
+
+def _parse_config(text: str) -> tuple[RunConfig, NetworkTopology]:
+    """The config and its network, built once here to check [topology]."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         cp.read_string(text)
@@ -132,7 +137,7 @@ def parse_config(text: str) -> RunConfig:
     topo_lines = [f"{k} = {v}" for k, v in cp.items("topology")]
     cfg = RunConfig(topology="\n".join(topo_lines) + "\n")
     try:
-        parse_topology_text(cfg.topology)
+        t = cfg.build_topology()
     except ValueError as exc:
         raise ConfigError(f"bad [topology] section: {exc}") from exc
     updates = {}
@@ -153,7 +158,7 @@ def parse_config(text: str) -> RunConfig:
     for name in (cfg.policy, *cfg.policy_list, *cfg.response_policies):
         if name not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {name!r}")
-    return cfg
+    return cfg, t
 
 
 def _format_value(value) -> str:
@@ -243,8 +248,7 @@ def _initial_occupancy(cfg: RunConfig, t: NetworkTopology) -> np.ndarray:
     return init_occupancy(t, density=cfg.occupancy_density, seed=seed)
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    t = cfg.build_topology()
+def cmd_simulate(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
     a = _initial_occupancy(cfg, t)
     horizon = cfg.horizon if cfg.horizon is not None else 50
     policy = make_policy(cfg.policy, cfg, t)
@@ -259,8 +263,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _series_for_diagram(cfg: RunConfig):
-    """Yield (label, topology, policy name) per requested series."""
+def _series_for_diagram(cfg: RunConfig, t: NetworkTopology):
+    """Yield (label, topology, policy name) per series; t is the config's."""
     if cfg.r_list and cfg.policy_list:
         raise ConfigError("choose one of r_list / policy_list, not both")
     if cfg.r_list:
@@ -271,22 +275,21 @@ def _series_for_diagram(cfg: RunConfig):
             m = max(2, cfg.r_size + 1 - n)
             yield f"r={r:g}", build_figure_eight(n, m), cfg.policy
     elif cfg.policy_list:
-        t = cfg.build_topology()
         for name in cfg.policy_list:
             yield f"policy={name}", t, name
     else:
-        yield "diagram", cfg.build_topology(), cfg.policy
+        yield "diagram", t, cfg.policy
 
 
-def cmd_diagram(cfg: RunConfig, out_dir: Path, strict: bool = False,
-                plot: bool = False) -> int:
+def cmd_diagram(cfg: RunConfig, t: NetworkTopology, out_dir: Path,
+                strict: bool = False, plot: bool = False) -> int:
     metrics.check_tolerance("eps", cfg.eps)
     series_data = []
     all_converged = True
-    for label, t, policy_name in _series_for_diagram(cfg):
-        densities = parse_density_grid(cfg.densities, t)
+    for label, net, policy_name in _series_for_diagram(cfg, t):
+        densities = parse_density_grid(cfg.densities, net)
         diagram = metrics.sweep_diagram(
-            t, densities, cfg.mode, make_policy(policy_name, cfg, t),
+            net, densities, cfg.mode, make_policy(policy_name, cfg, net),
             seeds=cfg.seeds, horizon=cfg.horizon, burn_in=cfg.burn_in,
             per_road=cfg.per_road)
         seg = metrics.classify_phases_empirical(diagram, cfg.eps)
@@ -376,8 +379,7 @@ def cmd_phases(input_csv: Path, eps: float, out_dir: Path) -> int:
     return 0
 
 
-def cmd_response(cfg: RunConfig, out_dir: Path) -> int:
-    t = cfg.build_topology()
+def cmd_response(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
     if cfg.mode != DISCRETE:
         raise ConfigError("response scenarios run in discrete mode")
     metrics.check_tolerance("band_fraction", cfg.response_band_fraction)
@@ -403,10 +405,10 @@ def cmd_response(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args) -> tuple[RunConfig, NetworkTopology]:
     if not args.config:
         raise ConfigError("--config is required for this subcommand")
-    cfg = parse_config(Path(args.config).read_text())
+    cfg, t = _parse_config(Path(args.config).read_text())
     if args.mode:
         cfg = replace(cfg, mode=args.mode)
     if args.policy:
@@ -415,7 +417,7 @@ def _load_config(args) -> RunConfig:
         cfg = replace(cfg, seeds=tuple(range(args.seeds)))
     if not cfg.seeds:
         raise ConfigError("seeds must name at least one seed")
-    return cfg
+    return cfg, t
 
 
 def main(argv=None) -> int:
@@ -457,9 +459,9 @@ def main(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
-            return cmd_simulate(_load_config(args), out_dir)
+            return cmd_simulate(*_load_config(args), out_dir)
         if args.command == "diagram":
-            return cmd_diagram(_load_config(args), out_dir,
+            return cmd_diagram(*_load_config(args), out_dir,
                                strict=args.strict, plot=args.plot)
         if args.command == "eigen":
             return cmd_eigen(args.n, args.m, args.capacity, args.points,
@@ -467,7 +469,7 @@ def main(argv=None) -> int:
         if args.command == "phases":
             return cmd_phases(Path(args.input), args.eps, out_dir)
         if args.command == "response":
-            return cmd_response(_load_config(args), out_dir)
+            return cmd_response(*_load_config(args), out_dir)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,9 @@ priority-to-the-right rule is the absence of a policy (gate None).  The
 global feedback solves a discrete-time LQR around a nominal operating point:
 roads are car inventories, the control is the per-road outflow during green,
 and the interconnection matrix routes half of each road's outflow to each of
-its junction's exits.
+its junction's exits.  Inventories carry over unchanged from step to step
+(A = I), so the Riccati equation is solved exactly, in closed form, with no
+iteration and no tolerance.
 """
 
 from __future__ import annotations
@@ -121,19 +123,16 @@ def nominal_point(t: NetworkTopology, d) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RiccatiError(RuntimeError):
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(f"{message} (residual {residual:.3e} "
-                         f"after {iterations} iterations)")
+    def __init__(self, message: str, residual: float):
+        super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
 class LQRSolution:
     gain: np.ndarray        # full-space feedback: u = ubar - gain @ (x - xbar)
-    P: np.ndarray           # Riccati fixed point on the solved subspace
-    residual: float
-    iterations: int
+    P: np.ndarray           # Riccati solution on the solved subspace
+    residual: float         # Riccati defect max|Q - P B gain| on that subspace
     spectral_radius: float  # closed loop on the solved subspace
 
 
@@ -147,51 +146,47 @@ def _mass_projection(B: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def solve_lqr(model: LQModel, tol: float = 1e-10,
-              max_iter: int = 20000) -> LQRSolution:
-    """Fixed-point iteration for the discrete Riccati equation with A = I.
+def solve_lqr(model: LQModel) -> LQRSolution:
+    """Exact solution of the discrete Riccati equation with A = I.
 
     When the columns of B sum to zero the total-inventory direction cannot
-    be moved by any control, so it is projected out before iterating; the
-    returned gain acts on full-space deviations.  Raises RiccatiError if the
-    residual does not reach tol within max_iter sweeps.
+    be moved by any control, so it is projected out first; the returned gain
+    acts on full-space deviations.  With A = I the equation reads
+    P (I + G P)^-1 G P = Q for G = B R^-1 B', and its positive semidefinite
+    solution is P = G^-1/2 W diag(p) W' G^-1/2, where W diag(s) W' is
+    G^1/2 Q G^1/2 and p = (s + sqrt(s^2 + 4s)) / 2: G^1/2 P G^1/2 commutes
+    with G^1/2 Q G^1/2, and each of its eigenvalues solves p^2 = s (1 + p).
+    Raises RiccatiError when G is singular (a mode no control moves), or if
+    rounding leaves a defect above 1e-9 max(1, max|Q|).
     """
     if np.linalg.eigvalsh(model.R).min() <= 0:
         raise ValueError("R must be positive definite")
     q_eigs = np.linalg.eigvalsh(model.Q)  # zeros may round to just below 0
     if q_eigs.min() < -1e-12 * max(1.0, q_eigs.max()):
         raise ValueError("Q must be positive semidefinite")
-    V = _mass_projection(model.B)
+    B, Q, R = model.B, model.Q, model.R
+    V = _mass_projection(B)
     if V is not None:
-        B = V.T @ model.B
-        Q = V.T @ model.Q @ V
-    else:
-        B = model.B
-        Q = model.Q
-    R = model.R
-    P = Q.copy()
-
-    def riccati_map(P):
-        inner = np.linalg.solve(R + B.T @ P @ B, B.T @ P)
-        return Q + P - P @ B @ inner
-
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        P_next = riccati_map(P)
-        P_next = 0.5 * (P_next + P_next.T)
-        residual = float(np.max(np.abs(P_next - P)))
-        P = P_next
-        if residual <= tol:
-            break
-    else:
-        raise RiccatiError("Riccati iteration did not converge",
-                           residual, max_iter)
+        B, Q = V.T @ B, V.T @ Q @ V
+    g, U = np.linalg.eigh(B @ np.linalg.solve(R, B.T))
+    if g.min() <= 1e-12 * g.max():
+        raise RiccatiError("uncontrollable mode: B R^-1 B' has eigenvalues "
+                           f"{g.min():.3e} to {g.max():.3e}", np.inf)
+    root = np.sqrt(g)
+    half = (U * root) @ U.T  # G^1/2
+    s, W = np.linalg.eigh(half @ Q @ half)
+    s = np.clip(s, 0.0, None)  # Q's zero modes may round to just below 0
+    X = (U / root) @ (U.T @ W) * np.sqrt(0.5 * (s + np.sqrt(s * s + 4 * s)))
+    P = X @ X.T  # exactly symmetric: NumPy forms X X' with one syrk
     gain_sub = np.linalg.solve(R + B.T @ P @ B, B.T @ P)
+    residual = float(np.max(np.abs(Q - P @ B @ gain_sub)))
+    if not residual <= 1e-9 * max(1.0, float(np.max(np.abs(Q)))):  # or NaN
+        raise RiccatiError("Riccati solution is inaccurate", residual)
     closed = np.eye(P.shape[0]) - B @ gain_sub
     radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
     gain = gain_sub @ V.T if V is not None else gain_sub
     return LQRSolution(gain=gain, P=P, residual=residual,
-                       iterations=iteration, spectral_radius=radius)
+                       spectral_radius=radius)
 
 
 def global_feedback_timing(t: NetworkTopology, gain: np.ndarray,

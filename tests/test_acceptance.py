@@ -285,14 +285,14 @@ def test_criterion_8_large_junction():
 def test_criterion_9_riccati():
     from roadphases.control import LQModel
     scalar = LQModel(B=np.array([[1.0]]), Q=np.eye(1), R=np.eye(1))
-    sol = solve_lqr(scalar, tol=1e-14)
+    sol = solve_lqr(scalar)
     golden = (1 + 5 ** 0.5) / 2
     assert abs(sol.P[0, 0] - golden) <= 1e-9
     city = build_torus_city(4, 4, 9)
     city_sol = solve_lqr(build_lq_model(city))
     assert city_sol.spectral_radius < 1
-    report(9, f"scalar fixed point = {sol.P[0, 0]:.10f} (golden ratio to "
-              f"1e-9); 4x4-city closed-loop spectral radius "
+    report(9, f"scalar Riccati solution = {sol.P[0, 0]:.10f} (golden ratio "
+              f"to 1e-9); 4x4-city closed-loop spectral radius "
               f"{city_sol.spectral_radius:.4f} < 1")
 
 

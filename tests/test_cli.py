@@ -299,7 +299,7 @@ densities = 0.7
         from roadphases.control import RiccatiError
 
         def explode(model, **kwargs):
-            raise RiccatiError("Riccati iteration did not converge", 1.0, 3)
+            raise RiccatiError("uncontrollable mode", float("inf"))
 
         monkeypatch.setattr(cli_mod.control, "solve_lqr", explode)
         cfg_path = tmp_path / "glob.cfg"
@@ -498,6 +498,23 @@ class TestGlobalFeedbackCommands:
         assert run_cli(["response", "--config", str(cfg_path)], tmp_path) == 0
         assert len(solved) == 2
 
+    @pytest.mark.parametrize("command", ["diagram", "response"])
+    def test_one_network_build_per_command(self, tmp_path, monkeypatch,
+                                           command):
+        from roadphases.topology import NetworkTopology
+        built = []
+        real_validate = NetworkTopology.validate
+
+        def counting_validate(t):
+            built.append(t)
+            return real_validate(t)
+
+        monkeypatch.setattr(NetworkTopology, "validate", counting_validate)
+        cfg_path = tmp_path / "glob.cfg"
+        cfg_path.write_text(GLOBAL_CFG)
+        assert run_cli([command, "--config", str(cfg_path)], tmp_path) == 0
+        assert len(built) == 1
+
 
 class TestEmptySeeds:
     CONFIGS = {"simulate": TABLE1_CFG, "diagram": DIAGRAM_CFG,
@@ -549,11 +566,12 @@ class TestFileErrors:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-# Four discrete runs whose every output file is pinned by its sha256: the
-# README promises byte-identical outputs for identical configs and seeds.
-# None uses global feedback or response traces, so no BLAS or LAPACK
-# rounding enters the bytes, and discrete flows are integer sums divided
-# once, so the digests hold on any platform.
+# Discrete runs whose every output file is pinned by its sha256: the README
+# promises byte-identical outputs for identical configs and seeds.  Discrete
+# flows are integer sums divided once.  The global-feedback runs round the
+# LQR control to whole green slots, so the last digits of the gain do not
+# reach their bytes.  Response distances are BLAS norms; another BLAS may
+# round their last digit differently.
 PINNED_RUNS = {
     "fig8_table3": ("simulate", TABLE1_CFG.replace("continuous", "discrete")),
     "city_open_loop": ("simulate", """\
@@ -603,9 +621,57 @@ densities = linspace(0,1,6)
 policy_list = local_feedback
 per_road = true
 """),
+    "city_global_feedback_response": ("response", """\
+[topology]
+family = torus_city
+rows = 3
+cols = 3
+segment_len = 4
+
+[run]
+mode = discrete
+seeds = 0,1
+
+[response]
+horizon = 150
+policies = global_feedback
+"""),
+    "city_global_feedback_roads": ("diagram", """\
+[topology]
+family = torus_city
+rows = 4
+cols = 4
+segment_len = 5
+
+[run]
+mode = discrete
+horizon = 200
+seeds = 0,1
+
+[diagram]
+densities = linspace(0,1,6)
+policy_list = global_feedback
+per_road = true
+"""),
 }
 
 PINNED_DIGESTS = {
+    "city_global_feedback_response": {
+        "response_global_feedback_seed0.csv":
+            "f8982f1e11201486cec71c43ef6a2b9e2a90bebec2afdd8788f8408b24510b6b",
+        "response_global_feedback_seed1.csv":
+            "fcdc7ca6cdb52f455cd953ba3d77a2bd76132b92edc8b15240ab4e7c40b58f3f",
+        "response_summary.csv":
+            "c4024a799caead61f64df7fab71bd4bda0105e7ce0919e7f7ca0534b480d0274",
+    },
+    "city_global_feedback_roads": {
+        "diagram.csv":
+            "ded09e7c233eed45ae7d765138e200fac654771a5543ddb83cd9e9326c9395b3",
+        "diagram.dat":
+            "af3f2aacc456586befcf2475047b3c655ea2466d9e2e71e4e63106bde205fe6c",
+        "diagram_roads.csv":
+            "8961f3477afd2a6c30d11a857c7118575759f52252e03a680cb3dbd37cedee40",
+    },
     "city_local_feedback_roads": {
         "diagram.csv":
             "18a6ef98af0b3657bbaaa308713665b59fa3dac8ee5bddc2d0ec362892d8b2d3",

@@ -201,7 +201,7 @@ def scalar_model(q=1.0, r=1.0, b=1.0):
 
 class TestRiccati:
     def test_scalar_golden_ratio(self):
-        sol = solve_lqr(scalar_model(), tol=1e-14)
+        sol = solve_lqr(scalar_model())
         assert sol.P[0, 0] == pytest.approx(GOLDEN, abs=1e-9)
         assert sol.gain[0, 0] == pytest.approx(GOLDEN / (1 + GOLDEN), abs=1e-9)
         assert sol.spectral_radius < 1
@@ -235,11 +235,14 @@ class TestRiccati:
         assert np.linalg.eigvalsh(total).min() < 0  # zeros round below 0
         solve_lqr(LQModel(model.B, total, model.R))
 
-    def test_non_convergence_reports_residual(self):
-        with pytest.raises(RiccatiError) as err:
-            solve_lqr(scalar_model(), tol=1e-14, max_iter=3)
-        assert err.value.residual > 0
-        assert err.value.iterations == 3
+    def test_uncontrollable_mode_raises(self):
+        with pytest.raises(RiccatiError, match="uncontrollable mode"):
+            solve_lqr(scalar_model(b=0.0))
+        # zero column sums (the mass direction is projected out) and rank 1,
+        # so one of the two remaining modes is out of reach too
+        B = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(RiccatiError, match="uncontrollable mode"):
+            solve_lqr(LQModel(B, np.eye(3), np.eye(3)))
 
     def test_city_model_stabilized(self):
         t = build_torus_city(4, 4, 9)
@@ -251,7 +254,7 @@ class TestRiccati:
     def test_residual_is_fixed_point_defect(self):
         t = build_torus_city(2, 2, 2)
         model = build_lq_model(t)
-        sol = solve_lqr(model, tol=1e-12)
+        sol = solve_lqr(model)
         ones = np.ones(len(t.roads))
         q, _ = np.linalg.qr(np.column_stack([ones, np.eye(len(t.roads))]))
         V = q[:, 1:]
@@ -260,18 +263,39 @@ class TestRiccati:
         defect = P - (Q + P - P @ B @ inner)
         assert np.max(np.abs(defect)) <= 1e-10
 
-    def test_matches_scipy_on_projected_city(self):
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (8, 8, 9)],
+                             ids=["2x4x3", "8x8x9"])
+    def test_matches_scipy_on_projected_city(self, shape):
         scipy_linalg = pytest.importorskip("scipy.linalg")
-        t = build_torus_city(2, 4, 3)
+        t = build_torus_city(*shape)
         model = build_lq_model(t)
-        sol = solve_lqr(model, tol=1e-13)
+        sol = solve_lqr(model)
         n = len(t.roads)
         ones = np.ones(n)
         q, _ = np.linalg.qr(np.column_stack([ones, np.eye(n)]))
         V = q[:, 1:]
         P_ref = scipy_linalg.solve_discrete_are(
             np.eye(n - 1), V.T @ model.B, V.T @ model.Q @ V, model.R)
-        assert np.allclose(sol.P, P_ref, atol=1e-8)
+        assert np.allclose(sol.P, P_ref, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("t", [
+        build_figure_eight(5, 5), build_two_junction(5, 4, 4, 5),
+        build_torus_city(2, 4, 3)], ids=lambda t: t.topology_id)
+    def test_matches_scipy_with_general_weights(self, t):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        B = build_lq_model(t).B
+        n = len(B)
+        rng = np.random.default_rng(n)
+        M, N = rng.standard_normal((2, n, n))
+        Q = M @ M.T + 0.1 * np.eye(n)  # positive definite, not diagonal
+        R = N @ N.T + 0.1 * np.eye(n)
+        sol = solve_lqr(LQModel(B, Q, R))
+        q, _ = np.linalg.qr(np.column_stack([np.ones(n), np.eye(n)]))
+        V = q[:, 1:]
+        P_ref = scipy_linalg.solve_discrete_are(
+            np.eye(n - 1), V.T @ B, V.T @ Q @ V, R)
+        error = np.max(np.abs(sol.P - P_ref)) / np.max(np.abs(P_ref))
+        assert error <= 1e-12
 
 
 @pytest.fixture(scope="module")
