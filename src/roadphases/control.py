@@ -252,10 +252,10 @@ class LocalFeedbackPolicy:
         self._nnp = kern.road_lengths[kern.np_road]
 
     def greens(self, k: int, sim) -> np.ndarray:
-        kern, x, z = sim.kernel, sim.x, sim.road_counts()
+        kern, x, z = sim.kernel, sim.counters.T, sim.road_counts()
         # a car poised to enter: the occupancy of each road's last cell
-        b = sim.a[..., kern.road_last] + (x[..., kern.road_last]
-                                          - x[..., kern.entry])
+        b = sim.a[..., kern.road_last] + (x.take(kern.row_last, 0)
+                                          - x.take(kern.row_entry, 0)).T
         lhs = self._nnp * b[..., kern.pr_road] + z[..., kern.pr_road]
         rhs = self._npr * b[..., kern.np_road] + z[..., kern.np_road]
         return lhs >= rhs
@@ -296,4 +296,4 @@ class GlobalFeedbackPolicy:
         return phase < self._slots
 
     def phase_key(self, k: int):
-        return (k % self.cycle, tuple(int(s) for s in self._slots))
+        return k % self.cycle, self._slots.tobytes()  # of every lane

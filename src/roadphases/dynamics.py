@@ -31,6 +31,7 @@ entry counter may grow only under a green light.
 Independent runs on one network can be stacked as the rows of a (lanes,
 slots) array and advanced by the same update; every operation is
 elementwise per lane, so each lane matches its run stepped alone bit for bit.
+A step works in kernel order (StepKernel); results are read in slot order.
 """
 
 from __future__ import annotations
@@ -66,97 +67,104 @@ def _fields(items, *names) -> list[np.ndarray]:
 class StepKernel:
     """The topology as index arrays, shared by the update, the policies and
     the measurements.  Per-road arrays are indexed by road id, per-junction
-    arrays by junction id; ``counting`` lists the counting positions."""
+    arrays by junction id; ``counting`` lists the counting positions.
+
+    A step runs in kernel order, the order it produces counters in: road
+    cells road by road, then every ``slot_b``, then every ``slot_a``
+    (``order`` maps it to slots; ``row_*`` arrays index it).  A stack is
+    worked slots-first on its transpose, free in Fortran order (apply's).
+    """
 
     def __init__(self, t: NetworkTopology):
         self.first, self.road_lengths = _fields(
             t.roads, "first_cell", "length_cells")
         self.road_last = self.first + self.road_lengths - 1
-        # (start, end) pairs for per-road sums via reduceat
-        self.road_bounds = np.column_stack(
-            [self.first, self.road_last + 1]).ravel()
         (self.slot_a, self.slot_b, self.capacity, self.pr_road, self.np_road,
          self.out_ceil, self.out_floor) = _fields(
             t.junctions, "slot_a", "slot_b", "capacity", "in_priority",
             "in_nonpriority", "out_ceil", "out_floor")
-        self.pr_last = self.road_last[self.pr_road]
-        self.np_last = self.road_last[self.np_road]
-        self.out1_first = self.first[self.out_ceil]
-        self.out2_first = self.first[self.out_floor]
-        # road cells in road order; a road's last cell feeds its entry slot
-        entry = self.entry = np.empty_like(self.first)
-        entry[self.pr_road], entry[self.np_road] = self.slot_b, self.slot_a
         self.rc = np.concatenate([np.arange(f, l + 1) for f, l
                                   in zip(self.first, self.road_last)])
-        self.nxt = self.rc + 1
-        self.nxt[np.cumsum(self.road_lengths) - 1] = entry
+        self.order = np.concatenate([self.rc, self.slot_b, self.slot_a])
+        # each road's last and first row, and the entry row its last cell feeds
+        self.row_last = np.cumsum(self.road_lengths) - 1
+        self.row_first = self.row_last - self.road_lengths + 1
+        into = np.concatenate([self.pr_road, self.np_road])
+        self.row_entry = self.rc.size + np.argsort(into)
+        # per junction: its exits' first rows, and the supply rows feeding it
+        outs = np.concatenate([self.out_ceil, self.out_floor])
+        self.row_exit = self.row_first[outs]
+        self.row_feed = self.row_last[into] + 1
+        # the slot whose counter each slot's occupancy is read against
+        self.succ = np.empty_like(self.order)
+        self.succ[self.order] = np.concatenate([self.rc + 1, self.first[outs]])
+        self.succ[self.road_last] = self.order[self.row_entry]
         # counting positions in slot order: every road cell, and each
         # junction at its slot_a (on a figure-eight: the non-priority cells,
         # the junction, the priority cells)
         self.counting = np.sort(np.concatenate([self.rc, self.slot_a]))
-        # upstream supply of each road cell in rc order, as an index into
-        # [a + x, a_b + ceil share, a_a + floor share]: the previous cell,
-        # or the junction sub-cell that feeds the first cell of an exit
-        n, n_junctions = t.n_slots, len(self.slot_a)
-        supply = np.arange(-1, n - 1)
-        supply[self.out1_first] = n + np.arange(n_junctions)
-        supply[self.out2_first] = n + n_junctions + np.arange(n_junctions)
-        self.rc_supply = supply[self.rc]
-        # a step yields road cells in rc order, then the slot_b values, then
-        # the slot_a values; this gather puts them back in slot order
-        self.slot_order = np.argsort(
-            np.concatenate([self.rc, self.slot_b, self.slot_a]))
 
-    # apply and occupancy take one run's (slots,) vector or a (lanes,
-    # slots) stack and work slots-first on its transpose, so that each
-    # gather along axis 0 copies a whole row of lanes.  A stack in Fortran
-    # order, as Simulation keeps it, makes those transposes free; results
-    # come back as (lanes, slots) in Fortran order.
+    def to_kernel(self, v: np.ndarray) -> np.ndarray:
+        """A slot-order stack in kernel order (Fortran order)."""
+        return np.asarray(v).T[self.order].T
 
-    def apply(self, x: np.ndarray, a: np.ndarray, discrete: bool,
+    def to_slots(self, v: np.ndarray) -> np.ndarray:
+        """A kernel-order stack in slot order (C order)."""
+        out = np.empty(v.shape, v.dtype)
+        out[..., self.order] = v
+        return out
+
+    def terms(self, a: np.ndarray) -> np.ndarray:
+        """apply's view of a slot-order placement: a in kernel order, 1 - a
+        at road cells and at last cells, and capacity - a_a - a_b."""
+        a, j = self.to_kernel(a).T, len(self.slot_a)
+        free = 1 - a[:self.rc.size]
+        room = _junction_rows(self.capacity, a.ndim) - (a[-j:] + a[-2 * j:-j])
+        return np.concatenate([a, free, free[self.row_last], room]).T
+
+    def apply(self, x: np.ndarray, p: np.ndarray, discrete: bool,
               gate: np.ndarray | None = None) -> np.ndarray:
-        """One synchronous update of every lane.  ``a`` has the shape of
-        ``x``; ``gate`` is (junctions,) for every lane, or (lanes,
-        junctions)."""
-        x, a = x.T, a.T
-        x_a, x_b = x.take(self.slot_a, 0), x.take(self.slot_b, 0)
-        a_a, a_b = a.take(self.slot_a, 0), a.take(self.slot_b, 0)
-        share_c, share_f = _shares(x_a + x_b, discrete)
-        supply = np.concatenate([a + x, a_b + share_c, a_a + share_f])
-        road = np.minimum(supply.take(self.rc_supply, 0),
-                          1 - a.take(self.rc, 0) + x.take(self.nxt, 0))
-        auth = (_junction_rows(self.capacity, x.ndim) - (a_a + a_b)
-                + x.take(self.out1_first, 0) + x.take(self.out2_first, 0))
-        up_pr = supply.take(self.pr_last, 0)
-        up_np = supply.take(self.np_last, 0)
-        if gate is None:
-            x_pr = np.minimum(up_pr, auth - x_a)
-            x_np = np.minimum(up_np, auth - x_pr)
-        else:
+        """One synchronous update of every lane, in kernel order.  ``p`` is
+        ``terms`` of the placement; ``gate`` is (junctions,) for every lane,
+        or (lanes, junctions)."""
+        x, p = x.T, p.T
+        c, n, j = self.rc.size, len(x), len(self.slot_a)
+        a, free, free_last, room = p[:n], p[n:n + c], p[n + c:-j], p[-j:]
+        x_b, x_a = x[c:-j], x[-j:]
+        out = np.empty(x.shape, x.dtype)
+        # supply: up[r + 1] = a + x at road row r, or a junction's share
+        up = np.empty((c + 1,) + x.shape[1:], x.dtype)
+        np.add(a[:c], x[:c], out=up[1:])
+        up_in = up.take(self.row_feed, 0)
+        up[self.row_exit] = a[c:] + np.concatenate(
+            _shares(x_a + x_b, discrete))
+        # space: 1 - a + x of the next row, or of a last cell's entry slot
+        road = np.add(free, x[1:c + 1], out=out[:c])
+        road[self.row_last] = free_last + x.take(self.row_entry, 0)
+        np.minimum(up[:c], road, out=road)
+        x_out = x.take(self.row_exit, 0)
+        auth = room + x_out[:j] + x_out[j:]
+        if gate is not None:
+            # an entry grows only under green, and neither has priority
             g = _junction_rows(gate, x.ndim).astype(x.dtype)
-            x_pr = np.minimum(np.minimum(up_pr, auth - x_a), x_b + g)
-            x_np = np.minimum(np.minimum(up_np, auth - x_b), x_a + (1 - g))
-        return self._in_slot_order(road, x_pr, x_np)
+            up_in = np.minimum(up_in, np.concatenate([x_b + g, x_a + (1 - g)]))
+        x_pr = np.minimum(up_in[:j], auth - x_a, out=out[c:-j])
+        np.minimum(up_in[j:], auth - (x_pr if gate is None else x_b),
+                   out=out[-j:])
+        return out.T
 
     def occupancy(self, x: np.ndarray, a: np.ndarray,
                   discrete: bool) -> np.ndarray:
-        """Reconstruct per-slot occupancies from counters (for dumps)."""
-        x, a = x.T, a.T
-        share_c, share_f = _shares(
-            x.take(self.slot_a, 0) + x.take(self.slot_b, 0), discrete)
-        return self._in_slot_order(
-            a.take(self.rc, 0) + x.take(self.rc, 0) - x.take(self.nxt, 0),
-            a.take(self.slot_b, 0) + share_c - x.take(self.out1_first, 0),
-            a.take(self.slot_a, 0) + share_f - x.take(self.out2_first, 0))
-
-    def _in_slot_order(self, road: np.ndarray, at_b: np.ndarray,
-                       at_a: np.ndarray) -> np.ndarray:
-        return np.concatenate([road, at_b, at_a]).take(self.slot_order, 0).T
+        """Per-slot occupancies of slot-order counters (for dumps)."""
+        v = x.copy()  # a sub-cell holds its share of the junction's entries
+        v[..., self.slot_b], v[..., self.slot_a] = _shares(
+            x[..., self.slot_a] + x[..., self.slot_b], discrete)
+        return a + v - x[..., self.succ]
 
     def road_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-road sums of a per-slot vector, or of each lane of a (lanes,
         slots) stack (junction slots excluded)."""
-        return np.add.reduceat(v, self.road_bounds, axis=-1)[..., ::2]
+        return np.add.reduceat(v[..., self.rc], self.row_first, axis=-1)
 
 
 def _shares(entries: np.ndarray, discrete: bool
@@ -213,8 +221,7 @@ def _validated(t: NetworkTopology, mode: str, a,
 
     ``a`` is one placement (slots,) or a stack of them (lanes, slots),
     checked by check_occupancy; ``x`` defaults to zeros and must have the
-    shape of ``a``.  Fortran order keeps each slot's lanes adjacent, so the
-    kernel's gathers copy whole rows.
+    shape of ``a``.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -226,7 +233,7 @@ def _validated(t: NetworkTopology, mode: str, a,
                              or np.any(x != np.round(x))):
         raise ValueError("discrete mode needs integer occupancies and counters")
     dtype = np.int64 if mode == DISCRETE else np.float64
-    return a.astype(dtype, order="F"), x.astype(dtype, order="F")
+    return a.astype(dtype), x.astype(dtype)
 
 
 def density(a: np.ndarray, t: NetworkTopology) -> float | np.ndarray:
@@ -281,8 +288,9 @@ class Simulation:
     slots), one lane per run; ``x`` and every per-slot result take its
     shape, and a 1-D ``a`` is a single run.  Lanes share the mode, the step
     count and the policy but nothing else, so each lane follows exactly the
-    trajectory it would follow alone.  The counters ``x`` are the only state
-    that changes; road counts are read from them, not from occupancies.
+    trajectory it would follow alone.  The counters are the only state that
+    changes, kept in kernel order (StepKernel) as ``counters``; ``x`` reads
+    them in slot order, and road counts straight from them.
 
     ``policy`` is any object with ``reset(sim)`` and
     ``greens(k, sim) -> bool array`` (True = priority approach green), of
@@ -294,32 +302,43 @@ class Simulation:
 
     def __init__(self, t: NetworkTopology, a, mode: str = DISCRETE,
                  policy=None):
-        self.a, self.x = _validated(t, mode, a)
+        self.a, x = _validated(t, mode, a)
         self.topology = t
         self.mode = mode
-        self.kernel = kernel_for(t)
+        self.kernel = kern = kernel_for(t)
         self.k = 0
-        self._placed = self.kernel.road_sums(self.a)
+        self.counters = kern.to_kernel(x)
+        self._terms = kern.terms(self.a)
+        self._placed = kern.road_sums(self.a)
         self.policy = copy.copy(policy)
         if policy is not None:
             self.policy.reset(self)
+
+    @property
+    def x(self) -> np.ndarray:
+        """The counters in slot order, as a read-only copy."""
+        x = self.kernel.to_slots(self.counters)
+        x.flags.writeable = False
+        return x
 
     def advance(self, steps: int = 1) -> None:
         for _ in range(steps):
             gate = (None if self.policy is None
                     else self.policy.greens(self.k, self))
-            self.x = self.kernel.apply(self.x, self.a, self.mode == DISCRETE,
-                                       gate)
+            self.counters = self.kernel.apply(
+                self.counters, self._terms, self.mode == DISCRETE, gate)
             self.k += 1
 
     def state(self) -> CounterState:
-        return CounterState(self.k, self.x.copy(), self.mode)
+        return CounterState(self.k, self.kernel.to_slots(self.counters),
+                            self.mode)
 
     def road_counts(self) -> np.ndarray:
         """Vehicles currently on each road (junction interiors excluded)."""
-        x, kern = self.x, self.kernel
+        x, kern = self.counters.T, self.kernel
         # the difference first: exact whenever the counters are
-        return self._placed + (x[..., kern.first] - x[..., kern.entry])
+        return self._placed + (x.take(kern.row_first, 0)
+                               - x.take(kern.row_entry, 0)).T
 
 
 def step(state: CounterState, a, t: NetworkTopology,
@@ -331,8 +350,9 @@ def step(state: CounterState, a, t: NetworkTopology,
         gate = np.asarray(gate)
         if gate.shape != kern.slot_a.shape:
             raise ValueError("gate needs one entry per junction")
-    x_new = kern.apply(x, a, state.mode == DISCRETE, gate)
-    return CounterState(state.k + 1, x_new, state.mode)
+    x_new = kern.apply(kern.to_kernel(x), kern.terms(a),
+                       state.mode == DISCRETE, gate)
+    return CounterState(state.k + 1, kern.to_slots(x_new), state.mode)
 
 
 def simulate(t: NetworkTopology, a, mode: str = DISCRETE, horizon: int = 1,

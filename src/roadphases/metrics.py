@@ -90,33 +90,34 @@ def _policy_id(policy) -> str:
     return getattr(policy, "policy_id", type(policy).__name__)
 
 
-def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int,
-             burn_in: int, per_road: bool) -> tuple:
+def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int | None,
+             burn_in: int | None, per_road: bool) -> tuple:
     """Runs from a stack of placements (lanes, slots), advanced together;
     returns per-lane arrays (flow, converged, road_flow, road_density); the
     road densities are zero unless ``per_road`` accumulates them."""
+    horizon = default_horizon(t) if horizon is None else horizon
+    burn_in = horizon // 2 if burn_in is None else burn_in
     if not horizon > burn_in >= 0:
         raise ValueError("need horizon > burn_in >= 0")
     sim = Simulation(t, a, mode, policy)
     sim.advance(burn_in)
-    x_burn = sim.x.copy()
+    x_burn = x_mid = sim.counters
     mid = (horizon + burn_in) // 2
-    x_mid = x_burn
-    road_cells_acc = np.zeros((len(sim.x), len(t.roads)))
+    road_cells_acc = np.zeros((len(a), len(t.roads)))
     for _ in range(burn_in, horizon):
         sim.advance()
         if per_road:
             road_cells_acc += sim.road_counts()
         if sim.k == mid:
-            x_mid = sim.x.copy()
+            x_mid = sim.counters
     window = horizon - burn_in
-    # C order: each lane's row is contiguous, so a row mean sums it exactly
-    # as np.mean sums the counters of a lone run
-    gained = np.ascontiguousarray(sim.x - x_burn)
-    flow = gained.mean(axis=1) / window
-    half = (x_mid - x_burn).mean(axis=1) / (mid - burn_in) \
-        if mid > burn_in else flow
     kern = sim.kernel
+    # back in slot order, in C order: each lane's row is contiguous, so a
+    # row mean sums it exactly as np.mean sums the counters of a lone run
+    gained = kern.to_slots(sim.counters - x_burn)
+    flow = gained.mean(axis=1) / window
+    half = kern.to_slots(x_mid - x_burn).mean(axis=1) / (mid - burn_in) \
+        if mid > burn_in else flow
     return (flow, np.abs(flow - half) < CONVERGENCE_TOL,
             kern.road_sums(gained) / kern.road_lengths / window,
             road_cells_acc / window / kern.road_lengths)
@@ -126,8 +127,6 @@ def estimate_growth_rate(t: NetworkTopology, a, mode: str = DISCRETE,
                          policy=None, horizon: int | None = None,
                          burn_in: int | None = None) -> tuple[float, bool]:
     """Average per-step counter increment over [burn_in, horizon]."""
-    horizon = default_horizon(t) if horizon is None else horizon
-    burn_in = horizon // 2 if burn_in is None else burn_in
     flow, converged, _, _ = _measure(t, [a], mode, policy, horizon, burn_in,
                                      per_road=False)
     return float(flow[0]), bool(converged[0])
@@ -145,17 +144,15 @@ def detect_period(t: NetworkTopology, a, policy=None,
     max_steps = 20 * t.counting_size if max_steps is None else max_steps
     sim = Simulation(t, a, DISCRETE, policy)
     phase_key = getattr(sim.policy, "phase_key", lambda k: ())
-    seen: dict[tuple, int] = {}
-    x0: list[int] = []  # x[0] at each step
+    seen: dict[tuple, tuple] = {}  # key -> (step, x[0] at that step)
     for k in range(max_steps + 1):
-        key = ((sim.x - sim.x[0]).tobytes(), phase_key(k))
+        x = sim.counters  # any fixed counter order keys the same recurrences
+        key = ((x - x[0]).tobytes(), phase_key(k))
         if key in seen:
-            start = seen[key]
-            period = k - start
-            flow = float(sim.x[0] - x0[start]) / period
-            return PeriodResult(period=period, start=start, flow=flow)
-        seen[key] = k
-        x0.append(sim.x[0])
+            start, x0 = seen[key]
+            return PeriodResult(period=k - start, start=start,
+                                flow=float(x[0] - x0) / (k - start))
+        seen[key] = k, x[0]
         sim.advance()
     return None
 
@@ -169,8 +166,6 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
     ``policy`` is None or one gate policy; every (density, seed) run is a
     lane of one stacked simulation, for which the policy is reset once.
     """
-    horizon = default_horizon(t) if horizon is None else horizon
-    burn_in = horizon // 2 if burn_in is None else burn_in
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("sweep_diagram needs at least one seed")
@@ -261,10 +256,10 @@ def _distances(counts: np.ndarray, kern):
     """distance_to_uniform from per-road car counts, one lane or a stack."""
     counts = np.ascontiguousarray(counts, dtype=float)
     uniform = counts.sum(axis=-1, keepdims=True) / int(kern.road_lengths.sum())
-    # one 1-D norm (a BLAS dot) per lane: norm(axis=-1) sums in another order
-    dist = [float(np.linalg.norm(v))
-            for v in np.atleast_2d(counts / kern.road_lengths - uniform)]
-    return dist[0] if counts.ndim == 1 else np.array(dist)
+    v = np.atleast_2d(counts / kern.road_lengths - uniform)
+    # one BLAS dot per lane, as np.linalg.norm(v) (norm(axis=-1) differs)
+    dist = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    return float(dist[0]) if counts.ndim == 1 else dist
 
 
 def response_time(trace, band: float) -> tuple[int, bool]:
@@ -312,7 +307,7 @@ def run_response_trace(t: NetworkTopology, a, policy, horizon: int):
         distances.append(_distances(sim.road_counts(), sim.kernel))
     traces = [ResponseTrace(policy_id=_policy_id(policy), distances=lane)
               for lane in np.column_stack(distances).tolist()]
-    return traces if sim.x.ndim == 2 else traces[0]
+    return traces if sim.counters.ndim == 2 else traces[0]
 
 
 def write_diagram_csv(

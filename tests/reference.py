@@ -1,0 +1,75 @@
+"""Independent reference dynamics for any network, traffic lights included.
+
+Deliberately naive: exact Fraction arithmetic, one slot at a time, a direct
+transcription of the update rules in the ``dynamics`` module docstring.  It
+reads the ``RoadSegment`` and ``JunctionSpec`` fields of a topology and
+nothing of the engine's kernel, so it shares no index arrays with the code
+it checks.  Used only as a test oracle.
+"""
+
+from fractions import Fraction
+from math import ceil, floor
+
+
+def _shares(total, discrete):
+    """(share toward out_ceil, share toward out_floor) of total entries."""
+    half = Fraction(total, 2)
+    return (ceil(half), floor(half)) if discrete else (half, half)
+
+
+def reference_step(t, x, a, discrete=False, gate=None):
+    """One synchronous update of the slot-indexed counter list ``x``.
+
+    ``gate`` is None (priority to the right) or one flag per junction, True
+    when the priority road has the green light.
+    """
+    new = list(x)
+    into = {}  # road id -> (junction, entry slot its last cell feeds)
+    for j in t.junctions:
+        into[j.in_priority] = (j, j.slot_b)
+        into[j.in_nonpriority] = (j, j.slot_a)
+    for r in t.roads:
+        src = t.junctions[r.from_junction]
+        ceil_share, floor_share = _shares(x[src.slot_a] + x[src.slot_b],
+                                          discrete)
+        for c in r.cells:
+            if c == r.first_cell:
+                # fed by the junction sub-cell bound for this road
+                if r.id == src.out_ceil:
+                    supply = a[src.slot_b] + ceil_share
+                else:
+                    supply = a[src.slot_a] + floor_share
+            else:
+                supply = a[c - 1] + x[c - 1]
+            nxt = c + 1 if c != r.last_cell else into[r.id][1]
+            new[c] = min(supply, 1 - a[c] + x[nxt])
+    for j in t.junctions:
+        pr_last = t.roads[j.in_priority].last_cell
+        np_last = t.roads[j.in_nonpriority].last_cell
+        auth = (j.capacity - a[j.slot_a] - a[j.slot_b]
+                + x[t.roads[j.out_ceil].first_cell]
+                + x[t.roads[j.out_floor].first_cell])
+        if gate is None:
+            new[j.slot_b] = min(a[pr_last] + x[pr_last], auth - x[j.slot_a])
+            new[j.slot_a] = min(a[np_last] + x[np_last],
+                                auth - new[j.slot_b])
+        else:
+            green = 1 if gate[j.id] else 0
+            new[j.slot_b] = min(a[pr_last] + x[pr_last], auth - x[j.slot_a],
+                                x[j.slot_b] + green)
+            new[j.slot_a] = min(a[np_last] + x[np_last], auth - x[j.slot_b],
+                                x[j.slot_a] + 1 - green)
+    return new
+
+
+def reference_trajectory(t, a_values, horizon, discrete=False, gates=None):
+    """Counters for k = 0..horizon, as lists of Fractions; ``gates[k]`` is
+    the gate of step k (None throughout for the bare priority rule)."""
+    a = [Fraction(v) for v in a_values]
+    x = [Fraction(0)] * t.n_slots
+    out = [x]
+    for k in range(horizon):
+        x = reference_step(t, x, a, discrete,
+                           None if gates is None else gates[k])
+        out.append(x)
+    return out

@@ -487,6 +487,30 @@ class TestGlobalFeedbackPolicy:
             assert greens == [p < slots[0] for p in range(6)]
 
 
+class TestGlobalPhaseKey:
+    """One hashable key per run or stack: the cycle phase and the green
+    slots of every lane."""
+
+    def test_keys_of_stacks(self):
+        t = build_torus_city(3, 3, 4)
+        policy = GlobalFeedbackPolicy(solve_lqr(build_lq_model(t)))
+        a = np.stack([init_occupancy(t, density=d, seed=1)
+                      for d in (0.2, 0.45, 0.7)])
+        sims = [Simulation(t, lanes, policy=policy)
+                for lanes in (a[0], a[:1], a, a[::-1])]
+        lanes_differ = False
+        for k in range(24):
+            lone, one, stack, flipped = (s.policy.phase_key(k) for s in sims)
+            hash((lone, one, stack, flipped))  # TypeError if one is unhashable
+            assert lone == one  # a (1, slots) stack is its lone run
+            assert {lone[0], stack[0], flipped[0]} == {k % policy.cycle}
+            lanes_differ |= stack != flipped
+            for s in sims:
+                s.advance()
+        # the lanes get different slots, and the key tells them apart
+        assert lanes_differ
+
+
 class TestMutualExclusion:
     @pytest.mark.parametrize("policy_factory", [
         lambda s: OpenLoopPolicy(),

@@ -29,6 +29,7 @@ from roadphases.dynamics import (
 from roadphases.topology import build_figure_eight, build_torus_city, build_two_junction
 
 from fig8_reference import as_list, reference_occupancy, reference_trajectory
+import reference
 
 A55 = [0, 1, 0, 1, 0, 1, 0, 0, 1, 0]
 
@@ -200,6 +201,77 @@ class TestAgainstReference:
             y = occupancy_at(state, a, t)
             y_ref = reference_occupancy(x_ref[k], a_ref, n, m)
             assert y.tolist() == as_list(y_ref, n + m), f"k={k}"
+
+
+class RecordedGates:
+    """A policy that replays pre-drawn gates, (steps, lanes, junctions)."""
+
+    policy_id = "recorded"
+
+    def __init__(self, gates):
+        self.gates = gates
+
+    def reset(self, sim):
+        pass
+
+    def greens(self, k, sim):
+        return self.gates[k]
+
+
+@st.composite
+def small_networks(draw):
+    capacity = draw(st.sampled_from([1, 2]))
+    family = draw(st.sampled_from(["figure_eight", "two_junction", "torus"]))
+    if family == "figure_eight":
+        return build_figure_eight(draw(st.integers(2, 9)),
+                                  draw(st.integers(2, 9)), capacity=capacity)
+    if family == "two_junction":
+        return build_two_junction(
+            *(draw(st.integers(2, 6)) for _ in range(4)), capacity=capacity)
+    return build_torus_city(draw(st.integers(2, 3)), draw(st.integers(2, 3)),
+                            draw(st.integers(1, 3)), capacity=capacity)
+
+
+class TestAgainstNetworkReference:
+    """Discrete counters of any network against tests/reference.py, which
+    reads the topology fields and shares no index array with the kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=small_networks(), lanes=st.integers(1, 3), gated=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_counters_match_reference(self, t, lanes, gated, seed):
+        rng = np.random.default_rng(seed)
+        horizon = 3 * t.counting_size
+        a = np.stack([init_occupancy(
+            t, count=int(rng.integers(t.counting_size + 1)),
+            seed=int(rng.integers(1 << 30))) for _ in range(lanes)])
+        if t.junctions[0].capacity == 2:
+            # a capacity-2 junction may also start with both sub-cells full
+            for j in t.junctions:
+                full = rng.integers(2, size=lanes) == 1
+                a[full, j.slot_a] = a[full, j.slot_b] = 1
+        gates = rng.integers(2, size=(horizon, lanes, len(t.junctions))) > 0
+        sim = Simulation(t, a, DISCRETE,
+                         RecordedGates(gates) if gated else None)
+        refs = [reference.reference_trajectory(
+            t, lane.tolist(), horizon, discrete=True,
+            gates=gates[:, i] if gated else None) for i, lane in enumerate(a)]
+        for k in range(horizon + 1):
+            x = sim.x
+            for lane, ref in enumerate(refs):
+                assert x[lane].tolist() == ref[k], f"lane {lane}, k={k}"
+            if k < horizon:
+                sim.advance()
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_fig8_reference_agrees(self, discrete):
+        # the two oracles on the one network both cover
+        n, m = 7, 4
+        t = build_figure_eight(n, m)
+        a = init_occupancy(t, count=5, seed=4)
+        general = reference.reference_trajectory(t, a.tolist(), 40, discrete)
+        fig8 = reference_trajectory(a.tolist(), n, m, 40, discrete=discrete)
+        assert general == [as_list(x, n + m) for x in fig8]
 
 
 class TestTrivialCases:
@@ -460,10 +532,18 @@ class TestKernelArrays:
         assert kern.pr_road.tolist() == [j.in_priority for j in t.junctions]
         assert kern.np_road.tolist() == \
             [j.in_nonpriority for j in t.junctions]
-        assert kern.pr_last.tolist() == \
-            [t.roads[j.in_priority].last_cell for j in t.junctions]
-        assert kern.np_last.tolist() == \
-            [t.roads[j.in_nonpriority].last_cell for j in t.junctions]
+        # kernel rows, read back as slots
+        assert kern.order[kern.row_first].tolist() == \
+            [r.first_cell for r in t.roads]
+        assert kern.order[kern.row_last].tolist() == \
+            [r.last_cell for r in t.roads]
+        entry = {j.in_priority: j.slot_b for j in t.junctions}
+        entry.update({j.in_nonpriority: j.slot_a for j in t.junctions})
+        assert kern.order[kern.row_entry].tolist() == \
+            [entry[r.id] for r in t.roads]
+        assert kern.order[kern.row_exit].tolist() == \
+            [t.roads[j.out_ceil].first_cell for j in t.junctions] + \
+            [t.roads[j.out_floor].first_cell for j in t.junctions]
         sim = Simulation(t, init_occupancy(t, density=0.5, seed=2))
         for _ in range(30):
             y = kern.occupancy(sim.x, sim.a, True)
@@ -508,12 +588,18 @@ class TestLaneStack:
                  "per_lane": rng.integers(2, size=(lanes,
                                                    len(t.junctions))) > 0}
         g = gates[gate]
-        stacked = {"apply": kern.apply(x, a, discrete, g),
+
+        def apply(x, a, g):
+            # one step through the kernel-order entry point, in slot order
+            return kern.to_slots(kern.apply(kern.to_kernel(x), kern.terms(a),
+                                            discrete, g))
+
+        stacked = {"apply": apply(x, a, g),
                    "occupancy": kern.occupancy(x, a, discrete),
                    "road_sums": kern.road_sums(x)}
         for lane in range(lanes):
             g_lane = g[lane] if gate == "per_lane" else g
-            single = {"apply": kern.apply(x[lane], a[lane], discrete, g_lane),
+            single = {"apply": apply(x[lane], a[lane], g_lane),
                       "occupancy": kern.occupancy(x[lane], a[lane], discrete),
                       "road_sums": kern.road_sums(x[lane])}
             for op, rows in stacked.items():
@@ -535,6 +621,25 @@ class TestLaneStack:
                 assert sim.x[lane].tolist() == as_list(ref[k], n + m), \
                     f"lane {lane}, k={k}"
             sim.advance()
+
+    @pytest.mark.parametrize("mode", [CONTINUOUS, DISCRETE])
+    def test_x_is_read_only_slot_order(self, mode):
+        t = LANE_NETWORKS["two_junction"]
+        kern = kernel_for(t)
+        a = np.stack([init_occupancy(t, count=c, seed=c) for c in (4, 9, 17)])
+        sim = Simulation(t, a, mode)
+        state = CounterState(0, np.zeros(a.shape), mode)
+        for _ in range(60):
+            x = sim.x
+            assert not x.flags.writeable and x.shape == a.shape
+            with pytest.raises(ValueError):
+                x[0, 0] = 1
+            assert np.array_equal(x, state.x)
+            assert np.array_equal(sim.counters, kern.to_kernel(state.x))
+            sim.advance()
+            state = step(state, a, t)
+        with pytest.raises(AttributeError):
+            sim.x = state.x
 
     def test_every_lane_is_validated(self, fig8_55):
         bad = list(A55)

@@ -1,6 +1,7 @@
 """Flow estimation, period detection, sweeps, phases, response traces."""
 
 import statistics
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from roadphases.dynamics import (
     init_occupancy,
 )
 from roadphases.metrics import (
+    _distances,
     DiagramPoint,
     FundamentalDiagram,
     PeriodResult,
@@ -127,6 +129,27 @@ class TestDetectPeriod:
                             max_steps=60 * t.counting_size)
         assert res is not None
         assert res.period % 4 == 0  # in phase with the light cycle
+
+    # (network, density, seed) -> (start, period) found when phase keys
+    # held the slots as a tuple of ints, one run per call
+    GLOBAL_PERIODS = {
+        ("city", 0.2, 0): (22, 12), ("city", 0.2, 1): (34, 12),
+        ("city", 0.4, 0): (19, 4), ("city", 0.4, 1): (23, 4),
+        ("city", 0.6, 0): (17, 12), ("city", 0.6, 1): (46, 4),
+        ("two_junction", 0.2, 0): (25, 20), ("two_junction", 0.2, 1): (57, 20),
+        ("two_junction", 0.4, 0): (17, 4), ("two_junction", 0.4, 1): (4, 4),
+        ("two_junction", 0.6, 0): (16, 4), ("two_junction", 0.6, 1): (54, 4),
+    }
+
+    def test_global_feedback_periods_unchanged(self):
+        nets = {"city": build_torus_city(2, 2, 3),
+                "two_junction": build_two_junction(4, 3, 5, 2)}
+        for (name, d, seed), expect in self.GLOBAL_PERIODS.items():
+            t = nets[name]
+            policy = GlobalFeedbackPolicy(solve_lqr(build_lq_model(t)))
+            res = detect_period(t, init_occupancy(t, density=d, seed=seed),
+                                policy)
+            assert (res.start, res.period) == expect, (name, d, seed)
 
     def test_none_when_horizon_too_short(self):
         t = build_figure_eight(30, 20)
@@ -450,6 +473,33 @@ class TestDistanceAndResponse:
         assert distance_to_uniform(y, t).tolist() == [
             lone_distance(lane, t) for lane in y]
         assert distance_to_uniform(y[0], t) == lone_distance(y[0], t)
+
+    @staticmethod
+    def lane_norms(counts, lengths):
+        uniform = counts.sum(axis=-1, keepdims=True) / int(lengths.sum())
+        return [float(np.linalg.norm(v))
+                for v in np.atleast_2d(counts / lengths - uniform)]
+
+    @pytest.mark.parametrize("roads", [8, 9, 33, 128, 517, 2048])
+    def test_distances_equal_per_lane_norms(self, roads):
+        rng = np.random.default_rng(roads)
+        # _distances reads only the road lengths of the kernel
+        kern = SimpleNamespace(road_lengths=rng.integers(1, 46, roads))
+        counts = rng.uniform(0, 1, (7, roads)) * kern.road_lengths
+        expect = self.lane_norms(counts, kern.road_lengths)
+        assert _distances(counts, kern).tolist() == expect  # bit for bit
+        assert _distances(counts[3], kern) == expect[3]
+
+    def test_distances_equal_per_lane_norms_on_city_trace(self):
+        t = build_torus_city(4, 4, 9)
+        a = np.stack([init_occupancy(t, density=0.3, seed=s)
+                      for s in range(3)])
+        sim = Simulation(t, a, DISCRETE, LocalFeedbackPolicy())
+        for _ in range(120):
+            z = sim.road_counts()
+            assert _distances(z, sim.kernel).tolist() == self.lane_norms(
+                z.astype(float), sim.kernel.road_lengths)
+            sim.advance()
 
     @pytest.mark.parametrize("policy", ["open_loop", "local_feedback",
                                         "global_feedback"])

@@ -219,11 +219,9 @@ class TestStructure:
         # next cell or its junction's entry slot, and both sub-cells of a
         # junction feed the first cells of both exits
         kern = kernel_for(t)
-        succ = {int(c): [int(n)] for c, n in zip(kern.rc, kern.nxt)}
-        for ends in zip(kern.slot_a, kern.slot_b, kern.out1_first,
-                        kern.out2_first):
-            a, b, *outs = map(int, ends)
-            succ[a] = succ[b] = outs
+        succ = {int(c): [int(kern.succ[c])] for c in kern.rc}
+        for a, b in zip(kern.slot_a.tolist(), kern.slot_b.tolist()):
+            succ[a] = succ[b] = [int(kern.succ[b]), int(kern.succ[a])]
         assert sorted(succ) == list(range(t.n_slots))
         for start in range(t.n_slots):
             seen = set()

@@ -1,0 +1,150 @@
+"""Layer timings of the roadphases engine, for before/after comparisons.
+
+Times only public APIs that every recent tree has, so one script measures
+two checkouts alike:
+
+* L1  ``Simulation.advance`` with no policy, in us per lane-step, on the
+      Fig-8 45/15 (60 slots), the 8x8x9 city (1,280 slots) and the
+      32x32x45 grid (94,208 slots), at 1, 12 and 180 lanes (the grid
+      skips 180 lanes);
+* L2  each policy's ``greens`` on the 12-lane 8x8x9 city, in us per call;
+* L4  the 60-density x 3-seed Fig-8 45/15 sweep at horizon 5,900
+      (continuous), in seconds.
+
+Each entry is the median of REPEATS timings, each of them the mean over
+``steps`` calls.  Run it once per checkout, with that checkout's
+``src`` on the path, and give each run its own label; results are merged
+into the output file under ``trees.<label>``:
+
+    PYTHONPATH=src python tools/bench_layers.py --label change --out BENCH.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+# one BLAS thread, as perfbench pins it: timings then do not depend on load
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+import numpy as np  # noqa: E402
+
+from roadphases import control, dynamics, metrics, topology  # noqa: E402
+
+NETWORKS = {
+    "fig8_45_15": lambda: topology.build_figure_eight(45, 15),
+    "city_8x8x9": lambda: topology.build_torus_city(8, 8, 9),
+    "grid_32x32x45": lambda: topology.build_torus_city(32, 32, 45),
+}
+LANES = (1, 12, 180)
+REPEATS = 7
+# steps per timing, sized so that one timing takes roughly 10-100 ms
+L1_STEPS = {"fig8_45_15": 1000, "city_8x8x9": 300, "grid_32x32x45": 8}
+
+
+def placements(t, lanes: int, density: float = 0.3) -> np.ndarray:
+    return np.stack([dynamics.init_occupancy(t, density=density, seed=s)
+                     for s in range(lanes)])
+
+
+def timed(fn, steps: int) -> list[float]:
+    """Seconds per call of ``fn`` (called ``steps`` times), per repeat."""
+    out = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(steps):
+            fn()
+        out.append((time.perf_counter() - start) / steps)
+    return out
+
+
+def entry(samples: list[float], scale: float, steps: int, **extra) -> dict:
+    return {"median": statistics.median(samples) * scale,
+            "min": min(samples) * scale, "repeats": len(samples),
+            "steps": steps, **extra}
+
+
+def layer1() -> dict:
+    out = {}
+    for name, build in NETWORKS.items():
+        t = build()
+        for lanes in LANES:
+            if t.n_slots * lanes > 10 ** 7:
+                continue  # 94,208 x 180 would need 135 MB per array
+            sim = dynamics.Simulation(t, placements(t, lanes),
+                                      dynamics.CONTINUOUS)
+            sim.advance(5)  # first-call costs
+            steps = L1_STEPS[name]
+            samples = timed(sim.advance, steps)
+            out[f"{name}/{lanes}"] = entry(
+                samples, 1e6 / lanes, steps, slots=t.n_slots, lanes=lanes,
+                unit="us per lane-step")
+    return out
+
+
+def layer2() -> dict:
+    t = NETWORKS["city_8x8x9"]()
+    solution = control.solve_lqr(control.build_lq_model(t))
+    policies = {"open_loop": control.OpenLoopPolicy(),
+                "local_feedback": control.LocalFeedbackPolicy(),
+                "global_feedback": control.GlobalFeedbackPolicy(solution)}
+    out = {}
+    for name, policy in policies.items():
+        sim = dynamics.Simulation(t, placements(t, 12), dynamics.DISCRETE,
+                                  policy)
+        sim.advance(20)
+        ks = itertools.count()  # every phase of a light cycle in turn
+        samples = timed(lambda: sim.policy.greens(next(ks), sim), 400)
+        out[name] = entry(samples, 1e6, 400, lanes=12, unit="us per call")
+    return out
+
+
+def layer4() -> dict:
+    t = NETWORKS["fig8_45_15"]()
+    grid = [n / 59 for n in range(60)]
+    samples = timed(lambda: metrics.sweep_diagram(
+        t, grid, dynamics.CONTINUOUS, seeds=(0, 1, 2),
+        horizon=100 * t.counting_size), 1)
+    return {"fig8_45_15_sweep": entry(samples, 1.0, 1, runs=180,
+                                      horizon=100 * t.counting_size,
+                                      unit="s per sweep")}
+
+
+def machine() -> dict:
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    blas = {k: deps[k]["name"] for k in ("blas", "lapack")}
+    cpu = next(line.split(":", 1)[1].strip() for line in
+               Path("/proc/cpuinfo").read_text().splitlines()
+               if line.startswith("model name"))
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas, "cpu": cpu, "cpu_count": os.cpu_count(),
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--label", required=True,
+                   help="name of the measured tree, e.g. parent or change")
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+    run = {"machine": machine()}
+    for layer, fn in (("L1", layer1), ("L2", layer2), ("L4", layer4)):
+        run[layer] = fn()
+        print(f"{layer} done", file=sys.stderr)
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("script", "tools/bench_layers.py")
+    doc.setdefault("trees", {})[args.label] = run
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
