@@ -42,7 +42,6 @@ class FundamentalDiagram:
     topology_id: str
     r: float
     policy_id: str
-    mode: str
     points: list[DiagramPoint] = field(default_factory=list)
 
     @property
@@ -136,11 +135,14 @@ def detect_period(t: NetworkTopology, a, policy=None,
                   max_steps: int | None = None) -> PeriodResult | None:
     """Earliest exact recurrence of (counters up to a shift, light phase).
 
-    Discrete mode only.  Counters never repeat (they grow), but when x - x[0]
-    at step k equals its value at an earlier step s under the same phase, x
-    at k is x at s plus a uniform shift c, which the dynamics carry along
-    unchanged: the regime is periodic from s on, with flow c per period.
+    Discrete mode and one placement only.  Counters never repeat (they
+    grow), but when x - x[0] at step k equals its value at an earlier step s
+    under the same phase, x at k is x at s plus a uniform shift c, which the
+    dynamics carry along unchanged: the regime is periodic from s on, with
+    flow c per period.
     """
+    if np.ndim(a) != 1:
+        raise ValueError("detect_period takes one placement, not a stack")
     max_steps = 20 * t.counting_size if max_steps is None else max_steps
     sim = Simulation(t, a, DISCRETE, policy)
     phase_key = getattr(sim.policy, "phase_key", lambda k: ())
@@ -171,7 +173,7 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
         raise ValueError("sweep_diagram needs at least one seed")
     diagram = FundamentalDiagram(
         topology_id=t.topology_id, r=float(ratio_r(t)),
-        policy_id=_policy_id(policy), mode=mode)
+        policy_id=_policy_id(policy))
     counts = []
     for d in densities:
         if not 0 <= d <= 1:
@@ -350,7 +352,7 @@ def write_response_csv(trace: ResponseTrace, path) -> None:
 
 
 def read_diagram_csv(path) -> FundamentalDiagram:
-    """Rebuild a diagram (points only) from its CSV dump."""
+    """Rebuild a diagram (points only) from the CSV dump of one series."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -361,9 +363,13 @@ def read_diagram_csv(path) -> FundamentalDiagram:
         raise ValueError(f"{path} lacks diagram columns: {', '.join(missing)}")
     if not rows:
         raise ValueError(f"empty diagram CSV: {path}")
+    series = {(row["topology_id"], row["policy"], row["r"]) for row in rows}
+    if len(series) > 1:
+        raise ValueError(f"{path} holds {len(series)} diagram series "
+                         "(topology_id, policy, r), expected one")
     diagram = FundamentalDiagram(
         topology_id=rows[0]["topology_id"], r=float(rows[0]["r"]),
-        policy_id=rows[0]["policy"], mode="?")
+        policy_id=rows[0]["policy"])
     for row in rows:
         diagram.points.append(DiagramPoint(
             density=float(row["density"]), flow=float(row["flow"]),

@@ -12,9 +12,14 @@ over "counting positions": one per road cell plus ONE per junction, so a
 network with C road cells and J junctions has C + J counting positions
 (listed in slot order by ``dynamics.StepKernel.counting``).
 
-Every ``NetworkTopology`` is validated when it is constructed, by a builder,
-by hand or by ``dataclasses.replace``: its slots tile 0..n-1, every road
-enters one junction and leaves one, and the network is strongly connected.
+The junction lists are the one description of how roads connect.  A road
+or a junction is known by its position in ``roads`` or ``junctions``; a
+road leaves the junction that lists it as an exit and enters the one that
+lists it as an entry, and the slot and counting sizes follow from the road
+lengths and the junction count.  Every ``NetworkTopology`` is validated when
+it is constructed, by a builder, by hand or by ``dataclasses.replace``: its
+slots tile 0..n-1, the junctions' entries and exits each list every road
+once, and the network is strongly connected.
 
 Three closed families are provided:
 
@@ -29,18 +34,21 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 
 @dataclass(frozen=True)
 class RoadSegment:
-    """A one-way run of cells between two junctions (possibly the same one)."""
+    """A one-way run of cells between two junctions (possibly the same one).
 
-    id: int
-    name: str
+    Its id is its index in ``NetworkTopology.roads``, and its ends are the
+    junctions that list it: it leaves the one naming it in ``out_ceil`` or
+    ``out_floor`` and enters the one naming it in ``in_priority`` or
+    ``in_nonpriority``.
+    """
+
     length_cells: int
-    from_junction: int
-    to_junction: int
     first_cell: int  # slot index of the road's first cell
 
     @property
@@ -56,6 +64,8 @@ class RoadSegment:
 class JunctionSpec:
     """A 2-in/2-out junction with two internal direction sub-cells.
 
+    Its id is its index in ``NetworkTopology.junctions``; the four road
+    fields name roads by their index in ``NetworkTopology.roads``.
     ``slot_a`` doubles as the cumulative entry counter of the non-priority
     incoming road and as the occupancy slot of vehicles bound for
     ``out_floor``.  ``slot_b`` doubles as the entry counter of the priority
@@ -64,11 +74,10 @@ class JunctionSpec:
     ones toward ``out_floor``.
     """
 
-    id: int
-    in_priority: int      # road id
-    in_nonpriority: int   # road id
-    out_ceil: int         # road id fed by slot_b (odd entrants)
-    out_floor: int        # road id fed by slot_a (even entrants)
+    in_priority: int
+    in_nonpriority: int
+    out_ceil: int         # road fed by slot_b (odd entrants)
+    out_floor: int        # road fed by slot_a (even entrants)
     slot_a: int           # slot index
     slot_b: int           # slot index
     capacity: int = 1
@@ -82,13 +91,22 @@ class NetworkTopology:
     params: dict
     roads: tuple[RoadSegment, ...]
     junctions: tuple[JunctionSpec, ...]
-    n_slots: int
-    counting_size: int
 
     @property
     def topology_id(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.params.items())
         return f"{self.family}({inner})"
+
+    @cached_property
+    def n_slots(self) -> int:
+        """Road cells plus two sub-cells per junction."""
+        return (sum(r.length_cells for r in self.roads)
+                + 2 * len(self.junctions))
+
+    @cached_property
+    def counting_size(self) -> int:
+        """Road cells plus one counting position per junction."""
+        return self.n_slots - len(self.junctions)
 
     def __post_init__(self):
         self.validate()
@@ -101,9 +119,9 @@ class NetworkTopology:
         sub-cells of a junction feed both of its exits.
         """
         roads, junctions = self.roads, self.junctions
-        for r in roads:
+        for i, r in enumerate(roads):
             if r.length_cells < 1:
-                raise ValueError(f"road {r.id} has no cells")
+                raise ValueError(f"road {i} has no cells")
         # road cells and junction sub-cells as (first slot, size) runs,
         # which must tile 0 .. n_slots - 1
         end = 0
@@ -113,26 +131,22 @@ class NetworkTopology:
             if start != end:
                 raise ValueError(f"slot {min(start, end)} missing or reused")
             end += size
-        if end != self.n_slots:
-            raise ValueError(f"{end} slots assigned, {self.n_slots} declared")
-        if self.counting_size != self.n_slots - len(junctions):
-            raise ValueError("counting_size inconsistent with cells/junctions")
-        if ([r.id for r in roads] != list(range(len(roads)))
-                or [j.id for j in junctions] != list(range(len(junctions)))):
-            raise ValueError("road and junction ids must count up from 0")
-        # each road once among the junctions' in-roads and once among their
-        # out-roads, at the junctions its own fields name
-        ins = sorted((r, j.id) for j in junctions
-                     for r in (j.in_priority, j.in_nonpriority))
-        outs = sorted((r, j.id) for j in junctions
-                      for r in (j.out_ceil, j.out_floor))
-        if ins != [(r.id, r.to_junction) for r in roads]:
-            raise ValueError("junction in-roads disagree with the roads")
-        if outs != [(r.id, r.from_junction) for r in roads]:
-            raise ValueError("junction out-roads disagree with the roads")
+        every_road = list(range(len(roads)))
+        if sorted(r for j in junctions
+                  for r in (j.in_priority, j.in_nonpriority)) != every_road:
+            raise ValueError("junction in-roads disagree with the roads: "
+                             "each road must enter exactly one junction")
+        if sorted(r for j in junctions
+                  for r in (j.out_ceil, j.out_floor)) != every_road:
+            raise ValueError("junction out-roads disagree with the roads: "
+                             "each road must leave exactly one junction")
         if any(j.capacity not in (1, 2) for j in junctions):
             raise ValueError("junction capacity must be 1 or 2")
-        edges = [(r.from_junction, r.to_junction) for r in roads]
+        # one (from, to) junction edge per road
+        leaves = {r: i for i, j in enumerate(junctions)
+                  for r in (j.out_ceil, j.out_floor)}
+        edges = [(leaves[r], i) for i, j in enumerate(junctions)
+                 for r in (j.in_priority, j.in_nonpriority)]
         if not (junctions and _reaches_all(edges, len(junctions))
                 and _reaches_all([(v, u) for u, v in edges], len(junctions))):
             raise ValueError("network is not strongly connected")
@@ -163,25 +177,15 @@ def build_figure_eight(n: int, m: int, capacity: int = 1) -> NetworkTopology:
     """
     if n < 2 or m < 2:
         raise ValueError("figure-eight needs n >= 2 and m >= 2")
-    np_road = RoadSegment(0, "np", n - 1, 0, 0, first_cell=0)
-    pr_road = RoadSegment(1, "pr", m - 1, 0, 0, first_cell=n)
-    junction = JunctionSpec(
-        id=0,
-        in_priority=1,
-        in_nonpriority=0,
-        out_ceil=0,    # odd entrants exit onto the non-priority circle
-        out_floor=1,
-        slot_a=n - 1,
-        slot_b=n + m - 1,
-        capacity=capacity,
-    )
+    # road 0 is the non-priority circle, onto which odd entrants exit
+    junction = JunctionSpec(in_priority=1, in_nonpriority=0, out_ceil=0,
+                            out_floor=1, slot_a=n - 1, slot_b=n + m - 1,
+                            capacity=capacity)
     return NetworkTopology(
         family="figure_eight",
         params={"n": n, "m": m, "capacity": capacity},
-        roads=(np_road, pr_road),
+        roads=(RoadSegment(n - 1, 0), RoadSegment(m - 1, n)),
         junctions=(junction,),
-        n_slots=n + m,
-        counting_size=n + m - 1,
     )
 
 
@@ -201,19 +205,14 @@ def build_two_junction(len_r1: int, len_r2: int, len_r3: int,
     for l in lengths[:-1]:
         firsts.append(firsts[-1] + l)
     total = sum(lengths)
-    # R1: J1 -> J0 (non-priority), R2: J1 -> J0 (priority),
-    # R3: J0 -> J1 (non-priority), R4: J0 -> J1 (priority)
-    roads = (
-        RoadSegment(0, "R1", len_r1, 1, 0, firsts[0]),
-        RoadSegment(1, "R2", len_r2, 1, 0, firsts[1]),
-        RoadSegment(2, "R3", len_r3, 0, 1, firsts[2]),
-        RoadSegment(3, "R4", len_r4, 0, 1, firsts[3]),
-    )
+    # R1..R4 are roads 0..3.  R1: J1 -> J0 (non-priority),
+    # R2: J1 -> J0 (priority), R3: J0 -> J1 (non-priority),
+    # R4: J0 -> J1 (priority)
     junctions = (
-        JunctionSpec(0, in_priority=1, in_nonpriority=0,
+        JunctionSpec(in_priority=1, in_nonpriority=0,
                      out_ceil=2, out_floor=3,
                      slot_a=total, slot_b=total + 1, capacity=capacity),
-        JunctionSpec(1, in_priority=3, in_nonpriority=2,
+        JunctionSpec(in_priority=3, in_nonpriority=2,
                      out_ceil=0, out_floor=1,
                      slot_a=total + 2, slot_b=total + 3, capacity=capacity),
     )
@@ -221,10 +220,8 @@ def build_two_junction(len_r1: int, len_r2: int, len_r3: int,
         family="two_junction",
         params={"len_r1": len_r1, "len_r2": len_r2, "len_r3": len_r3,
                 "len_r4": len_r4, "capacity": capacity},
-        roads=roads,
+        roads=tuple(map(RoadSegment, lengths, firsts)),
         junctions=junctions,
-        n_slots=total + 4,
-        counting_size=total + 2,
     )
 
 
@@ -246,40 +243,18 @@ def build_torus_city(rows: int, cols: int, segment_len: int,
     def jid(i: int, j: int) -> int:
         return (i % rows) * cols + (j % cols)
 
-    # Road ids: horizontal segment out of (i, j) is 2*jid, vertical 2*jid+1.
-    def h_road(i: int, j: int) -> int:
-        return 2 * jid(i, j)
-
-    def v_road(i: int, j: int) -> int:
-        return 2 * jid(i, j) + 1
-
-    def h_dest(i: int, j: int) -> int:
-        return jid(i, j + 1) if i % 2 == 0 else jid(i, j - 1)
-
-    def v_dest(i: int, j: int) -> int:
-        return jid(i + 1, j) if j % 2 == 0 else jid(i - 1, j)
-
-    roads: list[RoadSegment] = []
-    for i in range(rows):
-        for j in range(cols):
-            roads.append(RoadSegment(
-                h_road(i, j), f"h{i}.{j}", segment_len, jid(i, j),
-                h_dest(i, j), first_cell=segment_len * h_road(i, j)))
-            roads.append(RoadSegment(
-                v_road(i, j), f"v{i}.{j}", segment_len, jid(i, j),
-                v_dest(i, j), first_cell=segment_len * v_road(i, j)))
-    roads.sort(key=lambda r: r.id)
-
-    n_cells = 2 * rows * cols * segment_len
+    n_roads = 2 * rows * cols
+    n_cells = n_roads * segment_len
     junctions: list[JunctionSpec] = []
     for i in range(rows):
         for j in range(cols):
             # incoming roads: from the horizontal/vertical upstream neighbor
             hj = (j - 1) % cols if i % 2 == 0 else (j + 1) % cols
             vi = (i - 1) % rows if j % 2 == 0 else (i + 1) % rows
-            h_in = h_road(i, hj)
-            v_in = v_road(vi, j)
-            h_out, v_out = h_road(i, j), v_road(i, j)
+            # road ids: the horizontal segment out of (i, j) is 2*jid,
+            # the vertical one 2*jid+1
+            h_in, v_in = 2 * jid(i, hj), 2 * jid(vi, j) + 1
+            h_out, v_out = 2 * jid(i, j), 2 * jid(i, j) + 1
             if (i + j) % 2 == 0:                    # horizontal priority
                 in_pr, in_np = h_in, v_in
                 out_ceil, out_floor = v_out, h_out  # odd entrants follow the
@@ -287,7 +262,7 @@ def build_torus_city(rows: int, cols: int, segment_len: int,
                 in_pr, in_np = v_in, h_in
                 out_ceil, out_floor = h_out, v_out
             junctions.append(JunctionSpec(
-                jid(i, j), in_priority=in_pr, in_nonpriority=in_np,
+                in_priority=in_pr, in_nonpriority=in_np,
                 out_ceil=out_ceil, out_floor=out_floor,
                 slot_a=n_cells + 2 * jid(i, j),
                 slot_b=n_cells + 2 * jid(i, j) + 1,
@@ -297,10 +272,9 @@ def build_torus_city(rows: int, cols: int, segment_len: int,
         family="torus_city",
         params={"rows": rows, "cols": cols, "segment_len": segment_len,
                 "capacity": capacity},
-        roads=tuple(roads),
+        roads=tuple(RoadSegment(segment_len, k * segment_len)
+                    for k in range(n_roads)),
         junctions=tuple(junctions),
-        n_slots=n_cells + 2 * rows * cols,
-        counting_size=n_cells + rows * cols,
     )
 
 

@@ -2,7 +2,8 @@
 
 Deliberately naive: exact Fraction arithmetic, one slot at a time, a direct
 transcription of the update rules in the ``dynamics`` module docstring.  It
-reads the ``RoadSegment`` and ``JunctionSpec`` fields of a topology and
+reads the ``RoadSegment`` and ``JunctionSpec`` fields of a topology (a road
+is known by its index, and its ends by the junctions that list it) and
 nothing of the engine's kernel, so it shares no index arrays with the code
 it checks.  Used only as a test oracle.
 """
@@ -24,26 +25,28 @@ def reference_step(t, x, a, discrete=False, gate=None):
     when the priority road has the green light.
     """
     new = list(x)
-    into = {}  # road id -> (junction, entry slot its last cell feeds)
+    into = {}  # road id -> entry slot its last cell feeds
+    out_of = {}  # road id -> junction it leaves
     for j in t.junctions:
-        into[j.in_priority] = (j, j.slot_b)
-        into[j.in_nonpriority] = (j, j.slot_a)
-    for r in t.roads:
-        src = t.junctions[r.from_junction]
+        into[j.in_priority] = j.slot_b
+        into[j.in_nonpriority] = j.slot_a
+        out_of[j.out_ceil] = out_of[j.out_floor] = j
+    for rid, r in enumerate(t.roads):
+        src = out_of[rid]
         ceil_share, floor_share = _shares(x[src.slot_a] + x[src.slot_b],
                                           discrete)
         for c in r.cells:
             if c == r.first_cell:
                 # fed by the junction sub-cell bound for this road
-                if r.id == src.out_ceil:
+                if rid == src.out_ceil:
                     supply = a[src.slot_b] + ceil_share
                 else:
                     supply = a[src.slot_a] + floor_share
             else:
                 supply = a[c - 1] + x[c - 1]
-            nxt = c + 1 if c != r.last_cell else into[r.id][1]
+            nxt = c + 1 if c != r.last_cell else into[rid]
             new[c] = min(supply, 1 - a[c] + x[nxt])
-    for j in t.junctions:
+    for jid, j in enumerate(t.junctions):
         pr_last = t.roads[j.in_priority].last_cell
         np_last = t.roads[j.in_nonpriority].last_cell
         auth = (j.capacity - a[j.slot_a] - a[j.slot_b]
@@ -54,7 +57,7 @@ def reference_step(t, x, a, discrete=False, gate=None):
             new[j.slot_a] = min(a[np_last] + x[np_last],
                                 auth - new[j.slot_b])
         else:
-            green = 1 if gate[j.id] else 0
+            green = 1 if gate[jid] else 0
             new[j.slot_b] = min(a[pr_last] + x[pr_last], auth - x[j.slot_a],
                                 x[j.slot_b] + green)
             new[j.slot_a] = min(a[np_last] + x[np_last], auth - x[j.slot_b],

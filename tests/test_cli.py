@@ -369,6 +369,18 @@ class TestPhasesCommand:
         assert lines[0] == "d_lo,d_hi,phase"
         assert len(lines) >= 2
 
+    def test_rejects_several_series(self, tmp_path, capsys):
+        cfg_path = tmp_path / "two.cfg"
+        cfg_path.write_text(GLOBAL_CFG.replace(
+            "densities = 0.1,0.3,0.5",
+            "densities = 0.1,0.3\npolicy_list = priority,local_feedback"))
+        assert run_cli(["diagram", "--config", str(cfg_path)], tmp_path) == 0
+        assert run_cli(["phases", "--input", str(tmp_path / "diagram.csv")],
+                       tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2 diagram series" in err
+        assert not (tmp_path / "phases.csv").exists()
+
     @pytest.mark.parametrize("eps", ["nan", "-0.01", "inf"])
     def test_rejects_eps_that_cannot_be_met(self, tmp_path, capsys, eps):
         csv_path = tmp_path / "diagram.csv"

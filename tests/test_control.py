@@ -82,7 +82,7 @@ class TestOpenLoop:
             for plan in plans:
                 policy = OpenLoopPolicy(plan)
                 policy.reset(sim)
-                table = [[open_loop_green(plan, j.id, k) for j in t.junctions]
+                table = [[open_loop_green(plan, j, k) for j in range(n)]
                          for k in range(cycle)]
                 for k in range(2 * cycle + 1):
                     greens = policy.greens(k, sim)
@@ -160,11 +160,11 @@ class TestLQModel:
         t = WALK_NETWORKS[name]
         n = len(t.roads)
         B = np.zeros((n, n))
-        for road in t.roads:
-            j = t.junctions[road.to_junction]
-            B[road.id, road.id] -= 1.0
-            B[j.out_ceil, road.id] += 0.5
-            B[j.out_floor, road.id] += 0.5
+        for j in t.junctions:
+            for road in (j.in_priority, j.in_nonpriority):
+                B[road, road] -= 1.0
+                B[j.out_ceil, road] += 0.5
+                B[j.out_floor, road] += 0.5
         got = build_lq_model(t).B
         assert got.dtype == B.dtype and got.tobytes() == B.tobytes()
 
@@ -341,11 +341,11 @@ def loop_timing(t, gain, xbar, ubar, inventories, cycle):
     u = ubar - gain @ (np.asarray(inventories, float) - xbar)
     u = np.clip(u, 0.0, FLOW_CAP)
     slots = np.empty(len(t.junctions), dtype=np.int64)
-    for j in t.junctions:
+    for jid, j in enumerate(t.junctions):
         u_pr, u_np = u[j.in_priority], u[j.in_nonpriority]
         total = u_pr + u_np
         share = cycle / 2 if total <= 0 else cycle * u_pr / total
-        slots[j.id] = min(max(int(round(share)), 1), cycle - 1)
+        slots[jid] = min(max(int(round(share)), 1), cycle - 1)
     return slots
 
 
@@ -453,10 +453,11 @@ class TestLocalFeedbackPolicy:
                 b = [int(y[r.last_cell]) for r in t.roads]
                 expected = []
                 for j in t.junctions:
-                    r1, r2 = t.roads[j.in_priority], t.roads[j.in_nonpriority]
+                    i1, i2 = j.in_priority, j.in_nonpriority
                     expected.append(local_feedback_green(LocalFeedbackInputs(
-                        n1=r1.length_cells, n2=r2.length_cells,
-                        z1=z[r1.id], z2=z[r2.id], b1=b[r1.id], b2=b[r2.id])))
+                        n1=t.roads[i1].length_cells,
+                        n2=t.roads[i2].length_cells,
+                        z1=z[i1], z2=z[i2], b1=b[i1], b2=b[i2])))
                 assert sim.policy.greens(sim.k, sim).tolist() == expected
                 seen.update(expected)
                 sim.advance()

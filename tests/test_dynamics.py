@@ -69,7 +69,7 @@ def walk_positions(t):
     """Counting positions as a walk over the topology lists them: ("cell",
     slot) or ("junction", id), each junction at the place of its slot_a."""
     items = [(c, ("cell", c)) for r in t.roads for c in r.cells]
-    items += [(j.slot_a, ("junction", j.id)) for j in t.junctions]
+    items += [(j.slot_a, ("junction", i)) for i, j in enumerate(t.junctions)]
     return [pos for _, pos in sorted(items)]
 
 
@@ -540,7 +540,7 @@ class TestKernelArrays:
         entry = {j.in_priority: j.slot_b for j in t.junctions}
         entry.update({j.in_nonpriority: j.slot_a for j in t.junctions})
         assert kern.order[kern.row_entry].tolist() == \
-            [entry[r.id] for r in t.roads]
+            [entry[i] for i in range(len(t.roads))]
         assert kern.order[kern.row_exit].tolist() == \
             [t.roads[j.out_ceil].first_cell for j in t.junctions] + \
             [t.roads[j.out_floor].first_cell for j in t.junctions]

@@ -151,6 +151,13 @@ class TestDetectPeriod:
                                 policy)
             assert (res.start, res.period) == expect, (name, d, seed)
 
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_rejects_a_stack(self, lanes):
+        # one lane would first match x - x[0] = 0 against itself at step 0
+        t = build_figure_eight(5, 5)
+        with pytest.raises(ValueError, match="one placement"):
+            detect_period(t, np.tile(A55, (lanes, 1)))
+
     def test_none_when_horizon_too_short(self):
         t = build_figure_eight(30, 20)
         a = init_occupancy(t, density=0.45, seed=5)
@@ -388,7 +395,7 @@ class TestStackedSweep:
 
 class TestClassifyEmpirical:
     def _diagram(self, pairs):
-        diag = FundamentalDiagram("t", 0.75, "priority", DISCRETE)
+        diag = FundamentalDiagram("t", 0.75, "priority")
         for d, f in pairs:
             diag.points.append(DiagramPoint(d, f, True, 1, (f,)))
         return diag

@@ -115,9 +115,9 @@ class TestTorusCity:
 
     def test_priority_checkerboard(self):
         t = build_torus_city(4, 4, 3)
-        for j in t.junctions:
-            i, col = divmod(j.id, 4)
-            horizontal_pr = t.roads[j.in_priority].name.startswith("h")
+        for jid, j in enumerate(t.junctions):
+            i, col = divmod(jid, 4)
+            horizontal_pr = j.in_priority % 2 == 0  # h roads have even ids
             assert horizontal_pr == ((i + col) % 2 == 0)
 
     def test_rejects_single_row(self):
@@ -127,31 +127,71 @@ class TestTorusCity:
             build_torus_city(4, 4, 0)
 
 
-def _network(roads, junctions, n_slots, counting_size):
-    return NetworkTopology("hand_built", {}, tuple(roads), tuple(junctions),
-                           n_slots, counting_size)
+def road_ends(t):
+    """(from, to) junction of each road, read from the junction lists."""
+    leaves = {r: i for i, j in enumerate(t.junctions)
+              for r in (j.out_ceil, j.out_floor)}
+    enters = {r: i for i, j in enumerate(t.junctions)
+              for r in (j.in_priority, j.in_nonpriority)}
+    return [(leaves[r], enters[r]) for r in range(len(t.roads))]
 
 
-def _fig8_parts(road0, junction_id, first):
-    """A 5/5 figure-eight's roads and junction, ids and slots shifted."""
-    np_road = RoadSegment(road0, "np", 4, junction_id, junction_id, first)
-    pr_road = RoadSegment(road0 + 1, "pr", 4, junction_id, junction_id,
-                          first + 5)
-    junction = JunctionSpec(junction_id, in_priority=road0 + 1,
-                            in_nonpriority=road0, out_ceil=road0,
-                            out_floor=road0 + 1, slot_a=first + 4,
-                            slot_b=first + 9)
-    return [np_road, pr_road], [junction]
+def torus_ends(rows, cols):
+    """The documented streets: road 2*jid leaves junction jid = (i, j)
+    along row i, east when i is even; road 2*jid+1 along column j, south
+    when j is even."""
+    def jid(i, j):
+        return (i % rows) * cols + j % cols
+
+    ends = []
+    for i in range(rows):
+        for j in range(cols):
+            ends.append((jid(i, j), jid(i, j + 1 if i % 2 == 0 else j - 1)))
+            ends.append((jid(i, j), jid(i + 1 if j % 2 == 0 else i - 1, j)))
+    return ends
+
+
+class TestWiring:
+    @pytest.mark.parametrize("build,args,ends", [
+        (build_figure_eight, (5, 5), [(0, 0), (0, 0)]),
+        # R1, R2: J1 -> J0 and R3, R4: J0 -> J1
+        (build_two_junction, (3, 4, 5, 6), [(1, 0), (1, 0), (0, 1), (0, 1)]),
+        (build_torus_city, (2, 2, 1), torus_ends(2, 2)),
+        (build_torus_city, (2, 4, 3), torus_ends(2, 4)),
+        (build_torus_city, (3, 5, 2), torus_ends(3, 5)),
+        (build_torus_city, (4, 4, 9), torus_ends(4, 4)),
+    ])
+    def test_road_ends(self, build, args, ends):
+        t = build(*args)
+        assert road_ends(t) == ends
+        if build is build_torus_city:
+            # horizontal roads have even ids, and have priority at (i, j)
+            # iff i + j is even
+            for jid, j in enumerate(t.junctions):
+                i, col = divmod(jid, args[1])
+                assert (j.in_priority % 2 == 0) == ((i + col) % 2 == 0)
+
+
+def _network(roads, junctions):
+    return NetworkTopology("hand_built", {}, tuple(roads), tuple(junctions))
+
+
+def _fig8_parts(road0, first):
+    """A 5/5 figure-eight's roads and junction, road ids and slots
+    shifted."""
+    roads = [RoadSegment(4, first), RoadSegment(4, first + 5)]
+    junction = JunctionSpec(in_priority=road0 + 1, in_nonpriority=road0,
+                            out_ceil=road0, out_floor=road0 + 1,
+                            slot_a=first + 4, slot_b=first + 9)
+    return roads, [junction]
 
 
 _TJ = build_two_junction(3, 4, 5, 6)
 
 
-def _two_junction_with(road=None, junctions=None):
-    """The 3/4/5/6 two-junction network with road 0 or the junctions
-    replaced (18 road cells, junction slots 18-21)."""
-    roads = (road or _TJ.roads[0],) + _TJ.roads[1:]
-    return _network(roads, junctions or _TJ.junctions, 22, 20)
+def _two_junction_with(junctions):
+    """The 3/4/5/6 two-junction network with its junctions replaced."""
+    return _network(_TJ.roads, junctions)
 
 
 def _swap_exits(junctions):
@@ -162,40 +202,31 @@ def _swap_exits(junctions):
                                 out_floor=j0.out_floor))
 
 
-_F8_ROADS, _F8_JUNCTIONS = _fig8_parts(0, 0, 0)
+_F8_ROADS, _F8_JUNCTIONS = _fig8_parts(0, 0)
 
 # Each constructs a NetworkTopology, by hand or by dataclasses.replace,
 # that breaks one structural rule.
 BROKEN_NETWORKS = {
     "unlisted_road": lambda: _network(
-        _F8_ROADS + [RoadSegment(2, "extra", 1, 0, 0, 10)], _F8_JUNCTIONS,
-        11, 10),
+        _F8_ROADS + [RoadSegment(1, 10)], _F8_JUNCTIONS),
     "disjoint_figure_eights": lambda: _network(
-        *(a + b for a, b in zip(_fig8_parts(0, 0, 0), _fig8_parts(2, 1, 10))),
-        20, 18),
-    "to_junction_disagrees": lambda: _two_junction_with(
-        road=dataclasses.replace(_TJ.roads[0], to_junction=1)),
+        *(a + b for a, b in zip(_fig8_parts(0, 0), _fig8_parts(2, 10)))),
     "slot_used_twice": lambda: _network(
         [_F8_ROADS[0], dataclasses.replace(_F8_ROADS[1], first_cell=4)],
-        _F8_JUNCTIONS, 10, 9),
+        _F8_JUNCTIONS),
     "capacity_3": lambda: _network(
-        _F8_ROADS, [dataclasses.replace(_F8_JUNCTIONS[0], capacity=3)],
-        10, 9),
-    "in_road_twice": lambda: _two_junction_with(junctions=(
+        _F8_ROADS, [dataclasses.replace(_F8_JUNCTIONS[0], capacity=3)]),
+    "in_road_twice": lambda: _two_junction_with((
         dataclasses.replace(_TJ.junctions[0], in_nonpriority=1),
+        _TJ.junctions[1])),
+    "out_road_twice": lambda: _two_junction_with((
+        dataclasses.replace(_TJ.junctions[0], out_floor=2),
         _TJ.junctions[1])),
     "zero_length_road": lambda: _network(
         [dataclasses.replace(_F8_ROADS[0], length_cells=0), _F8_ROADS[1]],
-        _F8_JUNCTIONS, 10, 9),
-    "exits_swapped": lambda: _two_junction_with(
-        junctions=_swap_exits(_TJ.junctions)),
-    # both roads of a figure-eight labelled 0, and the junction naming
-    # road 0 for both entries and both exits: the road at position 1 is
-    # listed nowhere, though every listing agrees with a road's fields
-    "repeated_road_id": lambda: _network(
-        [_F8_ROADS[0], dataclasses.replace(_F8_ROADS[1], id=0)],
-        [dataclasses.replace(_F8_JUNCTIONS[0], in_priority=0, out_floor=0)],
-        10, 9),
+        _F8_JUNCTIONS),
+    # every road listed once, but each junction now feeds only itself
+    "exits_swapped": lambda: _two_junction_with(_swap_exits(_TJ.junctions)),
     "replaced_capacity_3": lambda: dataclasses.replace(
         build_figure_eight(5, 5), junctions=(
             dataclasses.replace(_F8_JUNCTIONS[0], capacity=3),)),
@@ -239,13 +270,12 @@ class TestStructure:
     @pytest.mark.parametrize("case,message", [
         ("unlisted_road", "in-roads disagree"),
         ("disjoint_figure_eights", "not strongly connected"),
-        ("to_junction_disagrees", "in-roads disagree"),
         ("slot_used_twice", "slot 4 missing or reused"),
         ("capacity_3", "capacity must be 1 or 2"),
         ("in_road_twice", "in-roads disagree"),
+        ("out_road_twice", "out-roads disagree"),
         ("zero_length_road", "road 0 has no cells"),
-        ("exits_swapped", "out-roads disagree"),
-        ("repeated_road_id", "ids must count up from 0"),
+        ("exits_swapped", "not strongly connected"),
         ("replaced_capacity_3", "capacity must be 1 or 2"),
     ])
     def test_rejects_broken_networks(self, case, message):
