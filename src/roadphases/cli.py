@@ -359,7 +359,7 @@ def cmd_eigen(n: int, m: int, capacity: int, points: int,
     for k in range(points):
         d = k / (points - 1)
         res = analytic.eigen_candidates(d, n, m, capacity)
-        fa = analytic.flow_approx(d, b.r, capacity) if 0 < b.r < 1 else 0.0
+        fa = analytic.flow_approx(d, b.r, capacity)
         cands = ";".join(repr(c) for c in res.candidates)
         lines.append(f"{d!r},{res.case},{cands},{res.selected!r},{fa!r}")
     path = out_dir / "eigen.csv"
@@ -470,7 +470,6 @@ def main(argv=None) -> int:
             return cmd_phases(Path(args.input), args.eps, out_dir)
         if args.command == "response":
             return cmd_response(*_load_config(args), out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -97,6 +97,9 @@ def build_lq_model(t: NetworkTopology, q_scale: float = 1.0,
     its destination junction and removes it from road i, so columns sum to
     zero (cars are conserved).
     """
+    for name, w in (("q_scale", q_scale), ("r_scale", r_scale)):
+        if not np.isfinite(w):
+            raise ValueError(f"{name} must be finite, got {w!r}")
     kern = kernel_for(t)
     n = len(kern.road_lengths)
     # every road enters one junction, as its priority or non-priority road
@@ -252,16 +255,10 @@ class LocalFeedbackPolicy:
         self._nnp = kern.road_lengths[kern.np_road]
 
     def greens(self, k: int, sim) -> np.ndarray:
-        kern, x, z = sim.kernel, sim.counters.T, sim.road_counts()
-        # a car poised to enter: the occupancy of each road's last cell
-        b = sim.a[..., kern.road_last] + (x.take(kern.row_last, 0)
-                                          - x.take(kern.row_entry, 0)).T
+        kern, z, b = sim.kernel, sim.road_counts(), sim.poised()
         lhs = self._nnp * b[..., kern.pr_road] + z[..., kern.pr_road]
         rhs = self._npr * b[..., kern.np_road] + z[..., kern.np_road]
         return lhs >= rhs
-
-    def phase_key(self, k: int):
-        return ()
 
 
 class GlobalFeedbackPolicy:

@@ -31,7 +31,7 @@ entry counter may grow only under a green light.
 Independent runs on one network can be stacked as the rows of a (lanes,
 slots) array and advanced by the same update; every operation is
 elementwise per lane, so each lane matches its run stepped alone bit for bit.
-A step works in kernel order (StepKernel); results are read in slot order.
+A step works in kernel order (StepKernel), a layout private to this module.
 """
 
 from __future__ import annotations
@@ -289,8 +289,8 @@ class Simulation:
     shape, and a 1-D ``a`` is a single run.  Lanes share the mode, the step
     count and the policy but nothing else, so each lane follows exactly the
     trajectory it would follow alone.  The counters are the only state that
-    changes, kept in kernel order (StepKernel) as ``counters``; ``x`` reads
-    them in slot order, and road counts straight from them.
+    changes, kept as ``counters`` in the engine's kernel order (no API); a
+    run is read through ``x`` (slot order), ``road_counts()``, ``poised()``.
 
     ``policy`` is any object with ``reset(sim)`` and
     ``greens(k, sim) -> bool array`` (True = priority approach green), of
@@ -310,6 +310,7 @@ class Simulation:
         self.counters = kern.to_kernel(x)
         self._terms = kern.terms(self.a)
         self._placed = kern.road_sums(self.a)
+        self._placed_last = self.a[..., kern.road_last]
         self.policy = copy.copy(policy)
         if policy is not None:
             self.policy.reset(self)
@@ -335,10 +336,16 @@ class Simulation:
 
     def road_counts(self) -> np.ndarray:
         """Vehicles currently on each road (junction interiors excluded)."""
-        x, kern = self.counters.T, self.kernel
-        # the difference first: exact whenever the counters are
-        return self._placed + (x.take(kern.row_first, 0)
-                               - x.take(kern.row_entry, 0)).T
+        return self._placed + self._since_entry(self.kernel.row_first)
+
+    def poised(self) -> np.ndarray:
+        """Vehicles on each road's last cell, poised to enter its junction."""
+        return self._placed_last + self._since_entry(self.kernel.row_last)
+
+    def _since_entry(self, rows: np.ndarray) -> np.ndarray:
+        """Per road: x at ``rows`` less x at its entry, exact when x is."""
+        x = self.counters.T
+        return (x.take(rows, 0) - x.take(self.kernel.row_entry, 0)).T
 
 
 def step(state: CounterState, a, t: NetworkTopology,
@@ -383,9 +390,10 @@ def occupancy_at(state: CounterState, a, t: NetworkTopology,
 
 
 def counter_lines(states: list[CounterState]) -> str:
-    """Trajectory dump: one line per step, tab-separated counter values."""
+    """Trajectory dump: one line per step, tab-separated exact decimals."""
     return "\n".join(
-        "\t".join(format(float(v), "g") for v in s.x) for s in states) + "\n"
+        "\t".join(np.format_float_positional(v, trim="-")
+                  for v in s.x.astype(float)) for s in states) + "\n"
 
 
 # per-position codes: a road cell is 0 or 1, a junction 2 + west + 2 * south

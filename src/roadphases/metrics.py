@@ -100,7 +100,8 @@ def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int | None,
         raise ValueError("need horizon > burn_in >= 0")
     sim = Simulation(t, a, mode, policy)
     sim.advance(burn_in)
-    x_burn = x_mid = sim.counters
+    # C order: a lane's row mean sums as np.mean sums a lone run's counters
+    x_burn = x_mid = sim.x
     mid = (horizon + burn_in) // 2
     road_cells_acc = np.zeros((len(a), len(t.roads)))
     for _ in range(burn_in, horizon):
@@ -108,14 +109,11 @@ def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int | None,
         if per_road:
             road_cells_acc += sim.road_counts()
         if sim.k == mid:
-            x_mid = sim.counters
-    window = horizon - burn_in
-    kern = sim.kernel
-    # back in slot order, in C order: each lane's row is contiguous, so a
-    # row mean sums it exactly as np.mean sums the counters of a lone run
-    gained = kern.to_slots(sim.counters - x_burn)
+            x_mid = sim.x
+    window, kern = horizon - burn_in, sim.kernel
+    gained = sim.x - x_burn
     flow = gained.mean(axis=1) / window
-    half = kern.to_slots(x_mid - x_burn).mean(axis=1) / (mid - burn_in) \
+    half = (x_mid - x_burn).mean(axis=1) / (mid - burn_in) \
         if mid > burn_in else flow
     return (flow, np.abs(flow - half) < CONVERGENCE_TOL,
             kern.road_sums(gained) / kern.road_lengths / window,
@@ -148,7 +146,7 @@ def detect_period(t: NetworkTopology, a, policy=None,
     phase_key = getattr(sim.policy, "phase_key", lambda k: ())
     seen: dict[tuple, tuple] = {}  # key -> (step, x[0] at that step)
     for k in range(max_steps + 1):
-        x = sim.counters  # any fixed counter order keys the same recurrences
+        x = sim.x
         key = ((x - x[0]).tobytes(), phase_key(k))
         if key in seen:
             start, x0 = seen[key]
@@ -309,7 +307,7 @@ def run_response_trace(t: NetworkTopology, a, policy, horizon: int):
         distances.append(_distances(sim.road_counts(), sim.kernel))
     traces = [ResponseTrace(policy_id=_policy_id(policy), distances=lane)
               for lane in np.column_stack(distances).tolist()]
-    return traces if sim.counters.ndim == 2 else traces[0]
+    return traces if sim.a.ndim == 2 else traces[0]
 
 
 def write_diagram_csv(

@@ -65,6 +65,23 @@ def reference_step(t, x, a, discrete=False, gate=None):
     return new
 
 
+def reference_occupancy(t, x, a):
+    """Per-slot occupancies from the slot-indexed discrete counters ``x``:
+    each slot holds its placed car, plus what entered it, less what left."""
+    y = list(a)
+    into = {}  # road id -> entry slot its last cell feeds
+    for j in t.junctions:
+        into[j.in_priority] = j.slot_b
+        into[j.in_nonpriority] = j.slot_a
+        ceil_share, floor_share = _shares(x[j.slot_a] + x[j.slot_b], True)
+        y[j.slot_b] += ceil_share - x[t.roads[j.out_ceil].first_cell]
+        y[j.slot_a] += floor_share - x[t.roads[j.out_floor].first_cell]
+    for rid, r in enumerate(t.roads):
+        for c in r.cells:
+            y[c] += x[c] - x[c + 1 if c != r.last_cell else into[rid]]
+    return y
+
+
 def reference_trajectory(t, a_values, horizon, discrete=False, gates=None):
     """Counters for k = 0..horizon, as lists of Fractions; ``gates[k]`` is
     the gate of step k (None throughout for the bare priority rule)."""

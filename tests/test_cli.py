@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from roadphases.cli import (
     parse_density_grid,
     serialize_config,
 )
+from roadphases.dynamics import CONTINUOUS, init_occupancy, simulate
 from roadphases.metrics import classify_phases_empirical, read_diagram_csv
 from roadphases.topology import build_figure_eight
 
@@ -62,6 +64,22 @@ TABLE3_TXT = """\
 0110W0001
 010101001
 0011S0100
+"""
+
+
+FIG8_CONTINUOUS_CFG = """\
+[topology]
+family = figure_eight
+n = 45
+m = 15
+
+[run]
+mode = continuous
+horizon = 1475
+seeds = 0
+
+[occupancy]
+count = 45
 """
 
 
@@ -158,6 +176,19 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--config", str(cfg_path)], tmp_path) == 0
         assert (tmp_path / "counters.tsv").read_text() == TABLE2_TSV
         assert (tmp_path / "occupancy.txt").read_text() == TABLE3_TXT
+
+    def test_continuous_dump_reads_back_exactly(self, tmp_path):
+        # the fig8_sweep network: its counters soon need more than the six
+        # significant digits of format "g" (10.34375 at step 30)
+        cfg_path = tmp_path / "fig8.cfg"
+        cfg_path.write_text(FIG8_CONTINUOUS_CFG)
+        assert run_cli(["simulate", "--config", str(cfg_path)], tmp_path) == 0
+        t = build_figure_eight(45, 15)
+        states = simulate(t, init_occupancy(t, count=45, seed=0), CONTINUOUS,
+                          horizon=1475)
+        rows = (tmp_path / "counters.tsv").read_text().splitlines()
+        assert [[float(v) for v in row.split("\t")] for row in rows] == \
+            [s.x.tolist() for s in states]
 
     def test_empty_network(self, tmp_path):
         cfg_path = tmp_path / "empty.cfg"
@@ -489,6 +520,19 @@ class TestGlobalFeedbackCommands:
                                                "cycle = 4\nq_scale = -1"))
         assert run_cli([command, "--config", str(cfg_path)], tmp_path) == 1
         assert "Q must be positive semidefinite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["q_scale", "r_scale"])
+    def test_non_finite_weight_exits_one(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "glob.cfg"
+        cfg_path.write_text(GLOBAL_CFG.replace(
+            "cycle = 4", f"cycle = 4\n{key} = {value}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no warning on the way
+            assert run_cli(["diagram", "--config", str(cfg_path)],
+                           tmp_path) == 1
+        assert capsys.readouterr().err == \
+            f"error: {key} must be finite, got {float(value)!r}\n"
 
     def test_one_solve_per_series_and_response_policy(self, tmp_path,
                                                       monkeypatch):

@@ -1,5 +1,6 @@
 """Light policies: plans, feedback laws, Riccati solver, timing allocation."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -22,12 +23,14 @@ from roadphases.control import (
     open_loop_green,
     solve_lqr,
 )
-from roadphases.dynamics import Simulation, density, init_occupancy
+from roadphases.dynamics import DISCRETE, Simulation, density, init_occupancy
 from roadphases.topology import (
     build_figure_eight,
     build_torus_city,
     build_two_junction,
 )
+
+import reference
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 
@@ -462,6 +465,87 @@ class TestLocalFeedbackPolicy:
                 seen.update(expected)
                 sim.advance()
         assert seen == {True, False}
+
+
+class GateRecorder:
+    """A policy wrapper that keeps every gate the policy returns, as one
+    (lanes, junctions) array per step."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.gates = []
+
+    def reset(self, sim):
+        # the simulation's copy of the recorder gets its own policy and log
+        self.policy, self.gates = copy.copy(self.policy), []
+        self.policy.reset(sim)
+        self.shape = (len(sim.a), len(sim.topology.junctions))
+
+    def greens(self, k, sim):
+        g = self.policy.greens(k, sim)
+        self.gates.append(np.broadcast_to(g, self.shape).copy())
+        return g
+
+
+GATE_NETWORKS = {
+    "figure_eight": build_figure_eight(5, 4),
+    "figure_eight_cap2": build_figure_eight(4, 6, capacity=2),
+    "two_junction": build_two_junction(3, 2, 4, 2),
+    "city_2x2x2": build_torus_city(2, 2, 2),
+    "city_2x3x1_cap2": build_torus_city(2, 3, 1, capacity=2),
+}
+
+
+class TestEmittedGates:
+    """The gates each policy emits along a stacked discrete run, replayed
+    in tests/reference.py, and checked against the scalar rules on the
+    reference's own road counts and last-cell cars."""
+
+    @pytest.mark.parametrize("name", ["open_loop", "local_feedback",
+                                      "global_feedback"])
+    @pytest.mark.parametrize("t", GATE_NETWORKS.values(),
+                             ids=GATE_NETWORKS.keys())
+    def test_gates_replay_and_follow_the_rules(self, t, name):
+        size, horizon = t.counting_size, 3 * t.counting_size
+        a = np.stack([init_occupancy(t, count=c, seed=c)
+                      for c in (size // 5, size // 2, 4 * size // 5)])
+        solution = solve_lqr(build_lq_model(t))
+        policy = {"open_loop": OpenLoopPolicy(OpenLoopPlan(cycle=5)),
+                  "local_feedback": LocalFeedbackPolicy(),
+                  "global_feedback": GlobalFeedbackPolicy(solution)}[name]
+        sim = Simulation(t, a, DISCRETE, GateRecorder(policy))
+        xs = [sim.x]
+        for _ in range(horizon):
+            sim.advance()
+            xs.append(sim.x)
+        gates = np.array(sim.policy.gates)
+        assert gates.shape == (horizon, len(a), len(t.junctions))
+        assert gates.any() and not gates.all()
+        for lane, a_lane in enumerate(a.tolist()):
+            ref = reference.reference_trajectory(
+                t, a_lane, horizon, discrete=True, gates=gates[:, lane])
+            assert [x[lane].tolist() for x in xs] == ref
+            xbar, ubar = nominal_point(t, density(a[lane], t))
+            for k, gate in enumerate(gates[:, lane].tolist()):
+                y = reference.reference_occupancy(t, ref[k], a_lane)
+                z = [int(sum(y[c] for c in r.cells)) for r in t.roads]
+                b = [int(y[r.last_cell]) for r in t.roads]
+                if name == "local_feedback":
+                    assert gate == [local_feedback_green(LocalFeedbackInputs(
+                        n1=t.roads[j.in_priority].length_cells,
+                        n2=t.roads[j.in_nonpriority].length_cells,
+                        z1=z[j.in_priority], z2=z[j.in_nonpriority],
+                        b1=b[j.in_priority], b2=b[j.in_nonpriority]))
+                        for j in t.junctions]
+                elif name == "global_feedback":
+                    phase = k % policy.cycle
+                    if phase == 0:
+                        slots = global_feedback_timing(
+                            t, solution.gain, xbar, ubar, z, policy.cycle)
+                    assert gate == (phase < slots).tolist()
+                else:
+                    assert gate == [open_loop_green(policy.plan, j, k)
+                                    for j in range(len(t.junctions))]
 
 
 class TestGlobalFeedbackPolicy:

@@ -676,8 +676,9 @@ class TestRoadCounts:
         for _ in range(6 * t.counting_size):
             z = sim.road_counts()
             assert z.dtype == np.int64
-            assert np.array_equal(z, kern.road_sums(
-                kern.occupancy(sim.x, sim.a, True)))
+            y = kern.occupancy(sim.x, sim.a, True)
+            assert np.array_equal(z, kern.road_sums(y))
+            assert np.array_equal(sim.poised(), y[..., kern.road_last])
             sim.advance()
 
     def test_exact_while_continuous_counters_are(self):
@@ -693,7 +694,7 @@ class TestRoadCounts:
         exact = [True] * len(a)
         checked = 0
         for k in range(horizon + 1):
-            z = sim.road_counts()
+            z, b = sim.road_counts(), sim.poised()
             for lane, ref in enumerate(refs):
                 # floats and Fractions compare exactly
                 exact[lane] &= sim.x[lane].tolist() == as_list(ref[k], n + m)
@@ -704,6 +705,8 @@ class TestRoadCounts:
                     assert z[lane].tolist() == [
                         float(sum(y[c + 1] for c in r.cells))
                         for r in t.roads]
+                    assert b[lane].tolist() == [y[r.last_cell + 1]
+                                                for r in t.roads]
                     checked += 1
             sim.advance()
         # every run is exact for its first 100 steps at least
@@ -716,6 +719,14 @@ class TestDumps:
         lines = counter_lines(states).splitlines()
         assert lines[0] == "\t".join(["0"] * 10)
         assert lines[2].split("\t")[0] == "0.5"
+        # every digit: integers bare, floats as the shortest decimal that
+        # reads back to them
+        x = np.array([10 ** 6, 123456789, 0, 7])
+        assert counter_lines([CounterState(0, x, DISCRETE)]) == \
+            "1000000\t123456789\t0\t7\n"
+        x = np.array([10.34375, 0.1, 2 ** -30, 1e6 + 0.5])
+        assert counter_lines([CounterState(0, x, CONTINUOUS)]) == \
+            "10.34375\t0.1\t0.0000000009313225746154785\t1000000.5\n"
 
     def test_occupancy_line_junction_chars(self, fig8_55):
         states = simulate(fig8_55, A55, DISCRETE, horizon=2)
