@@ -18,7 +18,6 @@ from .analytic import (
 )
 from .control import (
     GlobalFeedbackPolicy,
-    LocalFeedbackInputs,
     LocalFeedbackPolicy,
     LQModel,
     LQRSolution,
@@ -27,9 +26,7 @@ from .control import (
     RiccatiError,
     build_lq_model,
     global_feedback_timing,
-    local_feedback_green,
     nominal_point,
-    open_loop_green,
     solve_lqr,
 )
 from .dynamics import (

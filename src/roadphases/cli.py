@@ -20,7 +20,7 @@ import configparser
 import io
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,51 +37,13 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand needs; round-trips through INI text."""
-
-    topology: str                      # key = value block, one per line
-    mode: str = DISCRETE
-    policy: str = "priority"
-    horizon: int | None = None
-    burn_in: int | None = None
-    seeds: tuple[int, ...] = (0, 1, 2)
-    # policy parameters
-    cycle: int = 4
-    green_first: int = 2
-    offset: int = 0
-    q_scale: float = 1.0
-    r_scale: float = 10.0
-    # initial occupancy (simulate)
-    occupancy_values: tuple[float, ...] | None = None
-    occupancy_count: int | None = None
-    occupancy_density: float | None = None
-    # diagram sweep
-    densities: str = "linspace(0,1,20)"
-    eps: float = 0.02
-    per_road: bool = False
-    r_list: tuple[float, ...] = ()
-    r_size: int = 60
-    policy_list: tuple[str, ...] = ()
-    # response scenario
-    response_density: float = 0.3
-    response_horizon: int | None = None
-    response_band_fraction: float = 0.1
-    response_policies: tuple[str, ...] = ("open_loop", "local_feedback",
-                                          "global_feedback")
-
-    def build_topology(self) -> NetworkTopology:
-        return parse_topology_text(self.topology)
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _tuple_of(cast):
@@ -92,33 +54,59 @@ def _tuple_of(cast):
     return parse
 
 
-# The INI schema: (RunConfig field, section, key, parse).  parse_config and
-# serialize_config both walk this table; [topology] is handled apart.
-_FIELDS = (
-    ("mode", "run", "mode", str.strip),
-    ("policy", "run", "policy", str.strip),
-    ("horizon", "run", "horizon", int),
-    ("burn_in", "run", "burn_in", int),
-    ("seeds", "run", "seeds", _tuple_of(int)),
-    ("cycle", "policy", "cycle", int),
-    ("green_first", "policy", "green_first", int),
-    ("offset", "policy", "offset", int),
-    ("q_scale", "policy", "q_scale", float),
-    ("r_scale", "policy", "r_scale", float),
-    ("occupancy_values", "occupancy", "explicit", _tuple_of(float)),
-    ("occupancy_count", "occupancy", "count", int),
-    ("occupancy_density", "occupancy", "density", float),
-    ("densities", "diagram", "densities", str.strip),
-    ("eps", "diagram", "eps", float),
-    ("per_road", "diagram", "per_road", _parse_bool),
-    ("r_list", "diagram", "r_list", _tuple_of(float)),
-    ("r_size", "diagram", "r_size", int),
-    ("policy_list", "diagram", "policy_list", _tuple_of(str.strip)),
-    ("response_density", "response", "density", float),
-    ("response_horizon", "response", "horizon", int),
-    ("response_band_fraction", "response", "band_fraction", float),
-    ("response_policies", "response", "policies", _tuple_of(str.strip)),
-)
+def _ini(section: str, key: str, parse, default=None):
+    """A RunConfig field read from ``key`` under ``[section]`` by ``parse``."""
+    return field(default=default, metadata={"ini": (section, key, parse)})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a subcommand needs; round-trips through INI text.
+
+    Each field but ``topology`` declares its INI section, key and parser
+    once, in its metadata: that is the whole schema, and parse_config
+    rejects any other section or key.  ``[topology]`` is checked by the
+    family builder's signature.
+    """
+
+    topology: str                      # key = value block, one per line
+    mode: str = _ini("run", "mode", str.strip, DISCRETE)
+    policy: str = _ini("run", "policy", str.strip, "priority")
+    horizon: int | None = _ini("run", "horizon", int)
+    burn_in: int | None = _ini("run", "burn_in", int)
+    seeds: tuple[int, ...] = _ini("run", "seeds", _tuple_of(int), (0, 1, 2))
+    cycle: int = _ini("policy", "cycle", int, 4)
+    green_first: int = _ini("policy", "green_first", int, 2)
+    offset: int = _ini("policy", "offset", int, 0)
+    q_scale: float = _ini("policy", "q_scale", float, 1.0)
+    r_scale: float = _ini("policy", "r_scale", float, 10.0)
+    occupancy_values: tuple[float, ...] | None = _ini(
+        "occupancy", "explicit", _tuple_of(float))
+    occupancy_count: int | None = _ini("occupancy", "count", int)
+    occupancy_density: float | None = _ini("occupancy", "density", float)
+    densities: str = _ini("diagram", "densities", str.strip,
+                          "linspace(0,1,20)")
+    eps: float = _ini("diagram", "eps", float, 0.02)
+    per_road: bool = _ini("diagram", "per_road", _parse_bool, False)
+    r_list: tuple[float, ...] = _ini("diagram", "r_list", _tuple_of(float), ())
+    r_size: int = _ini("diagram", "r_size", int, 60)
+    policy_list: tuple[str, ...] = _ini("diagram", "policy_list",
+                                        _tuple_of(str.strip), ())
+    response_density: float = _ini("response", "density", float, 0.3)
+    response_horizon: int | None = _ini("response", "horizon", int)
+    response_band_fraction: float = _ini("response", "band_fraction", float,
+                                         0.1)
+    response_policies: tuple[str, ...] = _ini(
+        "response", "policies", _tuple_of(str.strip),
+        ("open_loop", "local_feedback", "global_feedback"))
+
+    def build_topology(self) -> NetworkTopology:
+        return parse_topology_text(self.topology)
+
+
+# (field, section, key, parse) of every INI key, in field order
+_SCHEMA = tuple((f.name, *f.metadata["ini"]) for f in fields(RunConfig)
+                if "ini" in f.metadata)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -134,6 +122,20 @@ def _parse_config(text: str) -> tuple[RunConfig, NetworkTopology]:
         raise ConfigError(f"bad config syntax: {exc}") from exc
     if not cp.has_section("topology"):
         raise ConfigError("missing [topology] section")
+    schema = {(section, key): (name, parse)
+              for name, section, key, parse in _SCHEMA}
+    sections = {section for section, _ in schema}
+    unknown, given = [], []
+    for section in cp.sections():
+        if section not in sections | {"topology"}:
+            unknown.append(f"[{section}]")
+        for key, raw in cp.items(section) if section in sections else ():
+            if (section, key) in schema:
+                given.append((section, key, raw))
+            else:
+                unknown.append(f"[{section}] {key}")
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     topo_lines = [f"{k} = {v}" for k, v in cp.items("topology")]
     cfg = RunConfig(topology="\n".join(topo_lines) + "\n")
     try:
@@ -141,14 +143,10 @@ def _parse_config(text: str) -> tuple[RunConfig, NetworkTopology]:
     except ValueError as exc:
         raise ConfigError(f"bad [topology] section: {exc}") from exc
     updates = {}
-    for name, section, key, parse in _FIELDS:
-        if not cp.has_option(section, key):
-            continue
-        raw = cp.get(section, key)
+    for section, key, raw in given:
+        name, parse = schema[section, key]
         try:
             updates[name] = parse(raw)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(
                 f"bad value for [{section}] {key}: {raw!r}") from exc
@@ -178,7 +176,7 @@ def serialize_config(cfg: RunConfig) -> str:
     for line in cfg.topology.strip().splitlines():
         key, val = (s.strip() for s in line.split("=", 1))
         cp.set("topology", key, val)
-    for name, section, key, _parse in _FIELDS:
+    for name, section, key, _parse in _SCHEMA:
         value = getattr(cfg, name)
         if value is None:
             continue
@@ -240,12 +238,7 @@ def _initial_occupancy(cfg: RunConfig, t: NetworkTopology) -> np.ndarray:
     if sum(v is not None for v in given) != 1:
         raise ConfigError("[occupancy] needs exactly one of "
                           "explicit / count / density")
-    seed = cfg.seeds[0]
-    if cfg.occupancy_values is not None:
-        return init_occupancy(t, values=list(cfg.occupancy_values))
-    if cfg.occupancy_count is not None:
-        return init_occupancy(t, count=cfg.occupancy_count, seed=seed)
-    return init_occupancy(t, density=cfg.occupancy_density, seed=seed)
+    return init_occupancy(t, *given, seed=cfg.seeds[0])
 
 
 def cmd_simulate(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
@@ -383,6 +376,9 @@ def cmd_response(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
     if cfg.mode != DISCRETE:
         raise ConfigError("response scenarios run in discrete mode")
     metrics.check_tolerance("band_fraction", cfg.response_band_fraction)
+    if not 0 <= cfg.response_density <= 1:
+        raise ConfigError("[response] density must lie in [0, 1], got "
+                          f"{cfg.response_density!r}")
     horizon = 8 * t.counting_size if cfg.response_horizon is None \
         else cfg.response_horizon
     count = round(cfg.response_density * t.counting_size)

@@ -40,42 +40,6 @@ class OpenLoopPlan:
             raise ValueError("green_first must lie in [1, cycle-1]")
 
 
-def open_loop_green(plan: OpenLoopPlan, junction: int, k: int) -> bool:
-    """True when the priority-labelled approach is green at step k (the
-    scalar reference rule of OpenLoopPolicy)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    offset = plan.offsets[junction] if plan.offsets else plan.offset
-    return (k + offset) % plan.cycle < plan.green_first
-
-
-@dataclass(frozen=True)
-class LocalFeedbackInputs:
-    n1: int
-    n2: int
-    z1: int
-    z2: int
-    b1: int
-    b2: int
-
-    def __post_init__(self):
-        if not (0 <= self.z1 <= self.n1 and 0 <= self.z2 <= self.n2):
-            raise ValueError("vehicle counts exceed road sizes")
-        if self.b1 not in (0, 1) or self.b2 not in (0, 1):
-            raise ValueError("poised flags must be 0 or 1")
-
-
-def local_feedback_green(inputs: LocalFeedbackInputs) -> bool:
-    """True when road 1 gets green: n2*b1 + z1 >= n1*b2 + z2 (the scalar
-    reference rule of LocalFeedbackPolicy).
-
-    Grants green to the single approach with a vehicle poised to enter, and
-    otherwise to the relatively more crowded road; ties go to road 1.
-    """
-    return (inputs.n2 * inputs.b1 + inputs.z1
-            >= inputs.n1 * inputs.b2 + inputs.z2)
-
-
 @dataclass(frozen=True)
 class LQModel:
     """Road-inventory model x+ = x + B(u - ubar) with weights Q and R.

@@ -249,7 +249,8 @@ def init_occupancy(t: NetworkTopology, values=None, count: int | None = None,
 
     Seeded placements draw car positions uniformly over counting positions;
     a junction receives at most one car, assigned to a direction sub-cell by
-    the same RNG.
+    the same RNG, so a draw is valid by construction and only explicit
+    ``values`` are checked.
     """
     given = sum(arg is not None for arg in (values, count, density))
     if given != 1:
@@ -278,7 +279,7 @@ def init_occupancy(t: NetworkTopology, values=None, count: int | None = None,
     held = held[np.argsort(kern.slot_a[held])]
     to_b = held[rng.integers(2, size=held.size) == 1]
     a[kern.slot_a[to_b]], a[kern.slot_b[to_b]] = 0, 1
-    return check_occupancy(t, a)
+    return a
 
 
 class Simulation:

@@ -288,7 +288,7 @@ def clustered_occupancy(t: NetworkTopology, count: int,
     """Pack cars into consecutive road cells starting at a seeded offset."""
     cells = np.sort(kernel_for(t).rc)
     if not 0 <= count <= len(cells):
-        raise ValueError(f"cluster of {count} cars exceeds {len(cells)} cells")
+        raise ValueError(f"cluster of {count} cars outside [0, {len(cells)}]")
     offset = int(np.random.default_rng(seed).integers(len(cells)))
     a = np.zeros(t.n_slots, dtype=np.int64)
     a[cells[(offset + np.arange(count)) % len(cells)]] = 1

@@ -6,8 +6,12 @@ reads the ``RoadSegment`` and ``JunctionSpec`` fields of a topology (a road
 is known by its index, and its ends by the junctions that list it) and
 nothing of the engine's kernel, so it shares no index arrays with the code
 it checks.  Used only as a test oracle.
+
+The scalar light rules at the end, one junction at a time, are the oracles
+of the vectorized policies in ``roadphases.control``.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
@@ -93,3 +97,39 @@ def reference_trajectory(t, a_values, horizon, discrete=False, gates=None):
                            None if gates is None else gates[k])
         out.append(x)
     return out
+
+
+def open_loop_green(plan, junction, k):
+    """True when the priority-labelled approach of ``junction`` is green at
+    step k under an ``OpenLoopPlan`` (the scalar rule of OpenLoopPolicy)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    offset = plan.offsets[junction] if plan.offsets else plan.offset
+    return (k + offset) % plan.cycle < plan.green_first
+
+
+@dataclass(frozen=True)
+class LocalFeedbackInputs:
+    n1: int
+    n2: int
+    z1: int
+    z2: int
+    b1: int
+    b2: int
+
+    def __post_init__(self):
+        if not (0 <= self.z1 <= self.n1 and 0 <= self.z2 <= self.n2):
+            raise ValueError("vehicle counts exceed road sizes")
+        if self.b1 not in (0, 1) or self.b2 not in (0, 1):
+            raise ValueError("poised flags must be 0 or 1")
+
+
+def local_feedback_green(inputs):
+    """True when road 1 gets green: n2*b1 + z1 >= n1*b2 + z2 (the scalar
+    rule of LocalFeedbackPolicy).
+
+    Grants green to the single approach with a vehicle poised to enter, and
+    otherwise to the relatively more crowded road; ties go to road 1.
+    """
+    return (inputs.n2 * inputs.b1 + inputs.z1
+            >= inputs.n1 * inputs.b2 + inputs.z2)

@@ -3,7 +3,10 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +138,9 @@ class TestConfig:
             parse_config(TABLE1_CFG.replace("priority", "anarchy"))
         with pytest.raises(ConfigError):
             parse_config(TABLE1_CFG.replace("n = 5", "n = five"))
+        with pytest.raises(ConfigError, match=r"^bad value for \[diagram\] "
+                                              r"per_road: 'maybe'$"):
+            parse_config(TABLE1_CFG + "[diagram]\nper_road = maybe\n")
 
     def test_density_grid_forms(self):
         t = build_figure_eight(5, 5)
@@ -160,6 +166,75 @@ class TestConfig:
         # an operating density may still be passed; it is ignored
         assert make_policy("global_feedback", cfg, t, 0.3).solution.gain \
             .tolist() == pol.solution.gain.tolist()
+
+
+def run_in_empty_dir(args, tmp_path):
+    """Exit code of the CLI run with --out a fresh directory, and the names
+    of the files it wrote there."""
+    out = tmp_path / "out"
+    code = main(["--out", str(out), *args])
+    return code, sorted(p.name for p in out.iterdir())
+
+
+class TestUnknownKeys:
+    """Every key outside RunConfig's schema is rejected before any run."""
+
+    @pytest.mark.parametrize("text,named", [
+        (TABLE1_CFG.replace("seeds = 0", "seeds = 0\ncycle = 1"),
+         "[run] cycle"),
+        (TABLE1_CFG.replace("horizon = 5", "horizn = 5"), "[run] horizn"),
+        (TABLE1_CFG + "\n[bogus]\nhorizon = 7\n", "[bogus]"),
+        (TABLE1_CFG + "\n[bogus]\n", "[bogus]"),
+    ], ids=["key_of_another_section", "misspelt_key", "unknown_section",
+            "empty_unknown_section"])
+    def test_exits_one_naming_the_offender(self, tmp_path, capsys, text,
+                                           named):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        assert run_in_empty_dir(["simulate", "--config", str(cfg_path)],
+                                tmp_path) == (1, [])
+        assert capsys.readouterr().err == \
+            f"error: unknown config keys: {named}\n"
+
+    def test_names_every_offender_at_once(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(TABLE1_CFG.replace(
+            "horizon = 5", "cycle = 1\nhorizn = 7") + "\n[bogus]\nn = 1\n")
+        assert run_in_empty_dir(["simulate", "--config", str(cfg_path)],
+                                tmp_path) == (1, [])
+        assert capsys.readouterr().err == ("error: unknown config keys: "
+                                           "[run] cycle, [run] horizn, "
+                                           "[bogus]\n")
+
+    def test_key_in_its_own_section_is_checked(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cycle.cfg"
+        cfg_path.write_text(TABLE1_CFG.replace("policy = priority",
+                                               "policy = open_loop")
+                            + "\n[policy]\ncycle = 1\n")
+        assert run_in_empty_dir(["simulate", "--config", str(cfg_path)],
+                                tmp_path) == (1, [])
+        assert capsys.readouterr().err == "error: cycle must be >= 2\n"
+
+    def test_keys_of_other_commands_are_accepted(self, tmp_path):
+        cfg_path = tmp_path / "all.cfg"
+        cfg_path.write_text(TABLE1_CFG + "\n[diagram]\neps = 0.1\n"
+                            "\n[response]\ndensity = 0.5\n")
+        assert run_in_empty_dir(["simulate", "--config", str(cfg_path)],
+                                tmp_path) == (0, ["counters.tsv"])
+
+    def test_every_benchmark_config_parses(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / \
+            "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up in sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        assert {"fig8_sweep", "city_policies"} <= set(workloads.WORKLOADS)
+        for w in workloads.WORKLOADS.values():
+            for seed in range(3):
+                assert parse_config(w.config_text(seed)).seeds == \
+                    w.seeds(seed)
 
 
 class TestSimulateCommand:
@@ -473,6 +548,20 @@ class TestResponseCommand:
         assert run_cli(["response", "--config", str(cfg_path)], tmp_path) == 1
         assert "band" in capsys.readouterr().err
         assert not (tmp_path / "response_summary.csv").exists()
+        assert runs == []  # rejected before any policy is run
+
+    @pytest.mark.parametrize("density", ["nan", "-0.5", "1.5"])
+    def test_rejects_density_outside_unit_interval(self, tmp_path, capsys,
+                                                   monkeypatch, density):
+        runs = count_calls(monkeypatch, "run_response_trace")
+        cfg_path = tmp_path / "resp.cfg"
+        cfg_path.write_text(RESPONSE_CFG.replace(
+            "density = 0.25", f"density = {density}"))
+        assert run_in_empty_dir(["response", "--config", str(cfg_path)],
+                                tmp_path) == (1, [])
+        assert capsys.readouterr().err == ("error: [response] density must "
+                                           "lie in [0, 1], got "
+                                           f"{float(density)!r}\n")
         assert runs == []  # rejected before any policy is run
 
 

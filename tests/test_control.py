@@ -10,7 +10,6 @@ from roadphases.control import (
     FLOW_CAP,
     GlobalFeedbackPolicy,
     LQRSolution,
-    LocalFeedbackInputs,
     LocalFeedbackPolicy,
     LQModel,
     OpenLoopPlan,
@@ -18,9 +17,7 @@ from roadphases.control import (
     RiccatiError,
     build_lq_model,
     global_feedback_timing,
-    local_feedback_green,
     nominal_point,
-    open_loop_green,
     solve_lqr,
 )
 from roadphases.dynamics import DISCRETE, Simulation, density, init_occupancy
@@ -31,6 +28,8 @@ from roadphases.topology import (
 )
 
 import reference
+from reference import (LocalFeedbackInputs, local_feedback_green,
+                       open_loop_green)
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 

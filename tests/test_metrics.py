@@ -546,6 +546,15 @@ class TestDistanceAndResponse:
         with pytest.raises(ValueError):
             clustered_occupancy(t, count=t.n_slots + 1)
 
+    @pytest.mark.parametrize("extra", [-4, -1, 1])
+    def test_cluster_rejects_count_outside_road_cells(self, extra):
+        t = build_torus_city(2, 2, 2)
+        cells = sum(r.length_cells for r in t.roads)
+        count = extra if extra < 0 else cells + extra
+        with pytest.raises(ValueError, match=rf"^cluster of {count} cars "
+                                             rf"outside \[0, {cells}\]$"):
+            clustered_occupancy(t, count=count)
+
 
 def trace_len(trace: ResponseTrace) -> int:
     return len(trace.distances)
