@@ -9,15 +9,15 @@ phases     phase segmentation of an existing diagram CSV
 response   distance-to-uniform traces per policy after a clustered start
 
 Configuration is an INI file (key = value under sections); command-line
-flags override config keys.  Exit codes: 0 ok, 1 invalid config or inputs,
-2 numerical failure (Riccati), 3 non-converged sweep points under --strict.
+flags override config keys.  Exit codes: 0 ok, 1 invalid config, flags or
+inputs, 2 numerical failure (Riccati), 3 non-converged sweep points under
+--strict.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -26,11 +26,20 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, control, metrics
-from .dynamics import (CONTINUOUS, DISCRETE, init_occupancy, occupancy_lines,
+from .dynamics import (DISCRETE, MODES, init_occupancy, occupancy_lines,
                        counter_lines, simulate)
 from .topology import NetworkTopology, build_figure_eight, parse_topology_text
 
-POLICY_NAMES = ("priority", "open_loop", "local_feedback", "global_feedback")
+# each junction policy by name: how a RunConfig builds it on network t
+_POLICIES = {
+    "priority": lambda cfg, t: None,
+    "open_loop": lambda cfg, t: control.OpenLoopPolicy(control.OpenLoopPlan(
+        cycle=cfg.cycle, green_first=cfg.green_first, offset=cfg.offset)),
+    "local_feedback": lambda cfg, t: control.LocalFeedbackPolicy(),
+    "global_feedback": lambda cfg, t: control.GlobalFeedbackPolicy(
+        control.solve_lqr(control.build_lq_model(
+            t, q_scale=cfg.q_scale, r_scale=cfg.r_scale)), cycle=cfg.cycle),
+}
 
 
 class ConfigError(ValueError):
@@ -54,6 +63,15 @@ def _tuple_of(cast):
     return parse
 
 
+def _choice(names):
+    """Parser of one name out of ``names``."""
+    def parse(text: str) -> str:
+        if text.strip() not in names:
+            raise ValueError(text)
+        return text.strip()
+    return parse
+
+
 def _ini(section: str, key: str, parse, default=None):
     """A RunConfig field read from ``key`` under ``[section]`` by ``parse``."""
     return field(default=default, metadata={"ini": (section, key, parse)})
@@ -61,17 +79,18 @@ def _ini(section: str, key: str, parse, default=None):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a subcommand needs; round-trips through INI text.
+    """Everything a subcommand needs.
 
     Each field but ``topology`` declares its INI section, key and parser
     once, in its metadata: that is the whole schema, and parse_config
-    rejects any other section or key.  ``[topology]`` is checked by the
-    family builder's signature.
+    rejects any other section or key.  A mode or policy name must be one
+    of MODES or _POLICIES.  ``[topology]`` is checked by the family
+    builder's signature.
     """
 
     topology: str                      # key = value block, one per line
-    mode: str = _ini("run", "mode", str.strip, DISCRETE)
-    policy: str = _ini("run", "policy", str.strip, "priority")
+    mode: str = _ini("run", "mode", _choice(MODES), DISCRETE)
+    policy: str = _ini("run", "policy", _choice(_POLICIES), "priority")
     horizon: int | None = _ini("run", "horizon", int)
     burn_in: int | None = _ini("run", "burn_in", int)
     seeds: tuple[int, ...] = _ini("run", "seeds", _tuple_of(int), (0, 1, 2))
@@ -91,13 +110,13 @@ class RunConfig:
     r_list: tuple[float, ...] = _ini("diagram", "r_list", _tuple_of(float), ())
     r_size: int = _ini("diagram", "r_size", int, 60)
     policy_list: tuple[str, ...] = _ini("diagram", "policy_list",
-                                        _tuple_of(str.strip), ())
+                                        _tuple_of(_choice(_POLICIES)), ())
     response_density: float = _ini("response", "density", float, 0.3)
     response_horizon: int | None = _ini("response", "horizon", int)
     response_band_fraction: float = _ini("response", "band_fraction", float,
                                          0.1)
     response_policies: tuple[str, ...] = _ini(
-        "response", "policies", _tuple_of(str.strip),
+        "response", "policies", _tuple_of(_choice(_POLICIES)),
         ("open_loop", "local_feedback", "global_feedback"))
 
     def build_topology(self) -> NetworkTopology:
@@ -115,7 +134,10 @@ def parse_config(text: str) -> RunConfig:
 
 def _parse_config(text: str) -> tuple[RunConfig, NetworkTopology]:
     """The config and its network, built once here to check [topology]."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no [...] header can name the section "", so [DEFAULT] is an ordinary
+    # (unknown) section and none is copied into the others
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -150,42 +172,7 @@ def _parse_config(text: str) -> tuple[RunConfig, NetworkTopology]:
         except ValueError as exc:
             raise ConfigError(
                 f"bad value for [{section}] {key}: {raw!r}") from exc
-    cfg = replace(cfg, **updates)
-    if cfg.mode not in (CONTINUOUS, DISCRETE):
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
-    for name in (cfg.policy, *cfg.policy_list, *cfg.response_policies):
-        if name not in POLICY_NAMES:
-            raise ConfigError(f"unknown policy {name!r}")
-    return cfg, t
-
-
-def _format_value(value) -> str:
-    """INI text of a config value; repr keeps floats exact."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    if isinstance(value, str):
-        return value
-    return repr(value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    cp = configparser.ConfigParser()
-    cp.add_section("topology")
-    for line in cfg.topology.strip().splitlines():
-        key, val = (s.strip() for s in line.split("=", 1))
-        cp.set("topology", key, val)
-    for name, section, key, _parse in _SCHEMA:
-        value = getattr(cfg, name)
-        if value is None:
-            continue
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, key, _format_value(value))
-    out = io.StringIO()
-    cp.write(out)
-    return out.getvalue()
+    return replace(cfg, **updates), t
 
 
 def parse_density_grid(spec: str, t: NetworkTopology) -> list[float]:
@@ -215,21 +202,9 @@ def make_policy(name: str, cfg: RunConfig, t: NetworkTopology, d=None):
     ``d`` is ignored (global feedback reads each run's own density); it is
     accepted for callers that still pass an operating density.
     """
-    if name == "priority":
-        return None
-    if name == "open_loop":
-        plan = control.OpenLoopPlan(cycle=cfg.cycle,
-                                    green_first=cfg.green_first,
-                                    offset=cfg.offset)
-        return control.OpenLoopPolicy(plan)
-    if name == "local_feedback":
-        return control.LocalFeedbackPolicy()
-    if name == "global_feedback":
-        model = control.build_lq_model(t, q_scale=cfg.q_scale,
-                                       r_scale=cfg.r_scale)
-        return control.GlobalFeedbackPolicy(control.solve_lqr(model),
-                                            cycle=cfg.cycle)
-    raise ConfigError(f"unknown policy {name!r}")
+    if name not in _POLICIES:
+        raise ConfigError(f"unknown policy {name!r}")
+    return _POLICIES[name](cfg, t)
 
 
 def _initial_occupancy(cfg: RunConfig, t: NetworkTopology) -> np.ndarray:
@@ -416,8 +391,16 @@ def _load_config(args) -> tuple[RunConfig, NetworkTopology]:
     return cfg, t
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Bad arguments exit 1, as any other invalid input does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="roadphases",
         description="cell-based road-network traffic simulator and "
                     "fundamental-diagram toolkit")
@@ -426,8 +409,8 @@ def main(argv=None) -> int:
 
     def add_common(p):
         p.add_argument("--config", help="INI config path")
-        p.add_argument("--mode", choices=(CONTINUOUS, DISCRETE))
-        p.add_argument("--policy", choices=POLICY_NAMES)
+        p.add_argument("--mode", choices=MODES)
+        p.add_argument("--policy", choices=tuple(_POLICIES))
         p.add_argument("--seeds", type=int,
                        help="use seeds 0..N-1, overriding the config")
 

@@ -185,9 +185,10 @@ def global_feedback_timing(t: NetworkTopology, gain: np.ndarray,
 class OpenLoopPolicy:
     """Gate adapter for a periodic plan (same plan at every junction)."""
 
+    policy_id = "open_loop"
+
     def __init__(self, plan: OpenLoopPlan | None = None):
         self.plan = plan or OpenLoopPlan()
-        self.policy_id = "open_loop"
         self._greens_by_phase: np.ndarray | None = None
 
     def reset(self, sim):

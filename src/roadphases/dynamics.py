@@ -46,7 +46,7 @@ from .topology import NetworkTopology
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
-_MODES = (CONTINUOUS, DISCRETE)
+MODES = (CONTINUOUS, DISCRETE)
 
 
 @dataclass
@@ -223,8 +223,8 @@ def _validated(t: NetworkTopology, mode: str, a,
     checked by check_occupancy; ``x`` defaults to zeros and must have the
     shape of ``a``.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     a = check_occupancy(t, a)
     x = np.zeros(a.shape) if x is None else np.asarray(x)
     if x.shape != a.shape:
@@ -376,18 +376,13 @@ def simulate(t: NetworkTopology, a, mode: str = DISCRETE, horizon: int = 1,
     return out
 
 
-def occupancy_at(state: CounterState, a, t: NetworkTopology,
-                 diagnostic: bool = False) -> np.ndarray:
-    """Per-slot occupancies reconstructed from counters.
-
-    Exact booleans in discrete mode; continuous states are rejected unless
-    ``diagnostic`` is set (fractional occupancies are then returned as-is).
-    """
-    if state.mode != DISCRETE and not diagnostic:
-        raise ValueError("occupancy reconstruction needs discrete mode "
-                         "(pass diagnostic=True for fractional output)")
+def occupancy_at(state: CounterState, a, t: NetworkTopology) -> np.ndarray:
+    """Per-slot occupancies (exact 0/1) of a discrete state, rebuilt from
+    its counters; a continuous state is rejected."""
+    if state.mode != DISCRETE:
+        raise ValueError("occupancy reconstruction needs discrete mode")
     a, x = _validated(t, state.mode, a, state.x)
-    return kernel_for(t).occupancy(x, a, state.mode == DISCRETE)
+    return kernel_for(t).occupancy(x, a, True)
 
 
 def counter_lines(states: list[CounterState]) -> str:
@@ -411,5 +406,5 @@ def occupancy_line(t: NetworkTopology, y: np.ndarray) -> str:
 
 def occupancy_lines(t: NetworkTopology, states: list[CounterState],
                     a) -> str:
-    return "\n".join(occupancy_line(t, occupancy_at(s, a, t, diagnostic=True))
+    return "\n".join(occupancy_line(t, occupancy_at(s, a, t))
                      for s in states) + "\n"

@@ -1,9 +1,10 @@
-"""Config round-trips, subcommand outputs, table dumps, exit codes."""
+"""Config parsing, subcommand outputs, table dumps, exit codes."""
 
 import csv
 import dataclasses
 import hashlib
 import importlib.util
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -12,16 +13,17 @@ import numpy as np
 import pytest
 
 from roadphases.cli import (
+    _POLICIES,
     ConfigError,
     RunConfig,
     main,
     make_policy,
     parse_config,
     parse_density_grid,
-    serialize_config,
 )
 from roadphases.dynamics import CONTINUOUS, init_occupancy, simulate
-from roadphases.metrics import classify_phases_empirical, read_diagram_csv
+from roadphases.metrics import (_policy_id, classify_phases_empirical,
+                                read_diagram_csv)
 from roadphases.topology import build_figure_eight
 
 TABLE1_CFG = """\
@@ -104,13 +106,58 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-class TestConfig:
-    def test_round_trip(self):
-        cfg = parse_config(TABLE1_CFG)
-        assert parse_config(serialize_config(cfg)) == cfg
+def run_in_empty_dir(args, tmp_path):
+    """Exit code of the CLI run with --out a fresh directory, and the names
+    of the files it wrote there."""
+    out = tmp_path / "out"
+    code = main(["--out", str(out), *args])
+    return code, sorted(p.name for p in out.iterdir())
 
-    def test_round_trip_full(self):
-        cfg = RunConfig(
+
+class TestConfig:
+    def test_every_key_is_read(self):
+        cfg = parse_config("""\
+[topology]
+family = torus_city
+rows = 2
+cols = 4
+segment_len = 3
+capacity = 1
+
+[run]
+mode = continuous
+policy = open_loop
+horizon = 100
+burn_in = 50
+seeds = 0, 5
+
+[policy]
+cycle = 6
+green_first = 3
+offset = 1
+q_scale = 2.0
+r_scale = 5.0
+
+[occupancy]
+explicit = 0.3333333333333333, 0, 1, 0.1
+count = 7
+density = 0.3
+
+[diagram]
+densities = counts(0,10)
+eps = 0.01
+per_road = true
+r_list = 0.25, 0.75
+r_size = 40
+policy_list = local_feedback, global_feedback
+
+[response]
+density = 0.2
+horizon = 500
+band_fraction = 0.2
+policies = open_loop, local_feedback
+""")
+        assert cfg == RunConfig(
             topology="family = torus_city\nrows = 2\ncols = 4\n"
                      "segment_len = 3\ncapacity = 1\n",
             mode="continuous", policy="open_loop", horizon=100, burn_in=50,
@@ -127,7 +174,6 @@ class TestConfig:
         at_default = [f.name for f in dataclasses.fields(RunConfig)
                       if getattr(cfg, f.name) == getattr(defaults, f.name)]
         assert at_default == ["topology"]
-        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
@@ -166,14 +212,41 @@ class TestConfig:
         # an operating density may still be passed; it is ignored
         assert make_policy("global_feedback", cfg, t, 0.3).solution.gain \
             .tolist() == pol.solution.gain.tolist()
+        with pytest.raises(ConfigError, match="^unknown policy 'anarchy'$"):
+            make_policy("anarchy", cfg, t)
 
+    @pytest.mark.parametrize("name", list(_POLICIES))
+    def test_every_policy_name_builds_under_its_own_id(self, name):
+        policy = make_policy(name, parse_config(TABLE1_CFG),
+                             build_figure_eight(5, 5))
+        assert _policy_id(policy) == name
 
-def run_in_empty_dir(args, tmp_path):
-    """Exit code of the CLI run with --out a fresh directory, and the names
-    of the files it wrote there."""
-    out = tmp_path / "out"
-    code = main(["--out", str(out), *args])
-    return code, sorted(p.name for p in out.iterdir())
+    @pytest.mark.parametrize("command,text,named", [
+        ("simulate", TABLE1_CFG.replace("continuous", "quantum"),
+         "[run] mode: 'quantum'"),
+        ("simulate", TABLE1_CFG.replace("priority", "anarchy"),
+         "[run] policy: 'anarchy'"),
+        ("diagram", TABLE1_CFG.replace("continuous", "discrete")
+         + "\n[diagram]\npolicy_list = local_feedback, anarchy\n",
+         "[diagram] policy_list: 'local_feedback, anarchy'"),
+        ("response", TABLE1_CFG.replace("continuous", "discrete")
+         + "\n[response]\npolicies = open_loop, Priority\n",
+         "[response] policies: 'open_loop, Priority'"),
+    ], ids=["mode", "policy", "policy_list", "response_policies"])
+    def test_bad_name_exits_one_naming_its_key(self, tmp_path, capsys,
+                                               command, text, named):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        assert run_in_empty_dir([command, "--config", str(cfg_path)],
+                                tmp_path) == (1, [])
+        assert capsys.readouterr().err == f"error: bad value for {named}\n"
+
+    def test_percent_sign_is_read_literally(self, tmp_path, capsys):
+        cfg_path = tmp_path / "percent.cfg"
+        cfg_path.write_text(TABLE1_CFG + "\n[diagram]\ndensities = 5%\n")
+        assert run_in_empty_dir(["diagram", "--config", str(cfg_path)],
+                                tmp_path) == (1, [])
+        assert capsys.readouterr().err == "error: bad density grid: '5%'\n"
 
 
 class TestUnknownKeys:
@@ -185,8 +258,9 @@ class TestUnknownKeys:
         (TABLE1_CFG.replace("horizon = 5", "horizn = 5"), "[run] horizn"),
         (TABLE1_CFG + "\n[bogus]\nhorizon = 7\n", "[bogus]"),
         (TABLE1_CFG + "\n[bogus]\n", "[bogus]"),
+        (TABLE1_CFG + "\n[DEFAULT]\nseeds = 0\n", "[DEFAULT]"),
     ], ids=["key_of_another_section", "misspelt_key", "unknown_section",
-            "empty_unknown_section"])
+            "empty_unknown_section", "default_section"])
     def test_exits_one_naming_the_offender(self, tmp_path, capsys, text,
                                            named):
         cfg_path = tmp_path / "bad.cfg"
@@ -659,6 +733,30 @@ class TestGlobalFeedbackCommands:
         cfg_path.write_text(GLOBAL_CFG)
         assert run_cli([command, "--config", str(cfg_path)], tmp_path) == 0
         assert len(built) == 1
+
+
+class TestBadArguments:
+    """argparse's own errors exit 1, like any other invalid input."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mode", "quantum"],
+        ["eigen", "--m", "5"],
+        ["bogus"],
+        ["eigen", "--n", "x", "--m", "5"],
+    ], ids=["bad_choice", "missing_flag", "unknown_command", "bad_int"])
+    def test_exits_one(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path / "out"), *argv])
+        assert exc.value.code == 1
+        assert re.search(r"^roadphases[a-z ]*: error: ",
+                         capsys.readouterr().err, re.M)
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: roadphases" in capsys.readouterr().out
 
 
 class TestEmptySeeds:

@@ -292,12 +292,12 @@ class TestTrivialCases:
         state = CounterState(0, np.zeros(10, dtype=np.int64), DISCRETE)
         assert occupancy_at(state, A55, fig8_55).tolist() == A55
 
-    def test_continuous_occupancy_rejected_without_diagnostic(self, fig8_55):
+    def test_continuous_occupancy_rejected(self, fig8_55):
         states = simulate(fig8_55, A55, CONTINUOUS, horizon=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs discrete mode"):
             occupancy_at(states[-1], A55, fig8_55)
-        y = occupancy_at(states[-1], A55, fig8_55, diagnostic=True)
-        assert y.sum() == pytest.approx(sum(A55))
+        with pytest.raises(ValueError, match="needs discrete mode"):
+            occupancy_lines(fig8_55, states, A55)
 
 
 class TestInitOccupancy:
