@@ -53,7 +53,9 @@ from .metrics import (
     estimate_growth_rate,
     response_time,
     run_response_trace,
+    run_response_traces,
     sweep_diagram,
+    sweep_diagrams,
 )
 from .topology import (
     JunctionSpec,

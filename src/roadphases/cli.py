@@ -232,7 +232,8 @@ def cmd_simulate(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
 
 
 def _series_for_diagram(cfg: RunConfig, t: NetworkTopology):
-    """Yield (label, topology, policy name) per series; t is the config's."""
+    """Yield (network, [(label, policy name)]) per network of the diagram's
+    series; t is the config's."""
     if cfg.r_list and cfg.policy_list:
         raise ConfigError("choose one of r_list / policy_list, not both")
     if cfg.r_list:
@@ -241,12 +242,11 @@ def _series_for_diagram(cfg: RunConfig, t: NetworkTopology):
                 raise ConfigError(f"r must lie in (0, 1): {r}")
             n = max(2, round(r * cfg.r_size))
             m = max(2, cfg.r_size + 1 - n)
-            yield f"r={r:g}", build_figure_eight(n, m), cfg.policy
+            yield build_figure_eight(n, m), [(f"r={r:g}", cfg.policy)]
     elif cfg.policy_list:
-        for name in cfg.policy_list:
-            yield f"policy={name}", t, name
+        yield t, [(f"policy={name}", name) for name in cfg.policy_list]
     else:
-        yield "diagram", t, cfg.policy
+        yield t, [("diagram", cfg.policy)]
 
 
 def cmd_diagram(cfg: RunConfig, t: NetworkTopology, out_dir: Path,
@@ -254,15 +254,16 @@ def cmd_diagram(cfg: RunConfig, t: NetworkTopology, out_dir: Path,
     metrics.check_tolerance("eps", cfg.eps)
     series_data = []
     all_converged = True
-    for label, net, policy_name in _series_for_diagram(cfg, t):
-        densities = parse_density_grid(cfg.densities, net)
-        diagram = metrics.sweep_diagram(
-            net, densities, cfg.mode, make_policy(policy_name, cfg, net),
+    for net, series in _series_for_diagram(cfg, t):
+        diagrams = metrics.sweep_diagrams(
+            net, parse_density_grid(cfg.densities, net), cfg.mode,
+            [make_policy(name, cfg, net) for _, name in series],
             seeds=cfg.seeds, horizon=cfg.horizon, burn_in=cfg.burn_in,
             per_road=cfg.per_road)
-        seg = metrics.classify_phases_empirical(diagram, cfg.eps)
-        series_data.append((label, diagram, seg))
-        all_converged &= all(p.converged for p in diagram.points)
+        for (label, _), diagram in zip(series, diagrams):
+            seg = metrics.classify_phases_empirical(diagram, cfg.eps)
+            series_data.append((label, diagram, seg))
+            all_converged &= all(p.converged for p in diagram.points)
     metrics.write_diagram_csv([(d, seg) for _, d, seg in series_data],
                               out_dir / "diagram.csv")
     (out_dir / "diagram.dat").write_text(plot_data_text(series_data))
@@ -360,9 +361,9 @@ def cmd_response(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
     starts = np.array([metrics.clustered_occupancy(t, count, seed)
                        for seed in cfg.seeds])
     summary = ["policy,seed,response_time,settled,plateau"]
-    for name in cfg.response_policies:
-        policy = make_policy(name, cfg, t)
-        traces = metrics.run_response_trace(t, starts, policy, horizon)
+    policies = [make_policy(name, cfg, t) for name in cfg.response_policies]
+    by_policy = metrics.run_response_traces(t, starts, policies, horizon)
+    for name, traces in zip(cfg.response_policies, by_policy):
         for seed, trace in zip(cfg.seeds, traces):
             band = cfg.response_band_fraction * trace.distances[0]
             rt, settled = metrics.response_time(trace, band)

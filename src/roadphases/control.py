@@ -13,6 +13,7 @@ iteration and no tolerance.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,17 +144,17 @@ def solve_lqr(model: LQModel) -> LQRSolution:
     half = (U * root) @ U.T  # G^1/2
     s, W = np.linalg.eigh(half @ Q @ half)
     s = np.clip(s, 0.0, None)  # Q's zero modes may round to just below 0
-    X = (U / root) @ (U.T @ W) * np.sqrt(0.5 * (s + np.sqrt(s * s + 4 * s)))
+    p = 0.5 * (s + np.sqrt(s * s + 4 * s))
+    X = (U / root) @ (U.T @ W) * np.sqrt(p)
     P = X @ X.T  # exactly symmetric: NumPy forms X X' with one syrk
     gain_sub = np.linalg.solve(R + B.T @ P @ B, B.T @ P)
     residual = float(np.max(np.abs(Q - P @ B @ gain_sub)))
     if not residual <= 1e-9 * max(1.0, float(np.max(np.abs(Q)))):  # or NaN
         raise RiccatiError("Riccati solution is inaccurate", residual)
-    closed = np.eye(P.shape[0]) - B @ gain_sub
-    radius = float(np.max(np.abs(np.linalg.eigvals(closed))))
     gain = gain_sub @ V.T if V is not None else gain_sub
+    # I - B gain = (I + G P)^-1, and G P is similar to W diag(p) W'
     return LQRSolution(gain=gain, P=P, residual=residual,
-                       spectral_radius=radius)
+                       spectral_radius=float(1 / (1 + p.min())))
 
 
 def global_feedback_timing(t: NetworkTopology, gain: np.ndarray,
@@ -221,8 +222,8 @@ class LocalFeedbackPolicy:
 
     def greens(self, k: int, sim) -> np.ndarray:
         kern, z, b = sim.kernel, sim.road_counts(), sim.poised()
-        lhs = self._nnp * b[..., kern.pr_road] + z[..., kern.pr_road]
-        rhs = self._npr * b[..., kern.np_road] + z[..., kern.np_road]
+        lhs = self._nnp * b.take(kern.pr_road, -1) + z.take(kern.pr_road, -1)
+        rhs = self._npr * b.take(kern.np_road, -1) + z.take(kern.np_road, -1)
         return lhs >= rhs
 
 
@@ -259,3 +260,38 @@ class GlobalFeedbackPolicy:
 
     def phase_key(self, k: int):
         return k % self.cycle, self._slots.tobytes()  # of every lane
+
+
+class LaneGroups:
+    """Gate policies on lane groups of one stack: (policy, lanes) pairs,
+    each ``lanes`` a slice of the stack.  Each policy is reset and stepped
+    on a view of its own lanes only, as on a stack of their own."""
+
+    def __init__(self, groups):
+        self.groups = tuple(groups)
+
+    def reset(self, sim):
+        self._views = [(copy.copy(policy), _LaneView(sim, lanes))
+                       for policy, lanes in self.groups]
+        for policy, view in self._views:
+            policy.reset(view)
+
+    def greens(self, k: int, sim) -> np.ndarray:
+        gate = np.empty((len(sim.a), sim.kernel.slot_a.size), bool)
+        for policy, view in self._views:
+            gate[view.lanes] = policy.greens(k, view)
+        return gate
+
+
+class _LaneView:
+    """A lane group of a stack, as its policy reads it."""
+
+    def __init__(self, sim, lanes: slice):
+        self.kernel, self.topology = sim.kernel, sim.topology
+        self.a, self.lanes, self._sim = sim.a[lanes], lanes, sim
+
+    def road_counts(self) -> np.ndarray:
+        return self._sim.road_counts()[self.lanes]
+
+    def poised(self) -> np.ndarray:
+        return self._sim.poised()[self.lanes]

@@ -215,20 +215,21 @@ def check_occupancy(t: NetworkTopology, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _validated(t: NetworkTopology, mode: str, a,
-               x=None) -> tuple[np.ndarray, np.ndarray]:
+def _validated(t: NetworkTopology, mode: str, a, x=None,
+               states: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(a, x) checked for ``mode`` and cast to its dtype.
 
     ``a`` is one placement (slots,) or a stack of them (lanes, slots),
     checked by check_occupancy; ``x`` defaults to zeros and must have the
-    shape of ``a``.
+    shape of ``a``, or with ``states`` be a stack of states of that shape.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     a = check_occupancy(t, a)
     x = np.zeros(a.shape) if x is None else np.asarray(x)
-    if x.shape != a.shape:
-        raise ValueError(f"state has shape {x.shape}, need {a.shape}")
+    shape = x.shape[1:] if states else x.shape
+    if shape != a.shape:
+        raise ValueError(f"state has shape {shape}, need {a.shape}")
     if mode == DISCRETE and (np.any(a != np.round(a))
                              or np.any(x != np.round(x))):
         raise ValueError("discrete mode needs integer occupancies and counters")
@@ -379,9 +380,17 @@ def simulate(t: NetworkTopology, a, mode: str = DISCRETE, horizon: int = 1,
 def occupancy_at(state: CounterState, a, t: NetworkTopology) -> np.ndarray:
     """Per-slot occupancies (exact 0/1) of a discrete state, rebuilt from
     its counters; a continuous state is rejected."""
-    if state.mode != DISCRETE:
+    return _occupancies(t, [state], a)[0]
+
+
+def _occupancies(t: NetworkTopology, states: list[CounterState],
+                 a) -> np.ndarray:
+    """occupancy_at of each state of placement ``a``: ``a`` is checked
+    once, and every state is rebuilt by one occupancy call."""
+    if any(s.mode != DISCRETE for s in states):
         raise ValueError("occupancy reconstruction needs discrete mode")
-    a, x = _validated(t, state.mode, a, state.x)
+    a, x = _validated(t, DISCRETE, a, [s.x for s in states] or
+                      np.empty((0, *np.shape(a))), states=True)
     return kernel_for(t).occupancy(x, a, True)
 
 
@@ -406,5 +415,5 @@ def occupancy_line(t: NetworkTopology, y: np.ndarray) -> str:
 
 def occupancy_lines(t: NetworkTopology, states: list[CounterState],
                     a) -> str:
-    return "\n".join(occupancy_line(t, occupancy_at(s, a, t))
-                     for s in states) + "\n"
+    return "\n".join(occupancy_line(t, y)
+                     for y in _occupancies(t, states, a)) + "\n"

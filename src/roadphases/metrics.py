@@ -6,8 +6,10 @@ half-window estimate, over [burn_in, (burn_in + K) // 2], agrees within
 1e-3.  Exact periodic regimes are found separately, by ``detect_period``.
 Diagram sweeps take the median over seeds per density.  Sweeps and response
 traces advance all of their runs together, as the lanes of one stacked
-simulation; lanes never interact, so every run's results are exactly those
-it has when run alone.
+simulation, and so do those of several gate policies: each policy steps its
+own lane group (control.LaneGroups), while the priority rule, which is no
+gate, keeps a stack of its own.  Lanes never interact, so every run's
+results are exactly those it has when run alone.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import PhaseLabel
+from .control import LaneGroups
 from .dynamics import DISCRETE, Simulation, init_occupancy, kernel_for
 from .topology import NetworkTopology, ratio_r
 
@@ -161,17 +164,22 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
                   policy=None, seeds=(0, 1, 2), horizon: int | None = None,
                   burn_in: int | None = None,
                   per_road: bool = False) -> FundamentalDiagram:
-    """Fundamental diagram over a density grid, median flow across seeds.
+    """Fundamental diagram of one policy: its sweep_diagrams."""
+    return sweep_diagrams(t, densities, mode, [policy], seeds, horizon,
+                          burn_in, per_road)[0]
 
-    ``policy`` is None or one gate policy; every (density, seed) run is a
-    lane of one stacked simulation, for which the policy is reset once.
+
+def sweep_diagrams(t: NetworkTopology, densities, mode: str, policies,
+                   seeds=(0, 1, 2), horizon: int | None = None,
+                   burn_in: int | None = None,
+                   per_road: bool = False) -> list[FundamentalDiagram]:
+    """Fundamental diagram of each policy over a density grid, median flow
+    across seeds; every (density, seed) run of every policy is a lane of a
+    stack stepped by ``_by_policy``, one ``_measure`` call per stack.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("sweep_diagram needs at least one seed")
-    diagram = FundamentalDiagram(
-        topology_id=t.topology_id, r=float(ratio_r(t)),
-        policy_id=_policy_id(policy))
     counts = []
     for d in densities:
         if not 0 <= d <= 1:
@@ -180,24 +188,56 @@ def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,
     placements = np.zeros((len(counts) * len(seeds), t.n_slots), np.int64)
     for lane, (count, seed) in enumerate(itertools.product(counts, seeds)):
         placements[lane] = init_occupancy(t, count=count, seed=seed)
-    # lane i * len(seeds) + j is the run of counts[i] and seeds[j]
-    flows, flags, road_flow, road_density = (
-        v.reshape(len(counts), len(seeds), *v.shape[1:])
-        for v in _measure(t, placements, mode, policy, horizon, burn_in,
-                          per_road))
-    flow, road_flow, road_density = (
-        np.median(v, axis=1) for v in (flows, road_flow, road_density))
-    for i, count in enumerate(counts):
-        diagram.points.append(DiagramPoint(
-            density=count / t.counting_size,
-            flow=float(flow[i]),
-            converged=bool(flags[i].all()),
-            seed_count=len(seeds),
-            seed_flows=tuple(flows[i].tolist()),
-            road_flow=tuple(road_flow[i].tolist()) if per_road else None,
-            road_density=tuple(road_density[i].tolist()) if per_road else None,
-        ))
-    return diagram
+    by_policy = _by_policy(policies, placements, lambda a, policy: _measure(
+        t, a, mode, policy, horizon, burn_in, per_road))
+    diagrams = []
+    for policy, measured in zip(policies, by_policy):
+        diagram = FundamentalDiagram(
+            topology_id=t.topology_id, r=float(ratio_r(t)),
+            policy_id=_policy_id(policy))
+        # lane i * len(seeds) + j is the run of counts[i] and seeds[j]
+        flows, flags, road_flow, road_density = (
+            v.reshape(len(counts), len(seeds), *v.shape[1:])
+            for v in measured)
+        flow, road_flow, road_density = (
+            np.median(v, axis=1) for v in (flows, road_flow, road_density))
+        for i, count in enumerate(counts):
+            diagram.points.append(DiagramPoint(
+                density=count / t.counting_size,
+                flow=float(flow[i]),
+                converged=bool(flags[i].all()),
+                seed_count=len(seeds),
+                seed_flows=tuple(flows[i].tolist()),
+                road_flow=tuple(road_flow[i].tolist()) if per_road else None,
+                road_density=tuple(road_density[i].tolist()) if per_road
+                else None,
+            ))
+        diagrams.append(diagram)
+    return diagrams
+
+
+def _by_policy(policies, a, run) -> list[tuple]:
+    """``run(stack, policy)`` of the placements ``a`` under each policy,
+    split into each policy's tuple of results.  The gate policies step as
+    lane groups of one stack; the priority rule (None) is not a gate and
+    steps a stack of its own.  ``run`` returns a tuple of per-lane results.
+    """
+    a = np.atleast_2d(a)
+    n, out = len(a), [None] * len(policies)
+    gated = [i for i, policy in enumerate(policies) if policy is not None]
+    stacks = [([i], None) for i, policy in enumerate(policies)
+              if policy is None]
+    if gated:
+        groups = [(policies[i], slice(g * n, (g + 1) * n))
+                  for g, i in enumerate(gated)]
+        # a lone gate policy steps the stack itself, with no views
+        stacks.append((gated, LaneGroups(groups) if len(groups) > 1
+                       else groups[0][0]))
+    for group, policy in stacks:
+        results = run(np.tile(a, (len(group), 1)), policy)
+        for g, i in enumerate(group):
+            out[i] = tuple(v[g * n:(g + 1) * n] for v in results)
+    return out
 
 
 def check_tolerance(name: str, value: float) -> None:
@@ -305,9 +345,22 @@ def run_response_trace(t: NetworkTopology, a, policy, horizon: int):
     for _ in range(horizon):
         sim.advance()
         distances.append(_distances(sim.road_counts(), sim.kernel))
-    traces = [ResponseTrace(policy_id=_policy_id(policy), distances=lane)
-              for lane in np.column_stack(distances).tolist()]
+    lanes = np.column_stack(distances).tolist()
+    ids = [_policy_id(policy)] * len(lanes)
+    for member, part in getattr(policy, "groups", ()):  # LaneGroups
+        ids[part] = [_policy_id(member)] * len(ids[part])
+    traces = [ResponseTrace(policy_id=pid, distances=lane)
+              for pid, lane in zip(ids, lanes)]
     return traces if sim.a.ndim == 2 else traces[0]
+
+
+def run_response_traces(t: NetworkTopology, a, policies,
+                        horizon: int) -> list[list[ResponseTrace]]:
+    """run_response_trace of each policy from one placement or a (lanes,
+    slots) stack of them: one list of traces per policy, all runs stacked
+    by ``_by_policy``."""
+    return [traces for traces, in _by_policy(policies, a, lambda a, policy: (
+        run_response_trace(t, a, policy, horizon),))]
 
 
 def write_diagram_csv(

@@ -392,7 +392,7 @@ class TestDiagramCommand:
     @pytest.mark.parametrize("eps", ["nan", "-0.01", "inf"])
     def test_rejects_eps_before_any_sweep(self, tmp_path, capsys,
                                           monkeypatch, eps):
-        sweeps = count_calls(monkeypatch, "sweep_diagram")
+        sweeps = count_calls(monkeypatch, "sweep_diagrams")
         cfg_path = tmp_path / "diag.cfg"
         cfg_path.write_text(DIAGRAM_CFG + f"eps = {eps}\n")
         assert run_cli(["diagram", "--config", str(cfg_path)], tmp_path) == 1
@@ -440,6 +440,43 @@ per_road = true
         for row in rows:
             for key in ("r", "density", "flow", "road_density", "road_flow"):
                 float(row[key])
+
+    def test_policy_list_writes_each_series_as_alone(self, tmp_path):
+        # the README's list: the priority series steps a stack of its own,
+        # the three light policies share one; the rows are those of four
+        # one-series runs, in the list's order
+        base = """\
+[topology]
+family = torus_city
+rows = 3
+cols = 2
+segment_len = 3
+
+[run]
+mode = discrete
+horizon = 150
+seeds = 0,1,2
+
+[diagram]
+densities = 0.1,0.35,0.6,0.85
+per_road = true
+"""
+        names = ["priority", "open_loop", "local_feedback", "global_feedback"]
+        cfg_path = tmp_path / "all.cfg"
+        cfg_path.write_text(base + f"policy_list = {','.join(names)}\n")
+        assert main(["--out", str(tmp_path / "all"), "diagram",
+                     "--config", str(cfg_path)]) == 0
+        for name in names:
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(base.replace(
+                "[diagram]", f"policy = {name}\n\n[diagram]"))
+            assert main(["--out", str(tmp_path / name), "diagram",
+                         "--config", str(cfg_path)]) == 0
+        for file in ("diagram.csv", "diagram_roads.csv"):
+            parts = [(tmp_path / name / file).read_bytes().splitlines(True)
+                     for name in names]
+            assert (tmp_path / "all" / file).read_bytes() == b"".join(
+                parts[0][:1] + [line for part in parts for line in part[1:]])
 
     def test_single_density_grid(self, tmp_path):
         cfg_path = tmp_path / "one.cfg"

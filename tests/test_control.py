@@ -9,6 +9,7 @@ import pytest
 from roadphases.control import (
     FLOW_CAP,
     GlobalFeedbackPolicy,
+    LaneGroups,
     LQRSolution,
     LocalFeedbackPolicy,
     LQModel,
@@ -245,6 +246,25 @@ class TestRiccati:
         B = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(RiccatiError, match="uncontrollable mode"):
             solve_lqr(LQModel(B, np.eye(3), np.eye(3)))
+
+    @pytest.mark.parametrize("model", [
+        scalar_model(), scalar_model(q=0.0), scalar_model(q=3.0, r=0.5, b=2.0),
+        build_lq_model(build_figure_eight(5, 5)),
+        build_lq_model(build_two_junction(5, 4, 4, 5), q_scale=2.0),
+        build_lq_model(build_torus_city(2, 2, 2)),
+        build_lq_model(build_torus_city(4, 4, 9))],
+        ids=["golden", "zero_cost", "scaled", "figure_eight", "two_junction",
+             "city_2x2x2", "city_4x4x9"])
+    def test_spectral_radius_of_closed_loop(self, model):
+        # the closed form 1 / (1 + min p) against the eigenvalues of
+        # I - B gain on the solved subspace
+        sol = solve_lqr(model)
+        n = len(model.B)
+        V = np.eye(1) if n == 1 else np.linalg.qr(
+            np.column_stack([np.ones(n), np.eye(n)]))[0][:, 1:]
+        closed = np.eye(len(V.T)) - V.T @ model.B @ sol.gain @ V
+        radius = np.max(np.abs(np.linalg.eigvals(closed)))
+        assert abs(sol.spectral_radius - radius) <= 1e-12
 
     def test_city_model_stabilized(self):
         t = build_torus_city(4, 4, 9)
@@ -505,19 +525,51 @@ class TestEmittedGates:
     @pytest.mark.parametrize("t", GATE_NETWORKS.values(),
                              ids=GATE_NETWORKS.keys())
     def test_gates_replay_and_follow_the_rules(self, t, name):
-        size, horizon = t.counting_size, 3 * t.counting_size
-        a = np.stack([init_occupancy(t, count=c, seed=c)
-                      for c in (size // 5, size // 2, 4 * size // 5)])
-        solution = solve_lqr(build_lq_model(t))
-        policy = {"open_loop": OpenLoopPolicy(OpenLoopPlan(cycle=5)),
-                  "local_feedback": LocalFeedbackPolicy(),
-                  "global_feedback": GlobalFeedbackPolicy(solution)}[name]
+        a = self.placements(t)
+        policy = self.policies(t)[name]
+        xs, gates = self.recorded(t, a, policy)
+        self.check(t, a, xs, gates, name, policy)
+
+    @pytest.mark.parametrize("t", GATE_NETWORKS.values(),
+                             ids=GATE_NETWORKS.keys())
+    def test_lane_groups_replay_and_follow_the_rules(self, t):
+        # the three policies share one stack, three lanes each
+        a = self.placements(t)
+        policies = self.policies(t)
+        groups = LaneGroups((policy, slice(3 * g, 3 * g + 3))
+                            for g, policy in enumerate(policies.values()))
+        xs, gates = self.recorded(t, np.tile(a, (3, 1)), groups)
+        for g, (name, policy) in enumerate(policies.items()):
+            lanes = slice(3 * g, 3 * g + 3)
+            self.check(t, a, [x[lanes] for x in xs], gates[:, lanes], name,
+                       policy)
+
+    @staticmethod
+    def placements(t):
+        size = t.counting_size
+        return np.stack([init_occupancy(t, count=c, seed=c)
+                         for c in (size // 5, size // 2, 4 * size // 5)])
+
+    @staticmethod
+    def policies(t):
+        return {"open_loop": OpenLoopPolicy(OpenLoopPlan(cycle=5)),
+                "local_feedback": LocalFeedbackPolicy(),
+                "global_feedback": GlobalFeedbackPolicy(
+                    solve_lqr(build_lq_model(t)))}
+
+    @staticmethod
+    def recorded(t, a, policy):
+        """Slot-order counters at every step, and every emitted gate."""
         sim = Simulation(t, a, DISCRETE, GateRecorder(policy))
         xs = [sim.x]
-        for _ in range(horizon):
+        for _ in range(3 * t.counting_size):
             sim.advance()
             xs.append(sim.x)
-        gates = np.array(sim.policy.gates)
+        return xs, np.array(sim.policy.gates)
+
+    @staticmethod
+    def check(t, a, xs, gates, name, policy):
+        horizon = 3 * t.counting_size
         assert gates.shape == (horizon, len(a), len(t.junctions))
         assert gates.any() and not gates.all()
         for lane, a_lane in enumerate(a.tolist()):
@@ -540,7 +592,8 @@ class TestEmittedGates:
                     phase = k % policy.cycle
                     if phase == 0:
                         slots = global_feedback_timing(
-                            t, solution.gain, xbar, ubar, z, policy.cycle)
+                            t, policy.solution.gain, xbar, ubar, z,
+                            policy.cycle)
                     assert gate == (phase < slots).tolist()
                 else:
                     assert gate == [open_loop_green(policy.plan, j, k)

@@ -735,6 +735,25 @@ class TestDumps:
         assert len(line) == fig8_55.counting_size
         assert line == "0011S0100"[:len(line)]
 
+    def test_occupancy_lines_check_the_placement_once(self, monkeypatch):
+        import roadphases.dynamics as dynamics_mod
+        t = build_torus_city(3, 3, 4, capacity=2)
+        a = init_occupancy(t, density=0.6, seed=2)
+        states = simulate(t, a, DISCRETE, horizon=50)
+        checks = []
+        real = dynamics_mod.check_occupancy
+
+        def counting(t, a):
+            checks.append(np.shape(a))
+            return real(t, a)
+
+        monkeypatch.setattr(dynamics_mod, "check_occupancy", counting)
+        text = occupancy_lines(t, states, a)
+        assert checks == [a.shape]  # once, not once per state
+        assert text == "".join(occupancy_line(t, occupancy_at(s, a, t)) + "\n"
+                               for s in states)
+        assert occupancy_lines(t, [], a) == "\n"
+
     @pytest.mark.parametrize("name", ["figure_eight_cap2",
                                       "two_junction_cap2", "torus_cap2",
                                       "two_junction_swapped"])

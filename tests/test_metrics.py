@@ -35,7 +35,9 @@ from roadphases.metrics import (
     read_diagram_csv,
     response_time,
     run_response_trace,
+    run_response_traces,
     sweep_diagram,
+    sweep_diagrams,
     write_diagram_csv,
     write_response_csv,
     write_road_csv,
@@ -362,16 +364,49 @@ class TestStackedSweep:
                              seeds=(0, 1, 2), horizon=60, per_road=True)
         assert calls == [(6, t.n_slots)]
         assert len(diag.points) == 2
+        # every gate policy of a list shares one call; priority has its own
+        for names, shapes in ((["open_loop", "local_feedback",
+                                "global_feedback"], [(18, t.n_slots)]),
+                              (["local_feedback", "priority", "open_loop"],
+                               [(6, t.n_slots), (12, t.n_slots)])):
+            calls.clear()
+            diagrams = sweep_diagrams(
+                t, [0.2, 0.5], DISCRETE,
+                [SWEEP_POLICIES[name](t) for name in names],
+                seeds=(0, 1, 2), horizon=60, per_road=True)
+            assert calls == shapes
+            assert [d.policy_id for d in diagrams] == names
+
+    @pytest.mark.parametrize("mode", [CONTINUOUS, DISCRETE])
+    @pytest.mark.parametrize("t", [build_figure_eight(9, 4),
+                                   build_torus_city(2, 3, 3)],
+                             ids=["figure_eight", "city"])
+    def test_diagrams_match_lone_sweeps(self, t, mode):
+        names = ["open_loop", "local_feedback", "priority", "global_feedback"]
+        policies = [SWEEP_POLICIES[name](t) for name in names]
+        densities = [0.15, 0.4, 0.7]
+        kwargs = dict(seeds=(0, 1, 2), horizon=90, burn_in=40, per_road=True)
+        diagrams = sweep_diagrams(t, densities, mode, policies, **kwargs)
+        assert [d.policy_id for d in diagrams] == names
+        for policy, diagram in zip(policies, diagrams):
+            # every field: flows, flags, seed flows, per-road values
+            assert diagram == sweep_diagram(t, densities, mode, policy,
+                                            **kwargs)
+            assert len(diagram.points) == len(densities)
 
     @pytest.mark.parametrize("mode", [DISCRETE, CONTINUOUS])
     def test_empty_density_grid(self, mode):
         t = build_torus_city(2, 2, 3)
         solution = solve_lqr(build_lq_model(t))
-        for policy in (None, OpenLoopPolicy(), LocalFeedbackPolicy(),
-                       GlobalFeedbackPolicy(solution)):
+        policies = (None, OpenLoopPolicy(), LocalFeedbackPolicy(),
+                    GlobalFeedbackPolicy(solution))
+        for policy in policies:
             diag = sweep_diagram(t, [], mode, policy, seeds=(0,),
                                  horizon=20, per_road=True)
             assert diag.points == []
+        diagrams = sweep_diagrams(t, [], mode, policies, seeds=(0,),
+                                  horizon=20, per_road=True)
+        assert [d.points for d in diagrams] == [[]] * len(policies)
 
     def test_no_occupancy_rebuild_while_stepping(self, monkeypatch):
         t = build_torus_city(2, 2, 3)
@@ -512,16 +547,23 @@ class TestDistanceAndResponse:
                                         "global_feedback"])
     def test_stacked_traces_match_lone_runs(self, policy):
         t = build_torus_city(3, 3, 4)
-        policy = SWEEP_POLICIES[policy](t)
         starts = np.array([clustered_occupancy(t, 14, seed=s)
                            for s in range(3)])
+        # the lane-group case: every policy's runs in one call, priority
+        # in a stack of its own and the gate policies as lane groups
+        names = ["priority", "open_loop", "local_feedback", "global_feedback"]
+        grouped = run_response_traces(
+            t, starts, [SWEEP_POLICIES[name](t) for name in names],
+            horizon=80)[names.index(policy)]
+        policy = SWEEP_POLICIES[policy](t)
         traces = run_response_trace(t, starts, policy, horizon=80)
-        assert len(traces) == len(starts)
-        for a, trace in zip(starts, traces):
+        assert len(traces) == len(grouped) == len(starts)
+        for a, trace, in_group in zip(starts, traces, grouped):
             lone = run_response_trace(t, a, policy, horizon=80)
             assert trace.distances == lone.distances
             assert trace.policy_id == lone.policy_id
             assert trace.distances == lone_trace(t, a, policy, horizon=80)
+            assert in_group == lone  # policy id and every distance
 
     def test_clustered_start_relaxes_under_local_feedback(self):
         t = build_torus_city(2, 2, 4)

@@ -9,7 +9,10 @@ two checkouts alike:
       skips 180 lanes);
 * L2  each policy's ``greens`` on the 12-lane 8x8x9 city, in us per call;
 * L4  the 60-density x 3-seed Fig-8 45/15 sweep at horizon 5,900
-      (continuous), in seconds.
+      (continuous), in seconds;
+* L6  the ``diagram`` and ``response`` commands of the benchmark's
+      ``city_policies`` config (workload seed 0), each through
+      ``cli.main`` in this process, in seconds.
 
 Each entry is the median of REPEATS timings, each of them the mean over
 ``steps`` calls.  Run it once per checkout, with that checkout's
@@ -22,12 +25,15 @@ into the output file under ``trees.<label>``:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -37,7 +43,9 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from roadphases import control, dynamics, metrics, topology  # noqa: E402
+from roadphases import cli, control, dynamics, metrics, topology  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
 
 NETWORKS = {
     "fig8_45_15": lambda: topology.build_figure_eight(45, 15),
@@ -118,6 +126,24 @@ def layer4() -> dict:
                                       unit="s per sweep")}
 
 
+def layer6() -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import CITY_POLICIES  # imports nothing from the program
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "city_policies.cfg"
+        cfg.write_text(CITY_POLICIES.config_text(0))
+        for command in CITY_POLICIES.commands:
+            def run():
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    cli.main(["--out", tmp, command, "--config", str(cfg)])
+            run()  # first-call costs
+            out[f"city_policies/{command}"] = entry(
+                timed(run, 1), 1.0, 1, unit="s per command")
+    return out
+
+
 def machine() -> dict:
     deps = np.show_config(mode="dicts")["Build Dependencies"]
     blas = {k: deps[k]["name"] for k in ("blas", "lapack")}
@@ -136,7 +162,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     run = {"machine": machine()}
-    for layer, fn in (("L1", layer1), ("L2", layer2), ("L4", layer4)):
+    for layer, fn in (("L1", layer1), ("L2", layer2), ("L4", layer4),
+                      ("L6", layer6)):
         run[layer] = fn()
         print(f"{layer} done", file=sys.stderr)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
