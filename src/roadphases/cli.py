@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
+import itertools
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -26,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, control, metrics
-from .dynamics import (DISCRETE, MODES, init_occupancy, occupancy_lines,
-                       counter_lines, simulate)
+from .dynamics import (DISCRETE, MODES, CounterState, init_occupancy,
+                       kernel_for, occupancies, simulate)
 from .topology import NetworkTopology, build_figure_eight, parse_topology_text
 
 # each junction policy by name: how a RunConfig builds it on network t
@@ -216,6 +218,100 @@ def _initial_occupancy(cfg: RunConfig, t: NetworkTopology) -> np.ndarray:
     return init_occupancy(t, *given, seed=cfg.seeds[0])
 
 
+def _write_csv(path: Path, rows, eol: str) -> None:
+    """Stream ``rows`` (header first) to ``path``; each file passes its
+    own line ending ``eol`` and keeps it, so that its bytes never change."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator=eol).writerows(rows)
+
+
+def write_diagram_csv(series: list[tuple[metrics.FundamentalDiagram,
+                                         metrics.Segmentation]], path) -> None:
+    """One row per point of each (diagram, segmentation) series."""
+    _write_csv(path, itertools.chain([
+        ["topology_id", "policy", "r", "density", "flow", "phase",
+         "converged", "seed_count"]],
+        ([d.topology_id, d.policy_id, repr(d.r), repr(p.density),
+          repr(p.flow), str(label), int(p.converged), p.seed_count]
+         for d, seg in series for p, label in zip(d.points, seg.labels))),
+        "\r\n")
+
+
+def write_road_csv(diagrams: list[metrics.FundamentalDiagram], path) -> None:
+    """Per-road density and flow, one block of rows per diagram."""
+    _write_csv(path, itertools.chain([
+        ["topology_id", "policy", "r", "density", "flow", "road_id",
+         "road_density", "road_flow"]],
+        ([d.topology_id, d.policy_id, repr(d.r), repr(p.density),
+          repr(p.flow), rid, repr(rd), repr(rf)]
+         for d in diagrams for p in d.points if p.road_flow is not None
+         for rid, (rd, rf) in enumerate(zip(p.road_density, p.road_flow)))),
+        "\r\n")
+
+
+def write_response_csv(trace: metrics.ResponseTrace, path) -> None:
+    _write_csv(path, itertools.chain([["step", "distance"]], (
+        [k, repr(dist)] for k, dist in enumerate(trace.distances))), "\r\n")
+
+
+def read_diagram_csv(path) -> metrics.FundamentalDiagram:
+    """Rebuild a diagram (points only) from the CSV dump of one series;
+    an unreadable row or a non-finite density or flow names its line."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = [(reader.line_num, row) for row in reader]
+    missing = [c for c in ("topology_id", "policy", "r", "density", "flow",
+                           "converged", "seed_count")
+               if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path} lacks diagram columns: {', '.join(missing)}")
+    if not rows:
+        raise ValueError(f"empty diagram CSV: {path}")
+    series = {(row["topology_id"], row["policy"], row["r"]) for _, row in rows}
+    if len(series) > 1:
+        raise ValueError(f"{path} holds {len(series)} diagram series "
+                         "(topology_id, policy, r), expected one")
+    topology_id, policy_id, r = series.pop()
+    diagram = metrics.FundamentalDiagram(topology_id, float(r), policy_id)
+    for line, row in rows:
+        try:
+            p = metrics.DiagramPoint(
+                float(row["density"]), float(row["flow"]),
+                bool(int(row["converged"])), int(row["seed_count"]), ())
+            if not np.isfinite([p.density, p.flow]).all():
+                raise ValueError("density and flow must be finite, got "
+                                 f"{p.density}, {p.flow}")
+        except (TypeError, ValueError) as exc:  # TypeError: a short row
+            raise ValueError(f"{path} line {line}: {exc}") from exc
+        diagram.points.append(p)
+    return diagram
+
+
+def counter_lines(states: list[CounterState]) -> str:
+    """Trajectory dump: one line per step, tab-separated exact decimals."""
+    return "\n".join(
+        "\t".join(np.format_float_positional(v, trim="-")
+                  for v in s.x.astype(float)) for s in states) + "\n"
+
+
+# per-position codes: a road cell is 0 or 1, a junction 2 + west + 2 * south
+_LINE_CHARS = np.array(list("010WSB"))
+
+
+def occupancy_line(t: NetworkTopology, y: np.ndarray) -> str:
+    """One 0/1 character per counting position; junctions as 0, W, S or B."""
+    kern = kernel_for(t)
+    code = (np.asarray(y) != 0).astype(np.intp)
+    code[kern.slot_a] += 2 + 2 * code[kern.slot_b]
+    return "".join(_LINE_CHARS[code[kern.counting]])
+
+
+def occupancy_lines(t: NetworkTopology, states: list[CounterState],
+                    a) -> str:
+    return "\n".join(occupancy_line(t, y)
+                     for y in occupancies(t, states, a)) + "\n"
+
+
 def cmd_simulate(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
     a = _initial_occupancy(cfg, t)
     horizon = cfg.horizon if cfg.horizon is not None else 50
@@ -264,17 +360,16 @@ def cmd_diagram(cfg: RunConfig, t: NetworkTopology, out_dir: Path,
             seg = metrics.classify_phases_empirical(diagram, cfg.eps)
             series_data.append((label, diagram, seg))
             all_converged &= all(p.converged for p in diagram.points)
-    metrics.write_diagram_csv([(d, seg) for _, d, seg in series_data],
-                              out_dir / "diagram.csv")
+    write_diagram_csv([(d, seg) for _, d, seg in series_data],
+                      out_dir / "diagram.csv")
     (out_dir / "diagram.dat").write_text(plot_data_text(series_data))
     written = ["diagram.csv", "diagram.dat"]
     if cfg.per_road:
-        metrics.write_road_csv([d for _, d, _ in series_data],
-                               out_dir / "diagram_roads.csv")
+        write_road_csv([d for _, d, _ in series_data],
+                       out_dir / "diagram_roads.csv")
         written.append("diagram_roads.csv")
-    if plot:
-        if _render_svg(series_data, out_dir / "diagram.svg"):
-            written.append("diagram.svg")
+    if plot and _render_svg(series_data, out_dir / "diagram.svg"):
+        written.append("diagram.svg")
     print(f"diagram: {len(series_data)} series -> {', '.join(written)}")
     if not all_converged:
         print("warning: some points did not converge", file=sys.stderr)
@@ -290,8 +385,7 @@ def plot_data_text(series_data) -> str:
         lines = [f"# series: {label}",
                  f"# topology: {diagram.topology_id}  policy: "
                  f"{diagram.policy_id}  r: {diagram.r!r}"]
-        for p in diagram.points:
-            lines.append(f"{p.density!r}\t{p.flow!r}")
+        lines += [f"{p.density!r}\t{p.flow!r}" for p in diagram.points]
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
 
@@ -322,28 +416,25 @@ def cmd_eigen(n: int, m: int, capacity: int, points: int,
     if points < 2:
         raise ConfigError("need at least 2 grid points")
     b = analytic.phase_boundaries(n, m)
-    lines = [f"# n={n} m={m} capacity={capacity}",
-             f"# r={b.r} rho={b.rho} d1={b.d1} d2={b.d2}",
-             "density,case,candidates,selected,flow_approx"]
+    rows = [[f"# n={n} m={m} capacity={capacity}"],
+            [f"# r={b.r} rho={b.rho} d1={b.d1} d2={b.d2}"],
+            ["density", "case", "candidates", "selected", "flow_approx"]]
     for k in range(points):
         d = k / (points - 1)
         res = analytic.eigen_candidates(d, n, m, capacity)
         fa = analytic.flow_approx(d, b.r, capacity)
         cands = ";".join(repr(c) for c in res.candidates)
-        lines.append(f"{d!r},{res.case},{cands},{res.selected!r},{fa!r}")
-    path = out_dir / "eigen.csv"
-    path.write_text("\n".join(lines) + "\n")
+        rows.append([repr(d), res.case, cands, repr(res.selected), repr(fa)])
+    _write_csv(out_dir / "eigen.csv", rows, "\n")
     print(f"eigen: {points} densities -> eigen.csv")
     return 0
 
 
 def cmd_phases(input_csv: Path, eps: float, out_dir: Path) -> int:
-    diagram = metrics.read_diagram_csv(input_csv)
-    seg = metrics.classify_phases_empirical(diagram, eps)
-    lines = ["d_lo,d_hi,phase"]
-    for s in seg.segments:
-        lines.append(f"{s.d_lo!r},{s.d_hi!r},{s.label}")
-    (out_dir / "phases.csv").write_text("\n".join(lines) + "\n")
+    seg = metrics.classify_phases_empirical(read_diagram_csv(input_csv), eps)
+    rows = [[repr(s.d_lo), repr(s.d_hi), str(s.label)] for s in seg.segments]
+    _write_csv(out_dir / "phases.csv", [["d_lo", "d_hi", "phase"], *rows],
+               "\n")
     print(f"phases: {len(seg.segments)} segments -> phases.csv")
     return 0
 
@@ -360,7 +451,7 @@ def cmd_response(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
     count = round(cfg.response_density * t.counting_size)
     starts = np.array([metrics.clustered_occupancy(t, count, seed)
                        for seed in cfg.seeds])
-    summary = ["policy,seed,response_time,settled,plateau"]
+    summary = [["policy", "seed", "response_time", "settled", "plateau"]]
     policies = [make_policy(name, cfg, t) for name in cfg.response_policies]
     by_policy = metrics.run_response_traces(t, starts, policies, horizon)
     for name, traces in zip(cfg.response_policies, by_policy):
@@ -368,10 +459,10 @@ def cmd_response(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
             band = cfg.response_band_fraction * trace.distances[0]
             rt, settled = metrics.response_time(trace, band)
             plateau = metrics.plateau_level(trace)
-            metrics.write_response_csv(
+            write_response_csv(
                 trace, out_dir / f"response_{name}_seed{seed}.csv")
-            summary.append(f"{name},{seed},{rt},{int(settled)},{plateau!r}")
-    (out_dir / "response_summary.csv").write_text("\n".join(summary) + "\n")
+            summary.append([name, seed, rt, int(settled), repr(plateau)])
+    _write_csv(out_dir / "response_summary.csv", summary, "\n")
     print(f"response: {len(cfg.response_policies)} policies x "
           f"{len(cfg.seeds)} seeds -> response_summary.csv")
     return 0

@@ -380,11 +380,11 @@ def simulate(t: NetworkTopology, a, mode: str = DISCRETE, horizon: int = 1,
 def occupancy_at(state: CounterState, a, t: NetworkTopology) -> np.ndarray:
     """Per-slot occupancies (exact 0/1) of a discrete state, rebuilt from
     its counters; a continuous state is rejected."""
-    return _occupancies(t, [state], a)[0]
+    return occupancies(t, [state], a)[0]
 
 
-def _occupancies(t: NetworkTopology, states: list[CounterState],
-                 a) -> np.ndarray:
+def occupancies(t: NetworkTopology, states: list[CounterState],
+                a) -> np.ndarray:
     """occupancy_at of each state of placement ``a``: ``a`` is checked
     once, and every state is rebuilt by one occupancy call."""
     if any(s.mode != DISCRETE for s in states):
@@ -392,28 +392,3 @@ def _occupancies(t: NetworkTopology, states: list[CounterState],
     a, x = _validated(t, DISCRETE, a, [s.x for s in states] or
                       np.empty((0, *np.shape(a))), states=True)
     return kernel_for(t).occupancy(x, a, True)
-
-
-def counter_lines(states: list[CounterState]) -> str:
-    """Trajectory dump: one line per step, tab-separated exact decimals."""
-    return "\n".join(
-        "\t".join(np.format_float_positional(v, trim="-")
-                  for v in s.x.astype(float)) for s in states) + "\n"
-
-
-# per-position codes: a road cell is 0 or 1, a junction 2 + west + 2 * south
-_LINE_CHARS = np.array(list("010WSB"))
-
-
-def occupancy_line(t: NetworkTopology, y: np.ndarray) -> str:
-    """One 0/1 character per counting position; junctions as 0, W, S or B."""
-    kern = kernel_for(t)
-    code = (np.asarray(y) != 0).astype(np.intp)
-    code[kern.slot_a] += 2 + 2 * code[kern.slot_b]
-    return "".join(_LINE_CHARS[code[kern.counting]])
-
-
-def occupancy_lines(t: NetworkTopology, states: list[CounterState],
-                    a) -> str:
-    return "\n".join(occupancy_line(t, y)
-                     for y in _occupancies(t, states, a)) + "\n"

@@ -14,7 +14,6 @@ results are exactly those it has when run alone.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -361,69 +360,3 @@ def run_response_traces(t: NetworkTopology, a, policies,
     by ``_by_policy``."""
     return [traces for traces, in _by_policy(policies, a, lambda a, policy: (
         run_response_trace(t, a, policy, horizon),))]
-
-
-def write_diagram_csv(
-        series: list[tuple[FundamentalDiagram, Segmentation]], path) -> None:
-    """One row per point of each (diagram, segmentation) series."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["topology_id", "policy", "r", "density", "flow",
-                    "phase", "converged", "seed_count"])
-        for diagram, seg in series:
-            for p, label in zip(diagram.points, seg.labels):
-                w.writerow([diagram.topology_id, diagram.policy_id,
-                            repr(diagram.r), repr(p.density), repr(p.flow),
-                            str(label), int(p.converged), p.seed_count])
-
-
-def write_road_csv(diagrams: list[FundamentalDiagram], path) -> None:
-    """Per-road density and flow, one block of rows per diagram."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["topology_id", "policy", "r", "density", "flow",
-                    "road_id", "road_density", "road_flow"])
-        for diagram in diagrams:
-            for p in diagram.points:
-                if p.road_flow is None:
-                    continue
-                for rid, (rd, rf) in enumerate(zip(p.road_density,
-                                                   p.road_flow)):
-                    w.writerow([diagram.topology_id, diagram.policy_id,
-                                repr(diagram.r), repr(p.density),
-                                repr(p.flow), rid, repr(rd), repr(rf)])
-
-
-def write_response_csv(trace: ResponseTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "distance"])
-        for k, dist in enumerate(trace.distances):
-            w.writerow([k, repr(dist)])
-
-
-def read_diagram_csv(path) -> FundamentalDiagram:
-    """Rebuild a diagram (points only) from the CSV dump of one series."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    missing = [c for c in ("topology_id", "policy", "r", "density", "flow",
-                           "converged", "seed_count")
-               if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"{path} lacks diagram columns: {', '.join(missing)}")
-    if not rows:
-        raise ValueError(f"empty diagram CSV: {path}")
-    series = {(row["topology_id"], row["policy"], row["r"]) for row in rows}
-    if len(series) > 1:
-        raise ValueError(f"{path} holds {len(series)} diagram series "
-                         "(topology_id, policy, r), expected one")
-    diagram = FundamentalDiagram(
-        topology_id=rows[0]["topology_id"], r=float(rows[0]["r"]),
-        policy_id=rows[0]["policy"])
-    for row in rows:
-        diagram.points.append(DiagramPoint(
-            density=float(row["density"]), flow=float(row["flow"]),
-            converged=bool(int(row["converged"])),
-            seed_count=int(row["seed_count"]), seed_flows=()))
-    return diagram

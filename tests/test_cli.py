@@ -20,10 +20,10 @@ from roadphases.cli import (
     make_policy,
     parse_config,
     parse_density_grid,
+    read_diagram_csv,
 )
 from roadphases.dynamics import CONTINUOUS, init_occupancy, simulate
-from roadphases.metrics import (_policy_id, classify_phases_empirical,
-                                read_diagram_csv)
+from roadphases.metrics import _policy_id, classify_phases_empirical
 from roadphases.topology import build_figure_eight
 
 TABLE1_CFG = """\
@@ -400,6 +400,25 @@ class TestDiagramCommand:
         assert not (tmp_path / "diagram.csv").exists()
         assert sweeps == []
 
+    def test_plot_without_matplotlib(self, tmp_path, capsys, monkeypatch):
+        # a None entry makes ``import matplotlib`` raise ImportError
+        monkeypatch.setitem(sys.modules, "matplotlib", None)
+        cfg_path = tmp_path / "diag.cfg"
+        cfg_path.write_text(DIAGRAM_CFG + "per_road = true\n")
+        written, errs = {}, {}
+        for name, flags in (("plain", []), ("plot", ["--plot"])):
+            out = tmp_path / name
+            assert main(["--out", str(out), "diagram", "--config",
+                         str(cfg_path), *flags]) == 0
+            written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+            errs[name] = capsys.readouterr().err
+        assert "warning: matplotlib not installed" in errs["plot"]
+        assert "matplotlib" not in errs["plain"]
+        assert "diagram.svg" not in written["plot"]
+        assert written["plot"] == written["plain"]
+        assert set(written["plain"]) == {"diagram.csv", "diagram.dat",
+                                         "diagram_roads.csv"}
+
     def test_csv_phases_agree_on_reread(self, tmp_path):
         cfg_path = tmp_path / "diag.cfg"
         cfg_path.write_text(DIAGRAM_CFG)
@@ -596,6 +615,32 @@ class TestPhasesCommand:
                        tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "2 diagram series" in err
+        assert not (tmp_path / "phases.csv").exists()
+
+    @pytest.mark.parametrize("point", ["nan,0.7", "0.0,inf", "0.2,-inf"])
+    def test_rejects_non_finite_points(self, tmp_path, capsys, point):
+        csv_path = tmp_path / "diagram.csv"
+        csv_path.write_text("topology_id,policy,r,density,flow,phase,"
+                            "converged,seed_count\n"
+                            "t,priority,0.5,0.5,0.25,saturation,1,1\n"
+                            f"t,priority,0.5,{point},free,1,1\n")
+        assert run_cli(["phases", "--input", str(csv_path)], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path} line 3: ")
+        assert "must be finite" in err and point.replace(",", ", ") in err
+        assert not (tmp_path / "phases.csv").exists()
+
+    @pytest.mark.parametrize("row, fault", [
+        ("t,priority,0.5,abc,0.25,free,1,1", "could not convert"),
+        ("t,priority,0.5,0.5,0.25,free,yes,1", "invalid literal"),
+        ("t,priority,0.5,0.5,0.25,free,1", "NoneType")])
+    def test_rejects_unreadable_rows(self, tmp_path, capsys, row, fault):
+        csv_path = tmp_path / "diagram.csv"
+        csv_path.write_text("topology_id,policy,r,density,flow,phase,"
+                            f"converged,seed_count\n{row}\n")
+        assert run_cli(["phases", "--input", str(csv_path)], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path} line 2: ") and fault in err
         assert not (tmp_path / "phases.csv").exists()
 
     @pytest.mark.parametrize("eps", ["nan", "-0.01", "inf"])
@@ -846,15 +891,36 @@ class TestFileErrors:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-# Discrete runs whose every output file is pinned by its sha256: the README
-# promises byte-identical outputs for identical configs and seeds.  Discrete
-# flows are integer sums divided once.  The global-feedback runs round the
-# LQR control to whole green slots, so the last digits of the gain do not
-# reach their bytes.  Response distances are BLAS norms; another BLAS may
-# round their last digit differently.
+def with_config(command: str, cfg_text: str):
+    """The argv of ``command`` on a config file holding ``cfg_text``."""
+    def argv(tmp_path) -> list[str]:
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(cfg_text)
+        return [command, "--config", str(cfg_path)]
+    return argv
+
+
+def phases_of(name: str):
+    """The argv of ``phases`` on the diagram.csv of pinned run ``name``."""
+    def argv(tmp_path) -> list[str]:
+        diagram = tmp_path / "diagram"
+        assert main(["--out", str(diagram), *PINNED_RUNS[name](tmp_path)]) == 0
+        return ["phases", "--input", str(diagram / "diagram.csv")]
+    return argv
+
+
+# Runs whose every output file is pinned by its sha256, line endings
+# included: the README promises byte-identical outputs for identical configs
+# and seeds, and together these runs write every kind of output file but
+# the SVG.  Discrete flows are integer sums divided once; eigen rows are
+# closed forms, and phases rows compare the pinned diagram's flows.  The
+# global-feedback runs round the LQR control to whole green slots, so the
+# last digits of the gain do not reach their bytes.  Response distances are
+# BLAS norms; another BLAS may round their last digit differently.
 PINNED_RUNS = {
-    "fig8_table3": ("simulate", TABLE1_CFG.replace("continuous", "discrete")),
-    "city_open_loop": ("simulate", """\
+    "fig8_table3": with_config(
+        "simulate", TABLE1_CFG.replace("continuous", "discrete")),
+    "city_open_loop": with_config("simulate", """\
 [topology]
 family = torus_city
 rows = 3
@@ -870,7 +936,7 @@ seeds = 0
 [occupancy]
 density = 0.4
 """),
-    "fig8_priority_diagram": ("diagram", """\
+    "fig8_priority_diagram": with_config("diagram", """\
 [topology]
 family = figure_eight
 n = 45
@@ -884,7 +950,7 @@ seeds = 0,1
 [diagram]
 densities = counts(0,59)
 """),
-    "city_local_feedback_roads": ("diagram", """\
+    "city_local_feedback_roads": with_config("diagram", """\
 [topology]
 family = torus_city
 rows = 3
@@ -901,7 +967,7 @@ densities = linspace(0,1,6)
 policy_list = local_feedback
 per_road = true
 """),
-    "city_global_feedback_response": ("response", """\
+    "city_global_feedback_response": with_config("response", """\
 [topology]
 family = torus_city
 rows = 3
@@ -916,7 +982,7 @@ seeds = 0,1
 horizon = 150
 policies = global_feedback
 """),
-    "city_global_feedback_roads": ("diagram", """\
+    "city_global_feedback_roads": with_config("diagram", """\
 [topology]
 family = torus_city
 rows = 4
@@ -933,6 +999,10 @@ densities = linspace(0,1,6)
 policy_list = global_feedback
 per_road = true
 """),
+    "eigen_45_15": lambda tmp_path: ["eigen", "--n", "45", "--m", "15"],
+    "eigen_45_15_capacity2": lambda tmp_path: [
+        "eigen", "--n", "45", "--m", "15", "--capacity", "2"],
+    "fig8_priority_phases": phases_of("fig8_priority_diagram"),
 }
 
 PINNED_DIGESTS = {
@@ -966,11 +1036,23 @@ PINNED_DIGESTS = {
         "occupancy.txt":
             "4dd53b421b5f11387e42cdd23099d85df1b200fb9835f59b71218839a2c82f6b",
     },
+    "eigen_45_15": {
+        "eigen.csv":
+            "54c13e4acebafde4397cff5e6c7dc9dd2a56196c95338cbb02edc2e66d7835f0",
+    },
+    "eigen_45_15_capacity2": {
+        "eigen.csv":
+            "639bb026252aad93fa36ea5334050bb265c58b97fdec395a3105f0495d729479",
+    },
     "fig8_priority_diagram": {
         "diagram.csv":
             "7b139f6bdc0a2345f9fde540f994f136b54ab3a44f2a2f22b7835c5a5ca5aca3",
         "diagram.dat":
             "5c05a09a8d175babf9cc93bb1e1e90569983c2351d80c50188a2d27a0ce58391",
+    },
+    "fig8_priority_phases": {
+        "phases.csv":
+            "08549d66860ef870fbcfd15e3914e4b6cc1d91306045cf39e65421fc8750475d",
     },
     "fig8_table3": {
         "counters.tsv":
@@ -981,12 +1063,10 @@ PINNED_DIGESTS = {
 }
 
 
-def output_digests(command: str, cfg_text: str, tmp_path) -> dict:
-    """sha256 of every file one CLI run writes, by file name."""
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(cfg_text)
+def output_digests(argv: list[str], tmp_path) -> dict:
+    """sha256 of every file one CLI run of ``argv`` writes, by file name."""
     out = tmp_path / "out"
-    assert main(["--out", str(out), command, "--config", str(cfg_path)]) == 0
+    assert main(["--out", str(out), *argv]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir())}
 
@@ -994,5 +1074,5 @@ def output_digests(command: str, cfg_text: str, tmp_path) -> dict:
 class TestPinnedOutputs:
     @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
     def test_outputs_match_recorded_digests(self, name, tmp_path):
-        assert output_digests(*PINNED_RUNS[name], tmp_path) == \
+        assert output_digests(PINNED_RUNS[name](tmp_path), tmp_path) == \
             PINNED_DIGESTS[name]

@@ -10,19 +10,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadphases.cli import counter_lines, occupancy_line, occupancy_lines
 from roadphases.dynamics import (
     CONTINUOUS,
     DISCRETE,
     CounterState,
     Simulation,
     check_occupancy,
-    counter_lines,
     density,
     init_occupancy,
     kernel_for,
     occupancy_at,
-    occupancy_line,
-    occupancy_lines,
     simulate,
     step,
 )

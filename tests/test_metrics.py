@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from roadphases.analytic import PhaseLabel, flow_approx, phase_boundaries
+from roadphases.cli import (read_diagram_csv, write_diagram_csv,
+                            write_response_csv, write_road_csv)
 from roadphases.control import (
     GlobalFeedbackPolicy,
     LocalFeedbackPolicy,
@@ -32,15 +34,11 @@ from roadphases.metrics import (
     detect_period,
     distance_to_uniform,
     estimate_growth_rate,
-    read_diagram_csv,
     response_time,
     run_response_trace,
     run_response_traces,
     sweep_diagram,
     sweep_diagrams,
-    write_diagram_csv,
-    write_response_csv,
-    write_road_csv,
 )
 from roadphases.topology import (
     build_figure_eight,

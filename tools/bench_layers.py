@@ -12,14 +12,19 @@ two checkouts alike:
       (continuous), in seconds;
 * L6  the ``diagram`` and ``response`` commands of the benchmark's
       ``city_policies`` config (workload seed 0), each through
-      ``cli.main`` in this process, in seconds.
+      ``cli.main`` in the child process, in seconds.
 
-Each entry is the median of REPEATS timings, each of them the mean over
-``steps`` calls.  Run it once per checkout, with that checkout's
-``src`` on the path, and give each run its own label; results are merged
-into the output file under ``trees.<label>``:
+Each timing is the mean over ``steps`` calls.  Every tree, given as
+``label=src`` (a checkout's ``src`` directory), is timed REPEATS times, and
+each repeat is a fresh child process with that tree first on the path.  The
+trees take turns, one child each per repeat, and every other repeat
+reverses their order (A B B A A B ...), so host drift that lasts longer
+than a child reaches every tree alike instead of reading as a layer change.
+Each entry records the median, quartiles and minimum of its REPEATS
+timings; results are merged into the output file under ``trees.<label>``:
 
-    PYTHONPATH=src python tools/bench_layers.py --label change --out BENCH.json
+    python tools/bench_layers.py --out BENCH.json \\
+        --tree parent=../parent/src --tree change=src
 """
 
 from __future__ import annotations
@@ -32,20 +37,23 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-# one BLAS thread, as perfbench pins it: timings then do not depend on load
+# One BLAS thread on purpose, so that a timing does not depend on how many
+# cores are free (perfbench/run.py pins the usable core count instead).
+# Children inherit it.
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
 
 import numpy as np  # noqa: E402
 
-from roadphases import cli, control, dynamics, metrics, topology  # noqa: E402
-
 ROOT = Path(__file__).resolve().parent.parent
+# the program's modules (cli, control, dynamics, metrics, topology) are
+# imported by measure(), in each child, from the tree that child times
 
 NETWORKS = {
     "fig8_45_15": lambda: topology.build_figure_eight(45, 15),
@@ -63,21 +71,17 @@ def placements(t, lanes: int, density: float = 0.3) -> np.ndarray:
                      for s in range(lanes)])
 
 
-def timed(fn, steps: int) -> list[float]:
-    """Seconds per call of ``fn`` (called ``steps`` times), per repeat."""
-    out = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _ in range(steps):
-            fn()
-        out.append((time.perf_counter() - start) / steps)
-    return out
+def timed(fn, steps: int) -> float:
+    """Seconds per call of ``fn``, called ``steps`` times."""
+    start = time.perf_counter()
+    for _ in range(steps):
+        fn()
+    return (time.perf_counter() - start) / steps
 
 
-def entry(samples: list[float], scale: float, steps: int, **extra) -> dict:
-    return {"median": statistics.median(samples) * scale,
-            "min": min(samples) * scale, "repeats": len(samples),
-            "steps": steps, **extra}
+def entry(seconds: float, scale: float, steps: int, **extra) -> dict:
+    """One timing (``seconds`` x ``scale``) of an entry, with its facts."""
+    return {"sample": seconds * scale, "steps": steps, **extra}
 
 
 def layer1() -> dict:
@@ -91,10 +95,9 @@ def layer1() -> dict:
                                       dynamics.CONTINUOUS)
             sim.advance(5)  # first-call costs
             steps = L1_STEPS[name]
-            samples = timed(sim.advance, steps)
             out[f"{name}/{lanes}"] = entry(
-                samples, 1e6 / lanes, steps, slots=t.n_slots, lanes=lanes,
-                unit="us per lane-step")
+                timed(sim.advance, steps), 1e6 / lanes, steps,
+                slots=t.n_slots, lanes=lanes, unit="us per lane-step")
     return out
 
 
@@ -110,18 +113,18 @@ def layer2() -> dict:
                                   policy)
         sim.advance(20)
         ks = itertools.count()  # every phase of a light cycle in turn
-        samples = timed(lambda: sim.policy.greens(next(ks), sim), 400)
-        out[name] = entry(samples, 1e6, 400, lanes=12, unit="us per call")
+        seconds = timed(lambda: sim.policy.greens(next(ks), sim), 400)
+        out[name] = entry(seconds, 1e6, 400, lanes=12, unit="us per call")
     return out
 
 
 def layer4() -> dict:
     t = NETWORKS["fig8_45_15"]()
     grid = [n / 59 for n in range(60)]
-    samples = timed(lambda: metrics.sweep_diagram(
+    seconds = timed(lambda: metrics.sweep_diagram(
         t, grid, dynamics.CONTINUOUS, seeds=(0, 1, 2),
         horizon=100 * t.counting_size), 1)
-    return {"fig8_45_15_sweep": entry(samples, 1.0, 1, runs=180,
+    return {"fig8_45_15_sweep": entry(seconds, 1.0, 1, runs=180,
                                       horizon=100 * t.counting_size,
                                       unit="s per sweep")}
 
@@ -155,20 +158,73 @@ def machine() -> dict:
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
 
 
+def measure() -> dict:
+    """One timing of every entry, of the program first on ``sys.path``."""
+    global cli, control, dynamics, metrics, topology
+    from roadphases import cli, control, dynamics, metrics, topology
+    return {"src": str(Path(cli.__file__).resolve().parent.parent),
+            "L1": layer1(), "L2": layer2(), "L4": layer4(), "L6": layer6()}
+
+
+def run_child(src: Path) -> dict:
+    """measure() in a fresh process that imports the program from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, __file__, "--child"], env=env,
+                          check=True, capture_output=True, text=True)
+    out = json.loads(done.stdout)
+    if Path(out.pop("src")) != src:
+        raise RuntimeError(f"the child did not import the program from {src}")
+    return out
+
+
+def summary(samples: list[dict]) -> dict:
+    """An entry's REPEATS timings as median, quartiles and minimum."""
+    values = [s["sample"] for s in samples]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    facts = {k: v for k, v in samples[0].items() if k != "sample"}
+    return {"median": median, "q1": q1, "q3": q3, "min": min(values),
+            "repeats": len(values), **facts}
+
+
+def tree_arg(text: str) -> tuple[str, Path]:
+    label, sep, src = text.partition("=")
+    if not (label and sep and (Path(src) / "roadphases").is_dir()):
+        raise argparse.ArgumentTypeError(
+            f"need label=src with a roadphases package in src: {text!r}")
+    return label, Path(src).resolve()
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--label", required=True,
-                   help="name of the measured tree, e.g. parent or change")
-    p.add_argument("--out", type=Path, required=True)
+    p.add_argument("--tree", type=tree_arg, action="append", default=[],
+                   metavar="LABEL=SRC",
+                   help="a tree to time, e.g. change=src (repeatable)")
+    p.add_argument("--out", type=Path)
+    p.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    run = {"machine": machine()}
-    for layer, fn in (("L1", layer1), ("L2", layer2), ("L4", layer4),
-                      ("L6", layer6)):
-        run[layer] = fn()
-        print(f"{layer} done", file=sys.stderr)
+    if args.child:
+        print(json.dumps(measure()))
+        return 0
+    if not args.tree or args.out is None:
+        p.error("give --out and at least one --tree")
+    runs = {label: [] for label, _ in args.tree}
+    if len(runs) < len(args.tree):
+        p.error("each --tree needs a label of its own")
+    for repeat in range(REPEATS):
+        # every other repeat reverses the order, so no tree always goes first
+        for label, src in args.tree[::-1] if repeat % 2 else args.tree:
+            runs[label].append(run_child(src))
+            print(f"repeat {repeat + 1}/{REPEATS}: {label} done",
+                  file=sys.stderr)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("script", "tools/bench_layers.py")
-    doc.setdefault("trees", {})[args.label] = run
+    info = machine()
+    for label, src in args.tree:
+        first = runs[label][0]
+        doc.setdefault("trees", {})[label] = {
+            "machine": info, "src": str(src),
+            **{layer: {key: summary([r[layer][key] for r in runs[label]])
+                       for key in first[layer]} for layer in first}}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
