@@ -62,11 +62,10 @@ from .topology import (
     NetworkTopology,
     RoadSegment,
     build_figure_eight,
+    build_topology,
     build_torus_city,
     build_two_junction,
-    parse_topology_text,
     ratio_r,
-    topology_to_text,
 )
 
 __version__ = "0.1.0"

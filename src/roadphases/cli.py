@@ -30,7 +30,7 @@ import numpy as np
 from . import analytic, control, metrics
 from .dynamics import (DISCRETE, MODES, CounterState, init_occupancy,
                        kernel_for, occupancies, simulate)
-from .topology import NetworkTopology, build_figure_eight, parse_topology_text
+from .topology import NetworkTopology, build_figure_eight, build_topology
 
 # each junction policy by name: how a RunConfig builds it on network t
 _POLICIES = {
@@ -86,11 +86,11 @@ class RunConfig:
     Each field but ``topology`` declares its INI section, key and parser
     once, in its metadata: that is the whole schema, and parse_config
     rejects any other section or key.  A mode or policy name must be one
-    of MODES or _POLICIES.  ``[topology]`` is checked by the family
-    builder's signature.
+    of MODES or _POLICIES.  ``topology`` holds the (key, value) pairs of
+    ``[topology]``, checked by the family builder's signature.
     """
 
-    topology: str                      # key = value block, one per line
+    topology: tuple[tuple[str, str], ...]
     mode: str = _ini("run", "mode", _choice(MODES), DISCRETE)
     policy: str = _ini("run", "policy", _choice(_POLICIES), "priority")
     horizon: int | None = _ini("run", "horizon", int)
@@ -107,7 +107,7 @@ class RunConfig:
     occupancy_density: float | None = _ini("occupancy", "density", float)
     densities: str = _ini("diagram", "densities", str.strip,
                           "linspace(0,1,20)")
-    eps: float = _ini("diagram", "eps", float, 0.02)
+    eps: float = _ini("diagram", "eps", float, metrics.DEFAULT_EPS)
     per_road: bool = _ini("diagram", "per_road", _parse_bool, False)
     r_list: tuple[float, ...] = _ini("diagram", "r_list", _tuple_of(float), ())
     r_size: int = _ini("diagram", "r_size", int, 60)
@@ -122,7 +122,7 @@ class RunConfig:
         ("open_loop", "local_feedback", "global_feedback"))
 
     def build_topology(self) -> NetworkTopology:
-        return parse_topology_text(self.topology)
+        return build_topology(self.topology)
 
 
 # (field, section, key, parse) of every INI key, in field order
@@ -160,8 +160,7 @@ def _parse_config(text: str) -> tuple[RunConfig, NetworkTopology]:
                 unknown.append(f"[{section}] {key}")
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    topo_lines = [f"{k} = {v}" for k, v in cp.items("topology")]
-    cfg = RunConfig(topology="\n".join(topo_lines) + "\n")
+    cfg = RunConfig(topology=tuple(cp.items("topology")))
     try:
         t = cfg.build_topology()
     except ValueError as exc:
@@ -442,6 +441,8 @@ def cmd_phases(input_csv: Path, eps: float, out_dir: Path) -> int:
 def cmd_response(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
     if cfg.mode != DISCRETE:
         raise ConfigError("response scenarios run in discrete mode")
+    if not cfg.response_policies:
+        raise ConfigError("[response] policies must name at least one policy")
     metrics.check_tolerance("band_fraction", cfg.response_band_fraction)
     if not 0 <= cfg.response_density <= 1:
         raise ConfigError("[response] density must lie in [0, 1], got "

@@ -15,7 +15,7 @@ results are exactly those it has when run alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -344,12 +344,8 @@ def run_response_trace(t: NetworkTopology, a, policy, horizon: int):
     for _ in range(horizon):
         sim.advance()
         distances.append(_distances(sim.road_counts(), sim.kernel))
-    lanes = np.column_stack(distances).tolist()
-    ids = [_policy_id(policy)] * len(lanes)
-    for member, part in getattr(policy, "groups", ()):  # LaneGroups
-        ids[part] = [_policy_id(member)] * len(ids[part])
-    traces = [ResponseTrace(policy_id=pid, distances=lane)
-              for pid, lane in zip(ids, lanes)]
+    traces = [ResponseTrace(policy_id=_policy_id(policy), distances=lane)
+              for lane in np.column_stack(distances).tolist()]
     return traces if sim.a.ndim == 2 else traces[0]
 
 
@@ -357,6 +353,8 @@ def run_response_traces(t: NetworkTopology, a, policies,
                         horizon: int) -> list[list[ResponseTrace]]:
     """run_response_trace of each policy from one placement or a (lanes,
     slots) stack of them: one list of traces per policy, all runs stacked
-    by ``_by_policy``."""
-    return [traces for traces, in _by_policy(policies, a, lambda a, policy: (
-        run_response_trace(t, a, policy, horizon),))]
+    by ``_by_policy`` and each trace named after its own policy."""
+    by_policy = _by_policy(policies, a, lambda a, policy: (
+        run_response_trace(t, a, policy, horizon),))
+    return [[replace(trace, policy_id=_policy_id(policy)) for trace in traces]
+            for policy, (traces,) in zip(policies, by_policy)]

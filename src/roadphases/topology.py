@@ -28,6 +28,8 @@ Three closed families are provided:
 * ``build_torus_city``     -- a regular grid of alternating one-way streets
                               wrapped on a torus, priorities by the
                               right-hand rule.
+
+``build_topology`` builds one of them from a config's ``[topology]`` pairs.
 """
 
 from __future__ import annotations
@@ -299,25 +301,11 @@ _BUILDERS = {
 }
 
 
-def topology_to_text(t: NetworkTopology) -> str:
-    """Key = value description, parseable by parse_topology_text."""
-    lines = [f"family = {t.family}"]
-    lines += [f"{k} = {v}" for k, v in t.params.items()]
-    return "\n".join(lines) + "\n"
-
-
-def parse_topology_text(text: str) -> NetworkTopology:
-    """Rebuild a topology from its key = value description: the family
-    builder's arguments, of which those with a default may be left out."""
-    kv: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad topology line: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        kv[key] = val
+def build_topology(pairs) -> NetworkTopology:
+    """A topology from the (key, value) pairs of a ``[topology]`` section:
+    ``family`` and its builder's integer arguments, of which those with a
+    default may be left out.  Any fault raises ValueError."""
+    kv = dict(pairs)
     family = kv.pop("family", None)
     if family not in _BUILDERS:
         raise ValueError(f"unknown topology family: {family!r}")

@@ -158,8 +158,8 @@ band_fraction = 0.2
 policies = open_loop, local_feedback
 """)
         assert cfg == RunConfig(
-            topology="family = torus_city\nrows = 2\ncols = 4\n"
-                     "segment_len = 3\ncapacity = 1\n",
+            topology=(("family", "torus_city"), ("rows", "2"), ("cols", "4"),
+                      ("segment_len", "3"), ("capacity", "1")),
             mode="continuous", policy="open_loop", horizon=100, burn_in=50,
             seeds=(0, 5), cycle=6, green_first=3, offset=1, q_scale=2.0,
             r_scale=5.0, occupancy_values=(1 / 3, 0.0, 1.0, 0.1),
@@ -240,6 +240,21 @@ policies = open_loop, local_feedback
         assert run_in_empty_dir([command, "--config", str(cfg_path)],
                                 tmp_path) == (1, [])
         assert capsys.readouterr().err == f"error: bad value for {named}\n"
+
+    def test_topology_values_follow_the_comment_rule(self, tmp_path,
+                                                     capsys):
+        # as in every other section, only a prefix after whitespace starts
+        # an inline comment
+        for note in (" ; note", " # note"):
+            cfg = parse_config(TABLE1_CFG.replace("n = 5", f"n = 5{note}"))
+            assert dict(cfg.topology)["n"] == "5"
+            assert cfg.build_topology().params["n"] == 5
+        cfg_path = tmp_path / "hash.cfg"
+        cfg_path.write_text(TABLE1_CFG.replace("n = 5", "n = 5#x"))
+        assert run_in_empty_dir(["simulate", "--config", str(cfg_path)],
+                                tmp_path) == (1, [])
+        assert capsys.readouterr().err.startswith(
+            "error: bad [topology] section: ")
 
     def test_percent_sign_is_read_literally(self, tmp_path, capsys):
         cfg_path = tmp_path / "percent.cfg"
@@ -704,6 +719,17 @@ class TestResponseCommand:
         assert run_cli(["response", "--config", str(cfg_path)], tmp_path) == 1
         assert "band" in capsys.readouterr().err
         assert not (tmp_path / "response_summary.csv").exists()
+        assert runs == []  # rejected before any policy is run
+
+    def test_rejects_empty_policy_list(self, tmp_path, capsys, monkeypatch):
+        runs = count_calls(monkeypatch, "run_response_trace")
+        cfg_path = tmp_path / "resp.cfg"
+        cfg_path.write_text(RESPONSE_CFG.replace(
+            "policies = open_loop,local_feedback", "policies ="))
+        assert run_in_empty_dir(["response", "--config", str(cfg_path)],
+                                tmp_path) == (1, [])
+        assert capsys.readouterr().err == ("error: [response] policies must "
+                                           "name at least one policy\n")
         assert runs == []  # rejected before any policy is run
 
     @pytest.mark.parametrize("density", ["nan", "-0.5", "1.5"])

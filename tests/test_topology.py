@@ -1,4 +1,4 @@
-"""Network builders: sizes, wiring invariants, ratios, serialization."""
+"""Network builders: sizes, wiring invariants, ratios, [topology] pairs."""
 
 import dataclasses
 from fractions import Fraction
@@ -11,11 +11,10 @@ from roadphases.topology import (
     NetworkTopology,
     RoadSegment,
     build_figure_eight,
+    build_topology,
     build_torus_city,
     build_two_junction,
-    parse_topology_text,
     ratio_r,
-    topology_to_text,
 )
 
 
@@ -293,6 +292,8 @@ class TestStructure:
 
 
 class TestSerialization:
+    """build_topology: a network from the pairs of its [topology] section."""
+
     @pytest.mark.parametrize("build,args", [
         (build_figure_eight, (45, 15)),
         (build_figure_eight, (5, 5)),
@@ -301,25 +302,31 @@ class TestSerialization:
         (build_torus_city, (2, 3, 2, 2)),
     ])
     def test_round_trip(self, build, args):
+        # a network's own family and params, as the text values that
+        # configparser reads from [topology], rebuild an equal network
         t = build(*args)
-        again = parse_topology_text(topology_to_text(t))
+        again = build_topology([("family", t.family)]
+                               + [(k, str(v)) for k, v in t.params.items()])
         assert again.family == t.family
         assert again.params == t.params
         assert again.counting_size == t.counting_size
         assert again.junctions == t.junctions
 
     def test_parse_rejects_unknown(self):
+        fig8 = ("family", "figure_eight")
+        with pytest.raises(ValueError, match="unknown topology family"):
+            build_topology([("family", "pentagon")])
+        with pytest.raises(ValueError, match="unknown topology family"):
+            build_topology([("n", "5"), ("m", "5")])
+        with pytest.raises(ValueError, match="bad figure_eight topology"):
+            build_topology([fig8, ("n", "5"), ("q", "2"), ("m", "5")])
+        with pytest.raises(ValueError, match="bad figure_eight topology"):
+            build_topology([fig8, ("n", "5")])
         with pytest.raises(ValueError):
-            parse_topology_text("family = pentagon\n")
-        with pytest.raises(ValueError):
-            parse_topology_text("family = figure_eight\nn = 5\nq = 2\nm = 5\n")
-        with pytest.raises(ValueError):
-            parse_topology_text("family = figure_eight\nn = 5\n")
-        with pytest.raises(ValueError):
-            parse_topology_text("family = figure_eight\nn = 5\nm = five\n")
+            build_topology([fig8, ("n", "5"), ("m", "five")])
 
     def test_capacity_defaults_to_one(self):
-        t = parse_topology_text(
-            "family = torus_city\nrows = 2\ncols = 3\nsegment_len = 2\n")
+        t = build_topology([("family", "torus_city"), ("rows", "2"),
+                            ("cols", "3"), ("segment_len", "2")])
         assert t.params["capacity"] == 1
         assert {j.capacity for j in t.junctions} == {1}
