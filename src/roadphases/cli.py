@@ -57,6 +57,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _seed(text: str) -> int:
+    """A random seed: an integer >= 0."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _tuple_of(cast):
     """Parser of a comma-separated list; an empty value gives ()."""
     def parse(text: str) -> tuple:
@@ -95,7 +102,7 @@ class RunConfig:
     policy: str = _ini("run", "policy", _choice(_POLICIES), "priority")
     horizon: int | None = _ini("run", "horizon", int)
     burn_in: int | None = _ini("run", "burn_in", int)
-    seeds: tuple[int, ...] = _ini("run", "seeds", _tuple_of(int), (0, 1, 2))
+    seeds: tuple[int, ...] = _ini("run", "seeds", _tuple_of(_seed), (0, 1, 2))
     cycle: int = _ini("policy", "cycle", int, 4)
     green_first: int = _ini("policy", "green_first", int, 2)
     offset: int = _ini("policy", "offset", int, 0)

@@ -290,9 +290,9 @@ class Simulation:
     slots), one lane per run; ``x`` and every per-slot result take its
     shape, and a 1-D ``a`` is a single run.  Lanes share the mode, the step
     count and the policy but nothing else, so each lane follows exactly the
-    trajectory it would follow alone.  The counters are the only state that
-    changes, kept as ``counters`` in the engine's kernel order (no API); a
-    run is read through ``x`` (slot order), ``road_counts()``, ``poised()``.
+    trajectory it would follow alone.  A run is read through ``x`` (slot
+    order), ``road_counts()`` and ``poised()``: read-only arrays, valid until
+    the next step, the per-road ones computed once per state and cached.
 
     ``policy`` is any object with ``reset(sim)`` and
     ``greens(k, sim) -> bool array`` (True = priority approach green), of
@@ -309,10 +309,11 @@ class Simulation:
         self.mode = mode
         self.kernel = kern = kernel_for(t)
         self.k = 0
-        self.counters = kern.to_kernel(x)
+        self.counters = kern.to_kernel(x)  # the state, kernel order (no API)
         self._terms = kern.terms(self.a)
         self._placed = kern.road_sums(self.a)
         self._placed_last = self.a[..., kern.road_last]
+        self._reads: dict[str, np.ndarray] = {}  # this state's, by name
         self.policy = copy.copy(policy)
         if policy is not None:
             self.policy.reset(self)
@@ -331,6 +332,14 @@ class Simulation:
             self.counters = self.kernel.apply(
                 self.counters, self._terms, self.mode == DISCRETE, gate)
             self.k += 1
+            self._reads = {}
+
+    def trajectory(self, steps: int):
+        """Yield this simulation now and after each of ``steps`` more steps."""
+        yield self
+        for _ in range(steps):
+            self.advance()
+            yield self
 
     def state(self) -> CounterState:
         return CounterState(self.k, self.kernel.to_slots(self.counters),
@@ -338,16 +347,21 @@ class Simulation:
 
     def road_counts(self) -> np.ndarray:
         """Vehicles currently on each road (junction interiors excluded)."""
-        return self._placed + self._since_entry(self.kernel.row_first)
+        return self._read("road_counts", self._placed, self.kernel.row_first)
 
     def poised(self) -> np.ndarray:
         """Vehicles on each road's last cell, poised to enter its junction."""
-        return self._placed_last + self._since_entry(self.kernel.row_last)
+        return self._read("poised", self._placed_last, self.kernel.row_last)
 
-    def _since_entry(self, rows: np.ndarray) -> np.ndarray:
-        """Per road: x at ``rows`` less x at its entry, exact when x is."""
-        x = self.counters.T
-        return (x.take(rows, 0) - x.take(self.kernel.row_entry, 0)).T
+    def _read(self, name: str, placed, rows) -> np.ndarray:
+        """Per road: ``placed`` + x at ``rows`` - x at its entry, exact when
+        x is; computed once per state, and cached as ``name``."""
+        if name not in self._reads:
+            x = self.counters.T
+            v = placed + (x.take(rows, 0) - x.take(self.kernel.row_entry, 0)).T
+            v.flags.writeable = False
+            self._reads[name] = v
+        return self._reads[name]
 
 
 def step(state: CounterState, a, t: NetworkTopology,
@@ -370,11 +384,7 @@ def simulate(t: NetworkTopology, a, mode: str = DISCRETE, horizon: int = 1,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     sim = Simulation(t, a, mode, policy)
-    out = [sim.state()]
-    for _ in range(horizon):
-        sim.advance()
-        out.append(sim.state())
-    return out
+    return [s.state() for s in sim.trajectory(horizon)]
 
 
 def occupancy_at(state: CounterState, a, t: NetworkTopology) -> np.ndarray:

@@ -93,29 +93,26 @@ def _policy_id(policy) -> str:
 
 def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int | None,
              burn_in: int | None, per_road: bool) -> tuple:
-    """Runs from a stack of placements (lanes, slots), advanced together;
-    returns per-lane arrays (flow, converged, road_flow, road_density); the
-    road densities are zero unless ``per_road`` accumulates them."""
+    """Runs from a stack of placements (lanes, slots) on one trajectory,
+    burn-in included: per-lane arrays (flow, converged, road_flow,
+    road_density), the road densities zero unless ``per_road`` sums them."""
     horizon = default_horizon(t) if horizon is None else horizon
     burn_in = horizon // 2 if burn_in is None else burn_in
     if not horizon > burn_in >= 0:
         raise ValueError("need horizon > burn_in >= 0")
-    sim = Simulation(t, a, mode, policy)
-    sim.advance(burn_in)
-    # C order: a lane's row mean sums as np.mean sums a lone run's counters
-    x_burn = x_mid = sim.x
     mid = (horizon + burn_in) // 2
     road_cells_acc = np.zeros((len(a), len(t.roads)))
-    for _ in range(burn_in, horizon):
-        sim.advance()
-        if per_road:
+    sim = Simulation(t, a, mode, policy)
+    x_at = {}  # C order, so a lane's row mean sums as a lone run's mean
+    for _ in sim.trajectory(horizon):
+        if sim.k in (burn_in, mid):
+            x_at[sim.k] = sim.x
+        if per_road and sim.k > burn_in:
             road_cells_acc += sim.road_counts()
-        if sim.k == mid:
-            x_mid = sim.x
     window, kern = horizon - burn_in, sim.kernel
-    gained = sim.x - x_burn
+    gained = sim.x - x_at[burn_in]
     flow = gained.mean(axis=1) / window
-    half = (x_mid - x_burn).mean(axis=1) / (mid - burn_in) \
+    half = (x_at[mid] - x_at[burn_in]).mean(axis=1) / (mid - burn_in) \
         if mid > burn_in else flow
     return (flow, np.abs(flow - half) < CONVERGENCE_TOL,
             kern.road_sums(gained) / kern.road_lengths / window,
@@ -147,15 +144,14 @@ def detect_period(t: NetworkTopology, a, policy=None,
     sim = Simulation(t, a, DISCRETE, policy)
     phase_key = getattr(sim.policy, "phase_key", lambda k: ())
     seen: dict[tuple, tuple] = {}  # key -> (step, x[0] at that step)
-    for k in range(max_steps + 1):
-        x = sim.x
+    for _ in sim.trajectory(max_steps):
+        x, k = sim.x, sim.k
         key = ((x - x[0]).tobytes(), phase_key(k))
         if key in seen:
             start, x0 = seen[key]
             return PeriodResult(period=k - start, start=start,
                                 flow=float(x[0] - x0) / (k - start))
         seen[key] = k, x[0]
-        sim.advance()
     return None
 
 
@@ -340,10 +336,8 @@ def run_response_trace(t: NetworkTopology, a, policy, horizon: int):
     if horizon < 1:
         raise ValueError("response horizon must be >= 1")
     sim = Simulation(t, a, DISCRETE, policy)
-    distances = [_distances(sim.road_counts(), sim.kernel)]
-    for _ in range(horizon):
-        sim.advance()
-        distances.append(_distances(sim.road_counts(), sim.kernel))
+    distances = [_distances(s.road_counts(), s.kernel)
+                 for s in sim.trajectory(horizon)]
     traces = [ResponseTrace(policy_id=_policy_id(policy), distances=lane)
               for lane in np.column_stack(distances).tolist()]
     return traces if sim.a.ndim == 2 else traces[0]

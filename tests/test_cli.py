@@ -232,7 +232,9 @@ policies = open_loop, local_feedback
         ("response", TABLE1_CFG.replace("continuous", "discrete")
          + "\n[response]\npolicies = open_loop, Priority\n",
          "[response] policies: 'open_loop, Priority'"),
-    ], ids=["mode", "policy", "policy_list", "response_policies"])
+        ("simulate", TABLE1_CFG.replace("seeds = 0", "seeds = -1"),
+         "[run] seeds: '-1'"),
+    ], ids=["mode", "policy", "policy_list", "response_policies", "seeds"])
     def test_bad_name_exits_one_naming_its_key(self, tmp_path, capsys,
                                                command, text, named):
         cfg_path = tmp_path / "bad.cfg"

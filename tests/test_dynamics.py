@@ -634,6 +634,10 @@ class TestLaneStack:
                 x[0, 0] = 1
             assert np.array_equal(x, state.x)
             assert np.array_equal(sim.counters, kern.to_kernel(state.x))
+            for read in (sim.road_counts(), sim.poised()):
+                assert not read.flags.writeable
+                with pytest.raises(ValueError):
+                    read[0, 0] = 1
             sim.advance()
             state = step(state, a, t)
         with pytest.raises(AttributeError):
@@ -646,6 +650,57 @@ class TestLaneStack:
             Simulation(fig8_55, [A55, bad])
         with pytest.raises(ValueError, match="integer"):
             Simulation(fig8_55, [A55, [0.5] + A55[1:]])
+
+
+class TestTrajectory:
+    """``trajectory``, the loop that every measurement steps through."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 25])
+    def test_yields_the_simulation_at_each_step(self, fig8_55, steps):
+        sim = Simulation(fig8_55, A55)
+        sim.advance(4)
+        seen = [(s is sim, s.k) for s in sim.trajectory(steps)]
+        assert seen == [(True, k) for k in range(4, 4 + steps + 1)]
+        assert sim.k == 4 + steps  # no step after the last state
+
+    @pytest.mark.parametrize("mode", [CONTINUOUS, DISCRETE])
+    def test_states_are_simulates(self, mode):
+        t = LANE_NETWORKS["torus"]
+        a = init_occupancy(t, count=9, seed=3)
+        gates = np.random.default_rng(0).random(
+            (30, kernel_for(t).slot_a.size)) < 0.5
+        states = simulate(t, a, mode, horizon=30, policy=RecordedGates(gates))
+        sim = Simulation(t, a, mode, RecordedGates(gates))
+        state = CounterState(0, np.zeros(a.shape), mode)
+        for s, simulated in zip(sim.trajectory(30), states, strict=True):
+            assert s.k == simulated.k == state.k
+            assert np.array_equal(s.x, simulated.x)
+            assert np.array_equal(s.x, state.x)
+            if s.k < 30:
+                state = step(state, a, t, gates[s.k])
+
+    def test_reads_are_computed_once_per_state(self):
+        t = LANE_NETWORKS["torus"]
+        a = np.stack([init_occupancy(t, count=c, seed=c) for c in (4, 9)])
+
+        class ReadingGates(RecordedGates):
+            def greens(self, k, sim):
+                self.read.append(sim.road_counts())
+                return self.gates[k]
+
+        policy = ReadingGates(np.ones((12, 2, kernel_for(t).slot_a.size),
+                                      bool))
+        policy.read = []  # shared with the simulation's copy
+        sim = Simulation(t, a, DISCRETE, policy)
+        before = []
+        for _ in sim.trajectory(12):
+            z, b = sim.road_counts(), sim.poised()
+            assert sim.road_counts() is z and sim.poised() is b
+            assert all(z is not old for old in before)
+            before.append(z)
+        # each gate reused the counts its state had already given
+        assert len(policy.read) == 12
+        assert all(r is z for r, z in zip(policy.read, before))
 
 
 ROAD_COUNT_NETWORKS = {

@@ -7,7 +7,10 @@ two checkouts alike:
       Fig-8 45/15 (60 slots), the 8x8x9 city (1,280 slots) and the
       32x32x45 grid (94,208 slots), at 1, 12 and 180 lanes (the grid
       skips 180 lanes);
-* L2  each policy's ``greens`` on the 12-lane 8x8x9 city, in us per call;
+* L2  each policy's gated ``Simulation.advance`` on the 12-lane discrete
+      8x8x9 city, in us per step; every step gates a fresh state, so no
+      policy reads a count cached by the call before.  ``priority`` steps
+      the same stack with no gate, so an entry less it is the gate's cost;
 * L4  the 60-density x 3-seed Fig-8 45/15 sweep at horizon 5,900
       (continuous), in seconds;
 * L6  the ``diagram`` and ``response`` commands of the benchmark's
@@ -32,7 +35,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import itertools
 import json
 import os
 import platform
@@ -64,6 +66,7 @@ LANES = (1, 12, 180)
 REPEATS = 7
 # steps per timing, sized so that one timing takes roughly 10-100 ms
 L1_STEPS = {"fig8_45_15": 1000, "city_8x8x9": 300, "grid_32x32x45": 8}
+L2_STEPS = 400
 
 
 def placements(t, lanes: int, density: float = 0.3) -> np.ndarray:
@@ -104,17 +107,17 @@ def layer1() -> dict:
 def layer2() -> dict:
     t = NETWORKS["city_8x8x9"]()
     solution = control.solve_lqr(control.build_lq_model(t))
-    policies = {"open_loop": control.OpenLoopPolicy(),
+    policies = {"priority": None,
+                "open_loop": control.OpenLoopPolicy(),
                 "local_feedback": control.LocalFeedbackPolicy(),
                 "global_feedback": control.GlobalFeedbackPolicy(solution)}
     out = {}
     for name, policy in policies.items():
         sim = dynamics.Simulation(t, placements(t, 12), dynamics.DISCRETE,
                                   policy)
-        sim.advance(20)
-        ks = itertools.count()  # every phase of a light cycle in turn
-        seconds = timed(lambda: sim.policy.greens(next(ks), sim), 400)
-        out[name] = entry(seconds, 1e6, 400, lanes=12, unit="us per call")
+        sim.advance(20)  # first-call costs
+        out[name] = entry(timed(sim.advance, L2_STEPS), 1e6, L2_STEPS,
+                          lanes=12, unit="us per step")
     return out
 
 
