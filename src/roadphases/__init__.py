@@ -32,7 +32,6 @@ from .control import (
 from .dynamics import (
     CONTINUOUS,
     DISCRETE,
-    CounterState,
     Simulation,
     check_occupancy,
     density,

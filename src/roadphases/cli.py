@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, control, metrics
-from .dynamics import (DISCRETE, MODES, CounterState, init_occupancy,
-                       kernel_for, occupancies, simulate)
+from .dynamics import (DISCRETE, MODES, init_occupancy, kernel_for,
+                       occupancy_at, simulate)
 from .topology import NetworkTopology, build_figure_eight, build_topology
 
 # each junction policy by name: how a RunConfig builds it on network t
@@ -293,11 +293,11 @@ def read_diagram_csv(path) -> metrics.FundamentalDiagram:
     return diagram
 
 
-def counter_lines(states: list[CounterState]) -> str:
+def counter_lines(states: np.ndarray) -> str:
     """Trajectory dump: one line per step, tab-separated exact decimals."""
     return "\n".join(
-        "\t".join(np.format_float_positional(v, trim="-")
-                  for v in s.x.astype(float)) for s in states) + "\n"
+        "\t".join(np.format_float_positional(v, trim="-") for v in x)
+        for x in np.asarray(states, float)) + "\n"
 
 
 # per-position codes: a road cell is 0 or 1, a junction 2 + west + 2 * south
@@ -312,10 +312,9 @@ def occupancy_line(t: NetworkTopology, y: np.ndarray) -> str:
     return "".join(_LINE_CHARS[code[kern.counting]])
 
 
-def occupancy_lines(t: NetworkTopology, states: list[CounterState],
-                    a) -> str:
+def occupancy_lines(t: NetworkTopology, states: np.ndarray, a) -> str:
     return "\n".join(occupancy_line(t, y)
-                     for y in occupancies(t, states, a)) + "\n"
+                     for y in occupancy_at(states, a, t)) + "\n"
 
 
 def cmd_simulate(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
@@ -342,8 +341,12 @@ def _series_for_diagram(cfg: RunConfig, t: NetworkTopology):
         for r in cfg.r_list:
             if not 0 < r < 1:
                 raise ConfigError(f"r must lie in (0, 1): {r}")
-            n = max(2, round(r * cfg.r_size))
-            m = max(2, cfg.r_size + 1 - n)
+            n = round(r * cfg.r_size)
+            if not 2 <= n <= cfg.r_size - 1:
+                raise ConfigError(f"r = {r:g} with r_size = {cfg.r_size}: "
+                                  f"round(r * r_size) = {n} lies outside "
+                                  f"[2, {cfg.r_size - 1}]")
+            m = cfg.r_size + 1 - n
             yield build_figure_eight(n, m), [(f"r={r:g}", cfg.policy)]
     elif cfg.policy_list:
         yield t, [(f"policy={name}", name) for name in cfg.policy_list]

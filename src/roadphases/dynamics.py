@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import copy
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +46,6 @@ from .topology import NetworkTopology
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 MODES = (CONTINUOUS, DISCRETE)
-
-
-@dataclass
-class CounterState:
-    """Cumulative counters at time k."""
-
-    k: int
-    x: np.ndarray
-    mode: str
 
 
 def _fields(items, *names) -> list[np.ndarray]:
@@ -341,10 +331,6 @@ class Simulation:
             self.advance()
             yield self
 
-    def state(self) -> CounterState:
-        return CounterState(self.k, self.kernel.to_slots(self.counters),
-                            self.mode)
-
     def road_counts(self) -> np.ndarray:
         """Vehicles currently on each road (junction interiors excluded)."""
         return self._read("road_counts", self._placed, self.kernel.row_first)
@@ -364,41 +350,36 @@ class Simulation:
         return self._reads[name]
 
 
-def step(state: CounterState, a, t: NetworkTopology,
-         gate: np.ndarray | None = None) -> CounterState:
-    """One synchronous update of all counters (pure function)."""
-    a, x = _validated(t, state.mode, a, state.x)
+def step(x, a, t: NetworkTopology, mode: str = DISCRETE,
+         gate: np.ndarray | None = None) -> np.ndarray:
+    """The slot-order counters one synchronous update after ``x`` (pure)."""
+    a, x = _validated(t, mode, a, x)
     kern = kernel_for(t)
     if gate is not None:
         gate = np.asarray(gate)
         if gate.shape != kern.slot_a.shape:
             raise ValueError("gate needs one entry per junction")
-    x_new = kern.apply(kern.to_kernel(x), kern.terms(a),
-                       state.mode == DISCRETE, gate)
-    return CounterState(state.k + 1, kern.to_slots(x_new), state.mode)
+    return kern.to_slots(kern.apply(kern.to_kernel(x), kern.terms(a),
+                                    mode == DISCRETE, gate))
 
 
 def simulate(t: NetworkTopology, a, mode: str = DISCRETE, horizon: int = 1,
-             policy=None) -> list[CounterState]:
-    """Run ``horizon`` steps from x = 0 and return all K+1 states."""
+             policy=None) -> np.ndarray:
+    """The counters of ``horizon`` steps from x = 0, row k at step k."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     sim = Simulation(t, a, mode, policy)
-    return [s.state() for s in sim.trajectory(horizon)]
+    xs = np.empty((horizon + 1, *sim.a.shape), sim.a.dtype)
+    for s in sim.trajectory(horizon):
+        xs[s.k] = s.x
+    return xs
 
 
-def occupancy_at(state: CounterState, a, t: NetworkTopology) -> np.ndarray:
-    """Per-slot occupancies (exact 0/1) of a discrete state, rebuilt from
-    its counters; a continuous state is rejected."""
-    return occupancies(t, [state], a)[0]
-
-
-def occupancies(t: NetworkTopology, states: list[CounterState],
-                a) -> np.ndarray:
-    """occupancy_at of each state of placement ``a``: ``a`` is checked
-    once, and every state is rebuilt by one occupancy call."""
-    if any(s.mode != DISCRETE for s in states):
+def occupancy_at(x, a, t: NetworkTopology) -> np.ndarray:
+    """Per-slot occupancies (exact 0/1) of placement ``a``, rebuilt from one
+    state or a trajectory of discrete counters; float ones are rejected."""
+    x = np.asarray(x)
+    if x.dtype.kind == "f":
         raise ValueError("occupancy reconstruction needs discrete mode")
-    a, x = _validated(t, DISCRETE, a, [s.x for s in states] or
-                      np.empty((0, *np.shape(a))), states=True)
+    a, x = _validated(t, DISCRETE, a, x, states=x.ndim > np.ndim(a))
     return kernel_for(t).occupancy(x, a, True)

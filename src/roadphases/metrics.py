@@ -223,11 +223,9 @@ def _by_policy(policies, a, run) -> list[tuple]:
     stacks = [([i], None) for i, policy in enumerate(policies)
               if policy is None]
     if gated:
-        groups = [(policies[i], slice(g * n, (g + 1) * n))
-                  for g, i in enumerate(gated)]
-        # a lone gate policy steps the stack itself, with no views
-        stacks.append((gated, LaneGroups(groups) if len(groups) > 1
-                       else groups[0][0]))
+        stacks.append((gated, LaneGroups(
+            (policies[i], slice(g * n, (g + 1) * n))
+            for g, i in enumerate(gated))))
     for group, policy in stacks:
         results = run(np.tile(a, (len(group), 1)), policy)
         for g, i in enumerate(group):

@@ -32,7 +32,6 @@ from roadphases.control import (
 from roadphases.dynamics import (
     CONTINUOUS,
     DISCRETE,
-    CounterState,
     Simulation,
     init_occupancy,
     occupancy_at,
@@ -45,6 +44,7 @@ from roadphases.metrics import (
     response_time,
     run_response_trace,
     sweep_diagram,
+    sweep_diagrams,
 )
 from roadphases.topology import (
     build_figure_eight,
@@ -96,9 +96,9 @@ def test_criterion_1_table_reproduction():
     start = time.time()
     t = build_figure_eight(5, 5)
     cont = simulate(t, A55, CONTINUOUS, horizon=5)
-    assert [s.x.tolist() for s in cont] == TABLE1
+    assert cont.tolist() == TABLE1
     disc = simulate(t, A55, DISCRETE, horizon=5)
-    assert [s.x.tolist() for s in disc] == TABLE2
+    assert disc.tolist() == TABLE2
     for state, row in zip(disc, TABLE3):
         assert occupancy_at(state, A55, t).tolist() == row
     elapsed = time.time() - start
@@ -166,9 +166,9 @@ def test_criterion_3_additive_homogeneity():
     for trial in range(1000):
         x = rng.integers(0, 400, size=t.n_slots) / 16.0
         alpha = float(rng.integers(-320, 320)) / 16.0
-        base = step(CounterState(0, x, CONTINUOUS), a, t)
-        shifted = step(CounterState(0, x + alpha, CONTINUOUS), a, t)
-        assert np.array_equal(shifted.x, base.x + alpha), f"trial {trial}"
+        base = step(x, a, t, CONTINUOUS)
+        shifted = step(x + alpha, a, t, CONTINUOUS)
+        assert np.array_equal(shifted, base + alpha), f"trial {trial}"
     report(3, "step(x + a*1) == step(x) + a*1 exactly on 1000 dyadic states")
 
 
@@ -313,24 +313,30 @@ def test_criterion_10_policy_comparison():
     start = time.time()
     t = build_torus_city(4, 4, 9)
     K = 50 * t.counting_size
-    # congested regime: gridlock under priority, rescued by local feedback
     builders = _city_policy_builders(t)
-    f_priority = median_flow(t, 0.6, DISCRETE, builders["priority"],
-                             horizon=K)
-    f_local = median_flow(t, 0.6, DISCRETE, builders["local_feedback"],
-                          horizon=K)
+
+    def median_flows(d, mode, names):
+        """median_flow of each named policy, from one sweep_diagrams call:
+        its gate policies step as the lane groups of one stack."""
+        diagrams = sweep_diagrams(t, [d], mode,
+                                  [builders[name]() for name in names],
+                                  horizon=K)
+        return {name: diagram.points[0].flow
+                for name, diagram in zip(names, diagrams)}
+
+    # congested regime: gridlock under priority, rescued by local feedback
+    congested = median_flows(0.6, DISCRETE,
+                             ("priority", "local_feedback", "open_loop"))
+    f_priority, f_local = congested["priority"], congested["local_feedback"]
     assert f_priority <= 0.01, f"priority rule flows at d=0.6: {f_priority}"
     assert f_local >= 0.05, f"local feedback stuck at d=0.6: {f_local}"
     # open-loop flow cap at both densities
-    for d in (0.15, 0.6):
-        f_ol = median_flow(t, d, DISCRETE, builders["open_loop"],
-                           horizon=K)
+    for f_ol in (median_flows(0.15, DISCRETE, ("open_loop",))["open_loop"],
+                 congested["open_loop"]):
         assert f_ol <= 0.25 + 2 / K, f"open-loop flow {f_ol} above cap"
     # free regime: every policy carries the demand (continuous growth rate)
-    free_flows = {}
-    for name, builder in builders.items():
-        f = median_flow(t, 0.15, CONTINUOUS, builder, horizon=K)
-        free_flows[name] = f
+    free_flows = median_flows(0.15, CONTINUOUS, tuple(builders))
+    for name, f in free_flows.items():
         assert abs(f - 0.15) <= 0.02, f"{name} at d=0.15: f={f:.4f}"
     report(10, "d=0.6: priority {:.4f} <= 0.01, local {:.3f} >= 0.05; "
                "d=0.15: flows {} all within 0.02 of density; open-loop "

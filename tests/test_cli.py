@@ -354,7 +354,7 @@ class TestSimulateCommand:
                           horizon=1475)
         rows = (tmp_path / "counters.tsv").read_text().splitlines()
         assert [[float(v) for v in row.split("\t")] for row in rows] == \
-            [s.x.tolist() for s in states]
+            states.tolist()
 
     def test_empty_network(self, tmp_path):
         cfg_path = tmp_path / "empty.cfg"
@@ -582,6 +582,33 @@ r_size = 24
         assert run_cli(["diagram", "--config", str(cfg_path)], tmp_path) == 0
         lines = (tmp_path / "diagram.csv").read_text().splitlines()
         assert len(lines) == 1 + 4  # two series x two points
+
+    @pytest.mark.parametrize("r_list,r_size,message", [
+        # a clamped network would carry another r, or another density grid,
+        # than its series label says
+        ("0.01", 60, r"r = 0.01 with r_size = 60: round\(r \* r_size\) = 1"),
+        ("0.999", 60, r"r = 0.999 with r_size = 60: .* = 60 lies outside "
+                      r"\[2, 59\]"),
+        ("0.25,0.75", 1, r"r = 0.25 with r_size = 1: .* = 0 lies outside"),
+        ("1.5", 60, r"r must lie in \(0, 1\): 1.5"),
+    ], ids=["n_below_2", "m_below_2", "r_size_too_small", "r_above_1"])
+    def test_r_list_rejects_a_ratio_it_cannot_build(
+            self, tmp_path, capsys, r_list, r_size, message):
+        cfg_path = tmp_path / "rsweep.cfg"
+        cfg_path.write_text(f"""\
+[topology]
+family = figure_eight
+n = 5
+m = 5
+
+[diagram]
+densities = 0.1,0.2
+r_list = {r_list}
+r_size = {r_size}
+""")
+        assert run_cli(["diagram", "--config", str(cfg_path)], tmp_path) == 1
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "diagram.csv").exists()
 
 
 class TestEigenCommand:

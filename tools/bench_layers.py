@@ -15,7 +15,10 @@ two checkouts alike:
       (continuous), in seconds;
 * L6  the ``diagram`` and ``response`` commands of the benchmark's
       ``city_policies`` config (workload seed 0), each through
-      ``cli.main`` in the child process, in seconds.
+      ``cli.main`` in the child process, in seconds;
+* L7  the ``simulate`` command on the 8x8x9 city (discrete, density 0.3,
+      seed 0, 2,000 steps) through ``cli.main``, in seconds: stepping,
+      ``counters.tsv`` and ``occupancy.txt`` together.
 
 Each timing is the mean over ``steps`` calls.  Every tree, given as
 ``label=src`` (a checkout's ``src`` directory), is timed REPEATS times, and
@@ -150,6 +153,39 @@ def layer6() -> dict:
     return out
 
 
+L7_CFG = """\
+[topology]
+family = torus_city
+rows = 8
+cols = 8
+segment_len = 9
+
+[run]
+mode = discrete
+horizon = 2000
+seeds = 0
+
+[occupancy]
+density = 0.3
+"""
+
+
+def layer7() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "simulate.cfg"
+        cfg.write_text(L7_CFG)
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["--out", tmp, "simulate", "--config",
+                                 str(cfg)])
+            if code != 0:  # a failed command would time as a fast one
+                raise RuntimeError(f"simulate exited with code {code}")
+        return {"city_8x8x9/simulate": entry(timed(run, 1), 1.0, 1,
+                                             horizon=2000,
+                                             unit="s per command")}
+
+
 def machine() -> dict:
     deps = np.show_config(mode="dicts")["Build Dependencies"]
     blas = {k: deps[k]["name"] for k in ("blas", "lapack")}
@@ -166,7 +202,8 @@ def measure() -> dict:
     global cli, control, dynamics, metrics, topology
     from roadphases import cli, control, dynamics, metrics, topology
     return {"src": str(Path(cli.__file__).resolve().parent.parent),
-            "L1": layer1(), "L2": layer2(), "L4": layer4(), "L6": layer6()}
+            "L1": layer1(), "L2": layer2(), "L4": layer4(), "L6": layer6(),
+            "L7": layer7()}
 
 
 def run_child(src: Path) -> dict:
