@@ -21,7 +21,6 @@ from .control import (
     LocalFeedbackPolicy,
     LQModel,
     LQRSolution,
-    OpenLoopPlan,
     OpenLoopPolicy,
     RiccatiError,
     build_lq_model,
@@ -44,7 +43,6 @@ from .metrics import (
     DiagramPoint,
     FundamentalDiagram,
     PeriodResult,
-    ResponseTrace,
     classify_phases_empirical,
     clustered_occupancy,
     detect_period,

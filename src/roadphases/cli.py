@@ -35,8 +35,8 @@ from .topology import NetworkTopology, build_figure_eight, build_topology
 # each junction policy by name: how a RunConfig builds it on network t
 _POLICIES = {
     "priority": lambda cfg, t: None,
-    "open_loop": lambda cfg, t: control.OpenLoopPolicy(control.OpenLoopPlan(
-        cycle=cfg.cycle, green_first=cfg.green_first, offset=cfg.offset)),
+    "open_loop": lambda cfg, t: control.OpenLoopPolicy(
+        cfg.cycle, cfg.green_first, cfg.offset),
     "local_feedback": lambda cfg, t: control.LocalFeedbackPolicy(),
     "global_feedback": lambda cfg, t: control.GlobalFeedbackPolicy(
         control.solve_lqr(control.build_lq_model(
@@ -72,6 +72,16 @@ def _tuple_of(cast):
     return parse
 
 
+def _distinct(cast):
+    """_tuple_of(cast), rejecting a list that repeats an entry."""
+    def parse(text: str) -> tuple:
+        values = _tuple_of(cast)(text)
+        if len(set(values)) < len(values):
+            raise ValueError(text)
+        return values
+    return parse
+
+
 def _choice(names):
     """Parser of one name out of ``names``."""
     def parse(text: str) -> str:
@@ -102,7 +112,7 @@ class RunConfig:
     policy: str = _ini("run", "policy", _choice(_POLICIES), "priority")
     horizon: int | None = _ini("run", "horizon", int)
     burn_in: int | None = _ini("run", "burn_in", int)
-    seeds: tuple[int, ...] = _ini("run", "seeds", _tuple_of(_seed), (0, 1, 2))
+    seeds: tuple[int, ...] = _ini("run", "seeds", _distinct(_seed), (0, 1, 2))
     cycle: int = _ini("policy", "cycle", int, 4)
     green_first: int = _ini("policy", "green_first", int, 2)
     offset: int = _ini("policy", "offset", int, 0)
@@ -116,16 +126,16 @@ class RunConfig:
                           "linspace(0,1,20)")
     eps: float = _ini("diagram", "eps", float, metrics.DEFAULT_EPS)
     per_road: bool = _ini("diagram", "per_road", _parse_bool, False)
-    r_list: tuple[float, ...] = _ini("diagram", "r_list", _tuple_of(float), ())
+    r_list: tuple[float, ...] = _ini("diagram", "r_list", _distinct(float), ())
     r_size: int = _ini("diagram", "r_size", int, 60)
     policy_list: tuple[str, ...] = _ini("diagram", "policy_list",
-                                        _tuple_of(_choice(_POLICIES)), ())
+                                        _distinct(_choice(_POLICIES)), ())
     response_density: float = _ini("response", "density", float, 0.3)
     response_horizon: int | None = _ini("response", "horizon", int)
     response_band_fraction: float = _ini("response", "band_fraction", float,
                                          0.1)
     response_policies: tuple[str, ...] = _ini(
-        "response", "policies", _tuple_of(_choice(_POLICIES)),
+        "response", "policies", _distinct(_choice(_POLICIES)),
         ("open_loop", "local_feedback", "global_feedback"))
 
     def build_topology(self) -> NetworkTopology:
@@ -255,9 +265,9 @@ def write_road_csv(diagrams: list[metrics.FundamentalDiagram], path) -> None:
         "\r\n")
 
 
-def write_response_csv(trace: metrics.ResponseTrace, path) -> None:
+def write_response_csv(trace: list[float], path) -> None:
     _write_csv(path, itertools.chain([["step", "distance"]], (
-        [k, repr(dist)] for k, dist in enumerate(trace.distances))), "\r\n")
+        [k, repr(dist)] for k, dist in enumerate(trace))), "\r\n")
 
 
 def read_diagram_csv(path) -> metrics.FundamentalDiagram:
@@ -467,7 +477,7 @@ def cmd_response(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
     by_policy = metrics.run_response_traces(t, starts, policies, horizon)
     for name, traces in zip(cfg.response_policies, by_policy):
         for seed, trace in zip(cfg.seeds, traces):
-            band = cfg.response_band_fraction * trace.distances[0]
+            band = cfg.response_band_fraction * trace[0]
             rt, settled = metrics.response_time(trace, band)
             plateau = metrics.plateau_level(trace)
             write_response_csv(

@@ -26,22 +26,6 @@ FLOW_CAP = 0.25  # a capacity-1 junction approach cannot exceed this
 
 
 @dataclass(frozen=True)
-class OpenLoopPlan:
-    """Fixed-cycle light plan; priority-labelled approach is green first."""
-
-    cycle: int = 4
-    green_first: int = 2
-    offset: int = 0  # common phase shift, or per-junction via offsets
-    offsets: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.cycle < 2:
-            raise ValueError("cycle must be >= 2")
-        if not 1 <= self.green_first <= self.cycle - 1:
-            raise ValueError("green_first must lie in [1, cycle-1]")
-
-
-@dataclass(frozen=True)
 class LQModel:
     """Road-inventory model x+ = x + B(u - ubar) with weights Q and R.
 
@@ -170,6 +154,8 @@ def global_feedback_timing(t: NetworkTopology, gain: np.ndarray,
     ``xbar`` and ``ubar`` may be (roads,) or stacked (lanes, roads); the
     slots then come per lane.
     """
+    if cycle < 2:
+        raise ValueError("cycle must be >= 2")
     kern = kernel_for(t)
     v = np.asarray(inventories, float) - xbar
     # gain @ v per lane, with the same BLAS product as for one vector
@@ -184,30 +170,35 @@ def global_feedback_timing(t: NetworkTopology, gain: np.ndarray,
 
 
 class OpenLoopPolicy:
-    """Gate adapter for a periodic plan (same plan at every junction)."""
+    """Fixed-cycle lights: the priority approach is green first, for
+    ``green_first`` steps of each ``cycle``, shifted by ``offset`` (one int
+    for every junction, or a sequence of one per junction)."""
 
     policy_id = "open_loop"
 
-    def __init__(self, plan: OpenLoopPlan | None = None):
-        self.plan = plan or OpenLoopPlan()
-        self._greens_by_phase: np.ndarray | None = None
+    def __init__(self, cycle: int = 4, green_first: int = 2, offset=0):
+        if cycle < 2:
+            raise ValueError("cycle must be >= 2")
+        if not 1 <= green_first <= cycle - 1:
+            raise ValueError("green_first must lie in [1, cycle-1]")
+        self.cycle, self.green_first, self.offset = cycle, green_first, offset
 
     def reset(self, sim):
-        plan, n = self.plan, sim.kernel.slot_a.size
-        if plan.offsets and len(plan.offsets) != n:
-            raise ValueError(f"offsets needs one entry per junction ({n}), "
-                             f"got {len(plan.offsets)}")
-        # reduced as Python ints first, so that no offset wraps in int64
-        offsets = [o % plan.cycle for o in plan.offsets or (plan.offset,)]
-        # (cycle, junctions): row k holds the greens of phase k
-        phase = np.arange(plan.cycle)[:, None] + np.broadcast_to(offsets, n)
-        self._greens_by_phase = phase % plan.cycle < plan.green_first
+        n, cycle = sim.kernel.slot_a.size, self.cycle
+        offsets = self.offset if np.ndim(self.offset) else [self.offset] * n
+        if len(offsets) != n:
+            raise ValueError(f"offset needs one entry per junction ({n}), "
+                             f"got {len(offsets)}")
+        # (cycle, junctions): row k holds the greens of phase k; offsets are
+        # reduced as Python ints first, so that none wraps in int64
+        phase = np.arange(cycle)[:, None] + [o % cycle for o in offsets]
+        self._greens_by_phase = phase % cycle < self.green_first
 
     def greens(self, k: int, sim) -> np.ndarray:
-        return self._greens_by_phase[k % self.plan.cycle]
+        return self._greens_by_phase[k % self.cycle]
 
     def phase_key(self, k: int):
-        return k % self.plan.cycle
+        return k % self.cycle
 
 
 class LocalFeedbackPolicy:

@@ -15,14 +15,14 @@ min of an upstream supply term and a downstream space term:
 * first cell of a road leaving a junction:
                       min(a_slot + half of total junction entries,  1 - a + x_next)
 
-Two arithmetic modes: "continuous" keeps fractional counters, and
-"discrete" keeps integer counters by rounding the junction split up for one
-outgoing road and down for the other (odd entrants one way, even the other),
-which is exact unconditionally.  Continuous values are all dyadic, but
-their fraction depth grows each step and soon passes the 53-bit mantissa of
-float64: on the Fig-8 45/15 network, 9 of 18 runs (5 to 55 cars, seeds 0 to
-2) leave the exact rational dynamics within 1,475 steps, the first at step
-122.  Nothing reports that loss yet.
+Two arithmetic modes, and the counters' dtype is the mode (_validated casts
+to it): "continuous" float64 counters halve the junction split, and
+"discrete" int64 counters round it up for one outgoing road and down for the
+other (odd entrants one way, even the other), which is exact unconditionally.
+Continuous values are all dyadic, but their fraction depth grows each step
+and soon passes the 53-bit mantissa of float64: on the Fig-8 45/15 network, 9
+of 18 runs (5 to 55 cars, seeds 0 to 2) leave the exact rational dynamics
+within 1,475 steps, the first at step 122.  Nothing reports that loss yet.
 
 Traffic lights are an optional per-junction gate: when gating, the priority
 subtraction becomes symmetric (both entries read the other at time k) and an
@@ -112,11 +112,11 @@ class StepKernel:
         room = _junction_rows(self.capacity, a.ndim) - (a[-j:] + a[-2 * j:-j])
         return np.concatenate([a, free, free[self.row_last], room]).T
 
-    def apply(self, x: np.ndarray, p: np.ndarray, discrete: bool,
+    def apply(self, x: np.ndarray, p: np.ndarray,
               gate: np.ndarray | None = None) -> np.ndarray:
-        """One synchronous update of every lane, in kernel order.  ``p`` is
-        ``terms`` of the placement; ``gate`` is (junctions,) for every lane,
-        or (lanes, junctions)."""
+        """One synchronous update of every lane, in kernel order, in the
+        mode of x's dtype.  ``p`` is ``terms`` of the placement; ``gate`` is
+        (junctions,) for every lane, or (lanes, junctions)."""
         x, p = x.T, p.T
         c, n, j = self.rc.size, len(x), len(self.slot_a)
         a, free, free_last, room = p[:n], p[n:n + c], p[n + c:-j], p[-j:]
@@ -126,8 +126,7 @@ class StepKernel:
         up = np.empty((c + 1,) + x.shape[1:], x.dtype)
         np.add(a[:c], x[:c], out=up[1:])
         up_in = up.take(self.row_feed, 0)
-        up[self.row_exit] = a[c:] + np.concatenate(
-            _shares(x_a + x_b, discrete))
+        up[self.row_exit] = a[c:] + np.concatenate(_shares(x_a + x_b))
         # space: 1 - a + x of the next row, or of a last cell's entry slot
         road = np.add(free, x[1:c + 1], out=out[:c])
         road[self.row_last] = free_last + x.take(self.row_entry, 0)
@@ -143,12 +142,11 @@ class StepKernel:
                    out=out[-j:])
         return out.T
 
-    def occupancy(self, x: np.ndarray, a: np.ndarray,
-                  discrete: bool) -> np.ndarray:
+    def occupancy(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Per-slot occupancies of slot-order counters (for dumps)."""
         v = x.copy()  # a sub-cell holds its share of the junction's entries
         v[..., self.slot_b], v[..., self.slot_a] = _shares(
-            x[..., self.slot_a] + x[..., self.slot_b], discrete)
+            x[..., self.slot_a] + x[..., self.slot_b])
         return a + v - x[..., self.succ]
 
     def road_sums(self, v: np.ndarray) -> np.ndarray:
@@ -157,10 +155,9 @@ class StepKernel:
         return np.add.reduceat(v[..., self.rc], self.row_first, axis=-1)
 
 
-def _shares(entries: np.ndarray, discrete: bool
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """(ceil share, floor share) of each junction's total entries."""
-    if discrete:
+def _shares(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ceil, floor) shares of each junction's entries; halves if float."""
+    if entries.dtype.kind != "f":
         return (entries + 1) // 2, entries // 2
     half = entries * 0.5
     return half, half
@@ -296,7 +293,6 @@ class Simulation:
                  policy=None):
         self.a, x = _validated(t, mode, a)
         self.topology = t
-        self.mode = mode
         self.kernel = kern = kernel_for(t)
         self.k = 0
         self.counters = kern.to_kernel(x)  # the state, kernel order (no API)
@@ -319,8 +315,7 @@ class Simulation:
         for _ in range(steps):
             gate = (None if self.policy is None
                     else self.policy.greens(self.k, self))
-            self.counters = self.kernel.apply(
-                self.counters, self._terms, self.mode == DISCRETE, gate)
+            self.counters = self.kernel.apply(self.counters, self._terms, gate)
             self.k += 1
             self._reads = {}
 
@@ -359,8 +354,7 @@ def step(x, a, t: NetworkTopology, mode: str = DISCRETE,
         gate = np.asarray(gate)
         if gate.shape != kern.slot_a.shape:
             raise ValueError("gate needs one entry per junction")
-    return kern.to_slots(kern.apply(kern.to_kernel(x), kern.terms(a),
-                                    mode == DISCRETE, gate))
+    return kern.to_slots(kern.apply(kern.to_kernel(x), kern.terms(a), gate))
 
 
 def simulate(t: NetworkTopology, a, mode: str = DISCRETE, horizon: int = 1,
@@ -382,4 +376,4 @@ def occupancy_at(x, a, t: NetworkTopology) -> np.ndarray:
     if x.dtype.kind == "f":
         raise ValueError("occupancy reconstruction needs discrete mode")
     a, x = _validated(t, DISCRETE, a, x, states=x.ndim > np.ndim(a))
-    return kernel_for(t).occupancy(x, a, True)
+    return kernel_for(t).occupancy(x, a)

@@ -15,7 +15,7 @@ results are exactly those it has when run alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,12 +73,6 @@ class PhaseSegment:
 class Segmentation:
     labels: tuple[PhaseLabel, ...]
     segments: tuple[PhaseSegment, ...]
-
-
-@dataclass
-class ResponseTrace:
-    policy_id: str
-    distances: list[float]
 
 
 def default_horizon(t: NetworkTopology) -> int:
@@ -302,7 +296,7 @@ def response_time(trace, band: float) -> tuple[int, bool]:
     full length with a False flag.
     """
     check_tolerance("band", band)
-    values = np.asarray(getattr(trace, "distances", trace), dtype=float)
+    values = np.asarray(trace, dtype=float)
     if values.size == 0:
         raise ValueError("empty response trace")
     bad = np.flatnonzero(np.abs(values - plateau_level(values)) > band)
@@ -312,7 +306,7 @@ def response_time(trace, band: float) -> tuple[int, bool]:
 
 def plateau_level(trace) -> float:
     """Mean of the last 10% of a trace's samples."""
-    values = np.asarray(getattr(trace, "distances", trace), dtype=float)
+    values = np.asarray(trace, dtype=float)
     return float(values[-max(1, values.size // 10):].mean())
 
 
@@ -329,24 +323,20 @@ def clustered_occupancy(t: NetworkTopology, count: int,
 
 
 def run_response_trace(t: NetworkTopology, a, policy, horizon: int):
-    """Distance-to-uniform time series under one policy: a ResponseTrace,
-    or a list of one per lane of a (lanes, slots) stack."""
+    """Distance-to-uniform time series under one policy: a list of floats,
+    or one such list per lane of a (lanes, slots) stack."""
     if horizon < 1:
         raise ValueError("response horizon must be >= 1")
     sim = Simulation(t, a, DISCRETE, policy)
-    distances = [_distances(s.road_counts(), s.kernel)
-                 for s in sim.trajectory(horizon)]
-    traces = [ResponseTrace(policy_id=_policy_id(policy), distances=lane)
-              for lane in np.column_stack(distances).tolist()]
-    return traces if sim.a.ndim == 2 else traces[0]
+    trace = [_distances(s.road_counts(), s.kernel)
+             for s in sim.trajectory(horizon)]
+    return trace if sim.a.ndim == 1 else np.column_stack(trace).tolist()
 
 
 def run_response_traces(t: NetworkTopology, a, policies,
-                        horizon: int) -> list[list[ResponseTrace]]:
-    """run_response_trace of each policy from one placement or a (lanes,
-    slots) stack of them: one list of traces per policy, all runs stacked
-    by ``_by_policy`` and each trace named after its own policy."""
-    by_policy = _by_policy(policies, a, lambda a, policy: (
-        run_response_trace(t, a, policy, horizon),))
-    return [[replace(trace, policy_id=_policy_id(policy)) for trace in traces]
-            for policy, (traces,) in zip(policies, by_policy)]
+                        horizon: int) -> list[list[list[float]]]:
+    """run_response_trace of each policy, in order, from one placement or
+    a (lanes, slots) stack of them: one list of traces per policy, all runs
+    stacked by ``_by_policy``."""
+    return [traces for (traces,) in _by_policy(policies, a, lambda a, policy: (
+        run_response_trace(t, a, policy, horizon),))]

@@ -99,13 +99,17 @@ def reference_trajectory(t, a_values, horizon, discrete=False, gates=None):
     return out
 
 
-def open_loop_green(plan, junction, k):
+def open_loop_green(policy, junction, k):
     """True when the priority-labelled approach of ``junction`` is green at
-    step k under an ``OpenLoopPlan`` (the scalar rule of OpenLoopPolicy)."""
+    step k under ``policy``, an OpenLoopPolicy (its scalar rule): its
+    ``offset`` is one int, or a sequence of one per junction."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    offset = plan.offsets[junction] if plan.offsets else plan.offset
-    return (k + offset) % plan.cycle < plan.green_first
+    try:
+        offset = policy.offset[junction]
+    except TypeError:
+        offset = policy.offset
+    return (k + offset) % policy.cycle < policy.green_first
 
 
 @dataclass(frozen=True)

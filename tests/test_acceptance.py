@@ -359,7 +359,7 @@ def test_criterion_11_response_times():
     for name in results:
         # the three seeds advance together, as lanes of one simulation
         for trace in run_response_trace(t, starts, builders[name](), horizon):
-            band = 0.1 * trace.distances[0]
+            band = 0.1 * trace[0]
             rt, _settled = response_time(trace, band)
             results[name].append((rt, plateau_level(trace)))
     rt_local = statistics.median(r for r, _ in results["local_feedback"])

@@ -205,7 +205,7 @@ policies = open_loop, local_feedback
         cfg = parse_config(TABLE1_CFG)
         t = build_figure_eight(5, 5)
         assert make_policy("priority", cfg, t) is None
-        assert make_policy("open_loop", cfg, t).plan.cycle == 4
+        assert make_policy("open_loop", cfg, t).cycle == 4
         assert make_policy("local_feedback", cfg, t) is not None
         pol = make_policy("global_feedback", cfg, t)
         assert pol.solution.gain.shape == (len(t.roads), len(t.roads))
@@ -234,7 +234,27 @@ policies = open_loop, local_feedback
          "[response] policies: 'open_loop, Priority'"),
         ("simulate", TABLE1_CFG.replace("seeds = 0", "seeds = -1"),
          "[run] seeds: '-1'"),
-    ], ids=["mode", "policy", "policy_list", "response_policies", "seeds"])
+        # a repeated entry would count one run twice in a diagram median,
+        # or overwrite a response trace file with another
+        ("response", TABLE1_CFG.replace("continuous", "discrete")
+         .replace("seeds = 0", "seeds = 1,1")
+         + "\n[response]\npolicies = open_loop, open_loop\n",
+         "[run] seeds: '1,1'"),
+        ("diagram", TABLE1_CFG.replace("continuous", "discrete")
+         .replace("seeds = 0", "seeds = 1, 01"), "[run] seeds: '1, 01'"),
+        ("response", TABLE1_CFG.replace("continuous", "discrete")
+         + "\n[response]\npolicies = open_loop,local_feedback,open_loop\n",
+         "[response] policies: 'open_loop,local_feedback,open_loop'"),
+        ("diagram", TABLE1_CFG.replace("continuous", "discrete")
+         + "\n[diagram]\npolicy_list = priority, open_loop, priority\n",
+         "[diagram] policy_list: 'priority, open_loop, priority'"),
+        ("diagram", TABLE1_CFG.replace("continuous", "discrete")
+         + "\n[diagram]\nr_list = 0.5, 0.25, 0.50\n",
+         "[diagram] r_list: '0.5, 0.25, 0.50'"),
+    ], ids=["mode", "policy", "policy_list", "response_policies", "seeds",
+            "repeated_seeds_and_policies", "repeated_seeds",
+            "repeated_response_policies", "repeated_policy_list",
+            "repeated_r_list"])
     def test_bad_name_exits_one_naming_its_key(self, tmp_path, capsys,
                                                command, text, named):
         cfg_path = tmp_path / "bad.cfg"

@@ -13,7 +13,6 @@ from roadphases.control import (
     LQRSolution,
     LocalFeedbackPolicy,
     LQModel,
-    OpenLoopPlan,
     OpenLoopPolicy,
     RiccatiError,
     build_lq_model,
@@ -47,27 +46,27 @@ WALK_NETWORKS = {
 
 class TestOpenLoop:
     def test_default_cycle(self):
-        plan = OpenLoopPlan(cycle=4, green_first=2, offset=0)
-        assert open_loop_green(plan, 0, 0) is True
-        assert open_loop_green(plan, 0, 1) is True
-        assert open_loop_green(plan, 0, 2) is False
-        assert open_loop_green(plan, 0, 3) is False
-        assert open_loop_green(plan, 0, 4) is True
+        policy = OpenLoopPolicy(cycle=4, green_first=2, offset=0)
+        assert open_loop_green(policy, 0, 0) is True
+        assert open_loop_green(policy, 0, 1) is True
+        assert open_loop_green(policy, 0, 2) is False
+        assert open_loop_green(policy, 0, 3) is False
+        assert open_loop_green(policy, 0, 4) is True
 
     def test_offset_shifts(self):
-        plan = OpenLoopPlan(cycle=4, green_first=2, offset=2)
-        assert open_loop_green(plan, 0, 0) is False
+        policy = OpenLoopPolicy(cycle=4, green_first=2, offset=2)
+        assert open_loop_green(policy, 0, 0) is False
 
     def test_per_junction_offsets(self):
-        plan = OpenLoopPlan(cycle=4, green_first=2, offsets=(0, 2))
-        assert open_loop_green(plan, 0, 0) is True
-        assert open_loop_green(plan, 1, 0) is False
+        policy = OpenLoopPolicy(cycle=4, green_first=2, offset=(0, 2))
+        assert open_loop_green(policy, 0, 0) is True
+        assert open_loop_green(policy, 1, 0) is False
 
     def test_rejects_bad_plan(self):
         with pytest.raises(ValueError):
-            OpenLoopPlan(cycle=1)
+            OpenLoopPolicy(cycle=1)
         with pytest.raises(ValueError):
-            OpenLoopPlan(cycle=4, green_first=4)
+            OpenLoopPolicy(cycle=4, green_first=4)
 
     @pytest.mark.parametrize("cycle", [2, 3, 4, 7])
     @pytest.mark.parametrize("name", sorted(WALK_NETWORKS))
@@ -76,28 +75,28 @@ class TestOpenLoop:
         n = len(t.junctions)
         sim = Simulation(t, np.zeros(t.n_slots, dtype=np.int64))
         for green_first in range(1, cycle):
-            plans = [OpenLoopPlan(cycle, green_first, offset)
-                     for offset in (0, 1, -3, cycle + 2, 2 ** 63 - 1)]
-            plans += [OpenLoopPlan(cycle, green_first, offset=1,
-                                   offsets=tuple(range(n))),
-                      OpenLoopPlan(cycle, green_first,
-                                   offsets=tuple(5 - 3 * j for j in range(n)))]
-            for plan in plans:
-                policy = OpenLoopPolicy(plan)
+            policies = [OpenLoopPolicy(cycle, green_first, offset)
+                        for offset in (0, 1, -3, cycle + 2, 2 ** 63 - 1)]
+            policies += [OpenLoopPolicy(cycle, green_first, offset=offset)
+                         for offset in (tuple(range(n)),
+                                        tuple(5 - 3 * j for j in range(n)))]
+            for policy in policies:
                 policy.reset(sim)
-                table = [[open_loop_green(plan, j, k) for j in range(n)]
+                table = [[open_loop_green(policy, j, k) for j in range(n)]
                          for k in range(cycle)]
                 for k in range(2 * cycle + 1):
                     greens = policy.greens(k, sim)
                     assert greens.dtype == bool
-                    assert greens.tolist() == table[k % cycle], (plan, k)
+                    assert greens.tolist() == table[k % cycle], (
+                        policy.offset, k)
 
-    @pytest.mark.parametrize("offsets", [(0,), (0, 1, 2, 3, 0)])
-    def test_policy_rejects_wrong_offset_count(self, offsets):
+    @pytest.mark.parametrize("offset", [(0,), (0, 1, 2, 3, 0)])
+    def test_policy_rejects_wrong_offset_count(self, offset):
         t = build_torus_city(2, 2, 2)
-        policy = OpenLoopPolicy(OpenLoopPlan(offsets=offsets))
-        with pytest.raises(ValueError, match=r"one entry per junction \(4\), "
-                                             rf"got {len(offsets)}$"):
+        policy = OpenLoopPolicy(offset=offset)
+        with pytest.raises(ValueError, match=r"^offset needs one entry per "
+                                             r"junction \(4\), "
+                                             rf"got {len(offset)}$"):
             Simulation(t, np.zeros(t.n_slots, dtype=np.int64), policy=policy)
 
     def test_flow_cap_under_cycle_four(self):
@@ -357,6 +356,13 @@ class TestGlobalTiming:
             slots = global_feedback_timing(t, gain, xbar, ubar, x)
             assert np.all(slots >= 1) and np.all(slots <= 3)
 
+    @pytest.mark.parametrize("cycle", [0, 1])
+    def test_rejects_short_cycle(self, city, cycle):
+        # np.clip(share, 1, cycle - 1) would give no green slot at all
+        t, gain, xbar, ubar = city
+        with pytest.raises(ValueError, match=r"^cycle must be >= 2$"):
+            global_feedback_timing(t, gain, xbar, ubar, xbar, cycle)
+
 
 def loop_timing(t, gain, xbar, ubar, inventories, cycle):
     """Per-junction reference for global_feedback_timing."""
@@ -470,7 +476,7 @@ class TestLocalFeedbackPolicy:
             a = init_occupancy(t, density=0.4, seed=seed)
             sim = Simulation(t, a, policy=policy)
             for _ in range(60):
-                y = sim.kernel.occupancy(sim.x, sim.a, True)
+                y = sim.kernel.occupancy(sim.x, sim.a)
                 z = [int(sum(y[c] for c in r.cells)) for r in t.roads]
                 b = [int(y[r.last_cell]) for r in t.roads]
                 expected = []
@@ -552,7 +558,7 @@ class TestEmittedGates:
 
     @staticmethod
     def policies(t):
-        return {"open_loop": OpenLoopPolicy(OpenLoopPlan(cycle=5)),
+        return {"open_loop": OpenLoopPolicy(cycle=5),
                 "local_feedback": LocalFeedbackPolicy(),
                 "global_feedback": GlobalFeedbackPolicy(
                     solve_lqr(build_lq_model(t)))}
@@ -596,7 +602,7 @@ class TestEmittedGates:
                             policy.cycle)
                     assert gate == (phase < slots).tolist()
                 else:
-                    assert gate == [open_loop_green(policy.plan, j, k)
+                    assert gate == [open_loop_green(policy, j, k)
                                     for j in range(len(t.junctions))]
 
 

@@ -464,7 +464,7 @@ class TestInvariants:
         total = a.sum()
         for _ in range(6 * t.counting_size):
             sim.advance()
-            y = sim.kernel.occupancy(sim.x, sim.a, True)
+            y = sim.kernel.occupancy(sim.x, sim.a)
             assert y.sum() == total
             assert np.all(y >= 0) and np.all(y <= 1)
 
@@ -535,6 +535,19 @@ class TestStepValidation:
         with pytest.raises(ValueError):
             step(np.full(10, 0.5), A55, fig8_55, DISCRETE)
 
+    def test_apply_steps_in_the_mode_of_the_counters_dtype(self, fig8_55):
+        # one integral state whose next step differs between the modes
+        kern, x = kernel_for(fig8_55), np.array(TABLE_DISCRETE[1])
+        for dtype, mode, table in ((np.int64, DISCRETE, TABLE_DISCRETE),
+                                   (np.float64, CONTINUOUS, TABLE_CONTINUOUS)):
+            got = kern.to_slots(kern.apply(
+                kern.to_kernel(x.astype(dtype)),
+                kern.terms(np.array(A55, dtype))))
+            assert got.dtype == dtype
+            assert np.array_equal(got, step(x, A55, fig8_55, mode))
+            assert got.tolist() == table[2]
+        assert TABLE_DISCRETE[2] != TABLE_CONTINUOUS[2]
+
     def test_step_rejects_unknown_mode(self, fig8_55):
         x = np.zeros(10, dtype=np.int64)
         with pytest.raises(ValueError, match="mode must be one of"):
@@ -590,7 +603,7 @@ class TestKernelArrays:
             [t.roads[j.out_floor].first_cell for j in t.junctions]
         sim = Simulation(t, init_occupancy(t, density=0.5, seed=2))
         for _ in range(30):
-            y = kern.occupancy(sim.x, sim.a, True)
+            y = kern.occupancy(sim.x, sim.a)
             assert sim.road_counts().tolist() == \
                 [int(sum(y[c] for c in r.cells)) for r in t.roads]
             sim.advance()
@@ -636,15 +649,15 @@ class TestLaneStack:
         def apply(x, a, g):
             # one step through the kernel-order entry point, in slot order
             return kern.to_slots(kern.apply(kern.to_kernel(x), kern.terms(a),
-                                            discrete, g))
+                                            g))
 
         stacked = {"apply": apply(x, a, g),
-                   "occupancy": kern.occupancy(x, a, discrete),
+                   "occupancy": kern.occupancy(x, a),
                    "road_sums": kern.road_sums(x)}
         for lane in range(lanes):
             g_lane = g[lane] if gate == "per_lane" else g
             single = {"apply": apply(x[lane], a[lane], g_lane),
-                      "occupancy": kern.occupancy(x[lane], a[lane], discrete),
+                      "occupancy": kern.occupancy(x[lane], a[lane]),
                       "road_sums": kern.road_sums(x[lane])}
             for op, rows in stacked.items():
                 assert rows.shape[0] == lanes and rows.dtype == x.dtype
@@ -776,7 +789,7 @@ class TestRoadCounts:
         for _ in range(6 * t.counting_size):
             z = sim.road_counts()
             assert z.dtype == np.int64
-            y = kern.occupancy(sim.x, sim.a, True)
+            y = kern.occupancy(sim.x, sim.a)
             assert np.array_equal(z, kern.road_sums(y))
             assert np.array_equal(sim.poised(), y[..., kern.road_last])
             sim.advance()

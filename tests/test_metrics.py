@@ -28,7 +28,6 @@ from roadphases.metrics import (
     DiagramPoint,
     FundamentalDiagram,
     PeriodResult,
-    ResponseTrace,
     classify_phases_empirical,
     clustered_occupancy,
     detect_period,
@@ -188,7 +187,7 @@ def occupancy_walk_period(t, a, policy, max_steps):
     seen, snapshots = {}, []
     for k in range(max_steps + 1):
         parity = (sim.x[kern.slot_a] + sim.x[kern.slot_b]) % 2
-        y = kern.occupancy(sim.x, sim.a, True)
+        y = kern.occupancy(sim.x, sim.a)
         key = (y.tobytes(), parity.tobytes(), phase_key(k))
         if key in seen:
             start = seen[key]
@@ -558,18 +557,18 @@ class TestDistanceAndResponse:
         assert len(traces) == len(grouped) == len(starts)
         for a, trace, in_group in zip(starts, traces, grouped):
             lone = run_response_trace(t, a, policy, horizon=80)
-            assert trace.distances == lone.distances
-            assert trace.policy_id == lone.policy_id
-            assert trace.distances == lone_trace(t, a, policy, horizon=80)
-            assert in_group == lone  # policy id and every distance
+            assert trace == lone
+            assert type(trace) is type(lone) is list  # of floats, no wrapper
+            assert trace == lone_trace(t, a, policy, horizon=80)
+            assert in_group == lone  # this policy's trace, every distance
 
     def test_clustered_start_relaxes_under_local_feedback(self):
         t = build_torus_city(2, 2, 4)
         a = clustered_occupancy(t, count=10, seed=0)
         trace = run_response_trace(t, a, LocalFeedbackPolicy(),
                                    horizon=30 * t.counting_size)
-        head = trace.distances[0]
-        tail = np.mean(trace.distances[-trace_len(trace) // 10:])
+        head = trace[0]
+        tail = np.mean(trace[-len(trace) // 10:])
         assert tail < head
 
     @pytest.mark.parametrize("horizon", [0, -5])
@@ -596,16 +595,12 @@ class TestDistanceAndResponse:
             clustered_occupancy(t, count=count)
 
 
-def trace_len(trace: ResponseTrace) -> int:
-    return len(trace.distances)
-
-
 def lone_trace(t, a, policy, horizon):
     """distance_to_uniform of the rebuilt occupancy, one step at a time."""
     sim = Simulation(t, a, DISCRETE, policy)
     distances = []
     for _ in range(horizon + 1):
-        y = sim.kernel.occupancy(sim.x, sim.a, True)
+        y = sim.kernel.occupancy(sim.x, sim.a)
         distances.append(distance_to_uniform(y, t))
         sim.advance()
     return distances
@@ -649,6 +644,5 @@ class TestCsvRoundTrips:
         assert lines[0] == ("topology_id,policy,r,density,flow,"
                             "road_id,road_density,road_flow")
         assert len(lines) == 1 + len(t.roads)
-        trace = ResponseTrace("open_loop", [1.0, 0.5, 0.25])
-        write_response_csv(trace, tmp_path / "resp.csv")
+        write_response_csv([1.0, 0.5, 0.25], tmp_path / "resp.csv")
         assert (tmp_path / "resp.csv").read_text().splitlines()[1] == "0,1.0"
