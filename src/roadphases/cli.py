@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import itertools
 import re
@@ -28,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, control, metrics
-from .dynamics import (DISCRETE, MODES, init_occupancy, kernel_for,
-                       occupancy_at, simulate)
+from .dynamics import (DISCRETE, MODES, Simulation, init_occupancy,
+                       kernel_for, occupancy_at)
 from .topology import NetworkTopology, build_figure_eight, build_topology
 
 # each junction policy by name: how a RunConfig builds it on network t
@@ -311,32 +312,33 @@ def counter_lines(states: np.ndarray) -> str:
 
 
 # per-position codes: a road cell is 0 or 1, a junction 2 + west + 2 * south
-_LINE_CHARS = np.array(list("010WSB"))
-
-
-def occupancy_line(t: NetworkTopology, y: np.ndarray) -> str:
-    """One 0/1 character per counting position; junctions as 0, W, S or B."""
-    kern = kernel_for(t)
-    code = (np.asarray(y) != 0).astype(np.intp)
-    code[kern.slot_a] += 2 + 2 * code[kern.slot_b]
-    return "".join(_LINE_CHARS[code[kern.counting]])
+_LINE_CHARS = np.frombuffer(b"010WSB", np.uint8)
 
 
 def occupancy_lines(t: NetworkTopology, states: np.ndarray, a) -> str:
-    return "\n".join(occupancy_line(t, y)
-                     for y in occupancy_at(states, a, t)) + "\n"
+    """Occupancy dump: one line per state, one 0/1 character per counting
+    position, junctions as 0, W, S or B."""
+    kern = kernel_for(t)
+    code = (occupancy_at(states, a, t) != 0).astype(np.intp)
+    code[:, kern.slot_a] += 2 + 2 * code[:, kern.slot_b]
+    chars = _LINE_CHARS.take(code[:, kern.counting])  # C-contiguous for view
+    lines = chars.view(f"S{chars.shape[1]}").ravel().tolist()
+    return b"\n".join(lines).decode() + "\n"
 
 
 def cmd_simulate(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
     a = _initial_occupancy(cfg, t)
     horizon = cfg.horizon if cfg.horizon is not None else 50
-    policy = make_policy(cfg.policy, cfg, t)
-    states = simulate(t, a, cfg.mode, horizon, policy)
-    (out_dir / "counters.tsv").write_text(counter_lines(states))
-    written = ["counters.tsv"]
-    if cfg.mode == DISCRETE:
-        (out_dir / "occupancy.txt").write_text(occupancy_lines(t, states, a))
-        written.append("occupancy.txt")
+    if horizon < 1:
+        raise ConfigError("horizon must be >= 1")
+    sim = Simulation(t, a, cfg.mode, make_policy(cfg.policy, cfg, t))
+    written = ["counters.tsv"] + ["occupancy.txt"] * (cfg.mode == DISCRETE)
+    with contextlib.ExitStack() as stack:  # each state written as reached
+        files = [stack.enter_context(open(out_dir / n, "w")) for n in written]
+        for s in sim.trajectory(horizon):
+            files[0].write(counter_lines([s.x]))
+            for occupancy in files[1:]:  # discrete mode only
+                occupancy.write(occupancy_lines(t, [s.x], a))
     print(f"simulate: {horizon} steps of {t.topology_id} "
           f"({cfg.mode}, policy {cfg.policy}) -> {', '.join(written)}")
     return 0
@@ -470,6 +472,9 @@ def cmd_response(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
     horizon = 8 * t.counting_size if cfg.response_horizon is None \
         else cfg.response_horizon
     count = round(cfg.response_density * t.counting_size)
+    if count > kernel_for(t).rc.size:  # a clustered start fills road cells
+        raise ConfigError(f"[response] density {cfg.response_density!r} needs "
+                          f"{count} road cells (has {kernel_for(t).rc.size})")
     starts = np.array([metrics.clustered_occupancy(t, count, seed)
                        for seed in cfg.seeds])
     summary = [["policy", "seed", "response_time", "settled", "plateau"]]

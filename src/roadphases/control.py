@@ -245,7 +245,7 @@ class GlobalFeedbackPolicy:
 
     def greens(self, k: int, sim) -> np.ndarray:
         phase = k % self.cycle
-        if phase == 0:
+        if phase == 0 and k:  # reset timed step 0
             self._slots = self._timing(sim)
         return phase < self._slots
 

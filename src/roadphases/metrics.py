@@ -163,8 +163,9 @@ def sweep_diagrams(t: NetworkTopology, densities, mode: str, policies,
                    burn_in: int | None = None,
                    per_road: bool = False) -> list[FundamentalDiagram]:
     """Fundamental diagram of each policy over a density grid, median flow
-    across seeds; every (density, seed) run of every policy is a lane of a
-    stack stepped by ``_by_policy``, one ``_measure`` call per stack.
+    across seeds.  Each distinct (car count, seed) run is one lane of a stack
+    stepped by ``_by_policy``, one ``_measure`` call per stack, and every
+    density that rounds to its count reads its results.
     """
     seeds = tuple(seeds)
     if not seeds:
@@ -174,9 +175,12 @@ def sweep_diagrams(t: NetworkTopology, densities, mode: str, policies,
         if not 0 <= d <= 1:
             raise ValueError(f"density {d} outside [0, 1]")
         counts.append(round(d * t.counting_size))
-    placements = np.zeros((len(counts) * len(seeds), t.n_slots), np.int64)
-    for lane, (count, seed) in enumerate(itertools.product(counts, seeds)):
-        placements[lane] = init_occupancy(t, count=count, seed=seed)
+    runs = list(itertools.product(counts, seeds))
+    lane = {run: i for i, run in enumerate(dict.fromkeys(runs))}
+    placements = np.zeros((len(lane), t.n_slots), np.int64)
+    for (count, seed), i in lane.items():
+        placements[i] = init_occupancy(t, count=count, seed=seed)
+    lanes = np.array([lane[r] for r in runs], np.intp).reshape(-1, len(seeds))
     by_policy = _by_policy(policies, placements, lambda a, policy: _measure(
         t, a, mode, policy, horizon, burn_in, per_road))
     diagrams = []
@@ -184,10 +188,7 @@ def sweep_diagrams(t: NetworkTopology, densities, mode: str, policies,
         diagram = FundamentalDiagram(
             topology_id=t.topology_id, r=float(ratio_r(t)),
             policy_id=_policy_id(policy))
-        # lane i * len(seeds) + j is the run of counts[i] and seeds[j]
-        flows, flags, road_flow, road_density = (
-            v.reshape(len(counts), len(seeds), *v.shape[1:])
-            for v in measured)
+        flows, flags, road_flow, road_density = (v[lanes] for v in measured)
         flow, road_flow, road_density = (
             np.median(v, axis=1) for v in (flows, road_flow, road_density))
         for i, count in enumerate(counts):

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -394,6 +395,36 @@ class TestSimulateCommand:
     def test_missing_config_exits_one(self, tmp_path):
         assert run_cli(["simulate", "--config",
                         str(tmp_path / "nope.cfg")], tmp_path) == 1
+
+    def test_memory_is_flat_in_the_horizon(self, tmp_path):
+        # each state is written as it is reached: 2,000 discrete steps on
+        # Fig-8 45/15 peaked at 4.9 MB when the trajectory was kept whole
+        cfg_path = tmp_path / "fig8.cfg"
+        peaks = {}
+        for horizon in (1, 200, 2000):  # the first run warms up
+            cfg_path.write_text(FIG8_CONTINUOUS_CFG.replace(
+                "continuous", "discrete").replace("1475", str(horizon)))
+            tracemalloc.start()
+            try:
+                assert run_cli(["simulate", "--config", str(cfg_path)],
+                               tmp_path) == 0
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len((tmp_path / "occupancy.txt").read_text().splitlines()) \
+            == 2001
+        assert peaks[2000] < 2 * peaks[200]
+        assert peaks[2000] < 1e6
+
+    @pytest.mark.parametrize("command", ["simulate", "diagram"])
+    def test_zero_horizon_exits_one(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "zero.cfg"
+        cfg_path.write_text(TABLE1_CFG.replace("horizon = 5", "horizon = 0"))
+        assert run_in_empty_dir([command, "--config", str(cfg_path)],
+                                tmp_path) == (1, [])
+        assert capsys.readouterr().err == {
+            "simulate": "error: horizon must be >= 1\n",
+            "diagram": "error: need horizon > burn_in >= 0\n"}[command]
 
 
 DIAGRAM_CFG = """\
@@ -794,6 +825,21 @@ class TestResponseCommand:
                                            "lie in [0, 1], got "
                                            f"{float(density)!r}\n")
         assert runs == []  # rejected before any policy is run
+
+    def test_rejects_density_beyond_the_road_cells(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a clustered start packs one car per road cell; this city has 24
+        # road cells and 28 counting positions, and 0.95 asks for 27 cars
+        runs = count_calls(monkeypatch, "run_response_trace")
+        cfg_path = tmp_path / "resp.cfg"
+        cfg_path.write_text(RESPONSE_CFG.replace(
+            "segment_len = 2", "segment_len = 3").replace(
+            "density = 0.25", "density = 0.95"))
+        assert run_in_empty_dir(["response", "--config", str(cfg_path)],
+                                tmp_path) == (1, [])
+        assert capsys.readouterr().err == ("error: [response] density 0.95 "
+                                           "needs 27 road cells (has 24)\n")
+        assert runs == []
 
 
 GLOBAL_CFG = """\

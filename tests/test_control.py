@@ -613,6 +613,26 @@ class TestGlobalFeedbackPolicy:
         with pytest.raises(ValueError):
             GlobalFeedbackPolicy(solution, cycle=cycle)
 
+    @pytest.mark.parametrize("cycle", [2, 3, 4])
+    def test_times_each_cycle_once(self, monkeypatch, cycle):
+        import roadphases.control as control_mod
+        t = build_torus_city(2, 2, 3)
+        policy = GlobalFeedbackPolicy(solve_lqr(build_lq_model(t)), cycle)
+        a = init_occupancy(t, density=0.4, seed=0)
+        calls = []
+        real = control_mod.global_feedback_timing
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(control_mod, "global_feedback_timing", counting)
+        for steps in (1, cycle, cycle + 1, 5 * cycle - 1):
+            calls.clear()
+            Simulation(t, a, DISCRETE, policy).advance(steps)
+            # reset times step 0; each later cycle start retimes
+            assert len(calls) == -(-steps // cycle)
+
     def test_linearizes_at_run_density(self):
         # unequal roads: xbar is not a uniform shift, so the gain sees it
         t = build_figure_eight(9, 3)

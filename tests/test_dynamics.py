@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadphases.cli import counter_lines, occupancy_line, occupancy_lines
+from roadphases.cli import counter_lines, occupancy_lines
 from roadphases.dynamics import (
     CONTINUOUS,
     DISCRETE,
@@ -843,8 +843,7 @@ class TestDumps:
 
     def test_occupancy_line_junction_chars(self, fig8_55):
         states = simulate(fig8_55, A55, DISCRETE, horizon=2)
-        y1 = occupancy_at(states[1], A55, fig8_55)
-        line = occupancy_line(fig8_55, y1)
+        line, = occupancy_lines(fig8_55, states[1:2], A55).splitlines()
         assert len(line) == fig8_55.counting_size
         assert line == "0011S0100"[:len(line)]
 
@@ -863,8 +862,7 @@ class TestDumps:
         monkeypatch.setattr(dynamics_mod, "check_occupancy", counting)
         text = occupancy_lines(t, states, a)
         assert checks == [a.shape]  # once, not once per state
-        assert text == "".join(occupancy_line(t, occupancy_at(x, a, t)) + "\n"
-                               for x in states)
+        assert text == "".join(occupancy_lines(t, [x], a) for x in states)
         assert occupancy_lines(t, states[:0], a) == "\n"
 
     @pytest.mark.parametrize("name", ["figure_eight_cap2",
@@ -877,8 +875,9 @@ class TestDumps:
         seen = set()
         for seed in range(4):
             a = init_occupancy(t, density=0.7, seed=seed)
-            for x in simulate(t, a, DISCRETE, horizon=40):
-                line = occupancy_line(t, occupancy_at(x, a, t))
+            states = simulate(t, a, DISCRETE, horizon=40)
+            lines = occupancy_lines(t, states, a).splitlines()
+            for x, line in zip(states, lines, strict=True):
                 assert line == walk_line(t, occupancy_at(x, a, t))
                 seen.update(line[i] for i in at_junction)
         assert seen == ({"0", "W", "S", "B"} if t.junctions[0].capacity == 2

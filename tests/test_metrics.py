@@ -374,6 +374,26 @@ class TestStackedSweep:
             assert calls == shapes
             assert [d.policy_id for d in diagrams] == names
 
+    def test_repeated_car_counts_share_their_runs(self, monkeypatch):
+        import roadphases.metrics as metrics_mod
+        t = build_figure_eight(5, 5)
+        densities = np.linspace(0, 1, 20).tolist()  # 10 distinct car counts
+        policies = [None, OpenLoopPolicy()]
+        kwargs = dict(seeds=(0, 1, 2), horizon=100)
+        lone = [[sweep_diagram(t, [d], DISCRETE, policy, **kwargs).points[0]
+                 for d in densities] for policy in policies]
+        lanes = []
+        real = metrics_mod._measure
+
+        def counting(t, a, *args):
+            lanes.append(len(a))
+            return real(t, a, *args)
+
+        monkeypatch.setattr(metrics_mod, "_measure", counting)
+        diagrams = sweep_diagrams(t, densities, DISCRETE, policies, **kwargs)
+        assert lanes == [30, 30]  # one per (car count, seed), not 60
+        assert [d.points for d in diagrams] == lone
+
     @pytest.mark.parametrize("mode", [CONTINUOUS, DISCRETE])
     @pytest.mark.parametrize("t", [build_figure_eight(9, 4),
                                    build_torus_city(2, 3, 3)],
