@@ -50,12 +50,9 @@ class ConfigError(ValueError):
 
 
 def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    """One of configparser's boolean words, in any letter case."""
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    return states[_choice(states)(text.lower())]
 
 
 def _seed(text: str) -> int:
@@ -326,7 +323,8 @@ def occupancy_lines(t: NetworkTopology, states: np.ndarray, a) -> str:
     return b"\n".join(lines).decode() + "\n"
 
 
-def cmd_simulate(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
+def cmd_simulate(args, out_dir: Path) -> int:
+    cfg, t = _load_config(args)
     a = _initial_occupancy(cfg, t)
     horizon = cfg.horizon if cfg.horizon is not None else 50
     if horizon < 1:
@@ -366,8 +364,8 @@ def _series_for_diagram(cfg: RunConfig, t: NetworkTopology):
         yield t, [("diagram", cfg.policy)]
 
 
-def cmd_diagram(cfg: RunConfig, t: NetworkTopology, out_dir: Path,
-                strict: bool = False, plot: bool = False) -> int:
+def cmd_diagram(args, out_dir: Path) -> int:
+    cfg, t = _load_config(args)
     metrics.check_tolerance("eps", cfg.eps)
     series_data = []
     all_converged = True
@@ -389,12 +387,12 @@ def cmd_diagram(cfg: RunConfig, t: NetworkTopology, out_dir: Path,
         write_road_csv([d for _, d, _ in series_data],
                        out_dir / "diagram_roads.csv")
         written.append("diagram_roads.csv")
-    if plot and _render_svg(series_data, out_dir / "diagram.svg"):
+    if args.plot and _render_svg(series_data, out_dir / "diagram.svg"):
         written.append("diagram.svg")
     print(f"diagram: {len(series_data)} series -> {', '.join(written)}")
     if not all_converged:
         print("warning: some points did not converge", file=sys.stderr)
-        if strict:
+        if args.strict:
             return 3
     return 0
 
@@ -432,8 +430,8 @@ def _render_svg(series_data, path: Path) -> bool:
     return True
 
 
-def cmd_eigen(n: int, m: int, capacity: int, points: int,
-              out_dir: Path) -> int:
+def cmd_eigen(args, out_dir: Path) -> int:
+    n, m, capacity, points = args.n, args.m, args.capacity, args.points
     if points < 2:
         raise ConfigError("need at least 2 grid points")
     b = analytic.phase_boundaries(n, m)
@@ -451,8 +449,9 @@ def cmd_eigen(n: int, m: int, capacity: int, points: int,
     return 0
 
 
-def cmd_phases(input_csv: Path, eps: float, out_dir: Path) -> int:
-    seg = metrics.classify_phases_empirical(read_diagram_csv(input_csv), eps)
+def cmd_phases(args, out_dir: Path) -> int:
+    seg = metrics.classify_phases_empirical(read_diagram_csv(args.input),
+                                            args.eps)
     rows = [[repr(s.d_lo), repr(s.d_hi), str(s.label)] for s in seg.segments]
     _write_csv(out_dir / "phases.csv", [["d_lo", "d_hi", "phase"], *rows],
                "\n")
@@ -460,7 +459,8 @@ def cmd_phases(input_csv: Path, eps: float, out_dir: Path) -> int:
     return 0
 
 
-def cmd_response(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
+def cmd_response(args, out_dir: Path) -> int:
+    cfg, t = _load_config(args)
     if cfg.mode != DISCRETE:
         raise ConfigError("response scenarios run in discrete mode")
     if not cfg.response_policies:
@@ -495,8 +495,6 @@ def cmd_response(cfg: RunConfig, t: NetworkTopology, out_dir: Path) -> int:
 
 
 def _load_config(args) -> tuple[RunConfig, NetworkTopology]:
-    if not args.config:
-        raise ConfigError("--config is required for this subcommand")
     cfg, t = _parse_config(Path(args.config).read_text())
     if args.mode:
         cfg = replace(cfg, mode=args.mode)
@@ -525,48 +523,41 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="INI config path")
+    def add_command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    def add_common(name, run, help):  # a command that reads a config
+        p = add_command(name, run, help)
+        p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--mode", choices=MODES)
         p.add_argument("--policy", choices=tuple(_POLICIES))
         p.add_argument("--seeds", type=int,
                        help="use seeds 0..N-1, overriding the config")
+        return p
 
-    p_sim = sub.add_parser("simulate", help="dump a counter trajectory")
-    add_common(p_sim)
-    p_diag = sub.add_parser("diagram", help="density sweep")
-    add_common(p_diag)
+    add_common("simulate", cmd_simulate, "dump a counter trajectory")
+    p_diag = add_common("diagram", cmd_diagram, "density sweep")
     p_diag.add_argument("--strict", action="store_true",
                         help="exit 3 when any point fails to converge")
     p_diag.add_argument("--plot", action="store_true",
                         help="also render an SVG (needs matplotlib)")
-    p_eig = sub.add_parser("eigen", help="closed-form curves")
+    p_eig = add_command("eigen", cmd_eigen, "closed-form curves")
     p_eig.add_argument("--n", type=int, required=True)
     p_eig.add_argument("--m", type=int, required=True)
     p_eig.add_argument("--capacity", type=int, default=1, choices=(1, 2))
     p_eig.add_argument("--points", type=int, default=101)
-    p_ph = sub.add_parser("phases", help="segment an existing diagram CSV")
+    p_ph = add_command("phases", cmd_phases, "segment an existing diagram CSV")
     p_ph.add_argument("--input", required=True)
     p_ph.add_argument("--eps", type=float, default=metrics.DEFAULT_EPS)
-    p_resp = sub.add_parser("response", help="disturbance response traces")
-    add_common(p_resp)
+    add_common("response", cmd_response, "disturbance response traces")
 
     args = parser.parse_args(argv)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            return cmd_simulate(*_load_config(args), out_dir)
-        if args.command == "diagram":
-            return cmd_diagram(*_load_config(args), out_dir,
-                               strict=args.strict, plot=args.plot)
-        if args.command == "eigen":
-            return cmd_eigen(args.n, args.m, args.capacity, args.points,
-                             out_dir)
-        if args.command == "phases":
-            return cmd_phases(Path(args.input), args.eps, out_dir)
-        if args.command == "response":
-            return cmd_response(*_load_config(args), out_dir)
+        return args.run(args, out_dir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

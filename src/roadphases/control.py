@@ -254,16 +254,23 @@ class GlobalFeedbackPolicy:
 
 
 class LaneGroups:
-    """Gate policies on lane groups of one stack: (policy, lanes) pairs,
-    each ``lanes`` a slice of the stack.  Each policy is reset and stepped
-    on a view of its own lanes only, as on a stack of their own."""
+    """Gate policies on lane groups of one stack: the stack splits into one
+    equal, consecutive block of lanes per policy, in order.  Each policy is
+    reset and stepped on a view of its own lanes only, as on a stack of
+    their own."""
 
-    def __init__(self, groups):
-        self.groups = tuple(groups)
+    def __init__(self, policies):
+        self.policies = tuple(policies)
 
     def reset(self, sim):
-        self._views = [(copy.copy(policy), _LaneView(sim, lanes))
-                       for policy, lanes in self.groups]
+        shape, groups = np.shape(sim.a), len(self.policies)
+        if len(shape) != 2 or not groups or shape[0] % groups:
+            raise ValueError(f"a placement of shape {shape} does not split "
+                             f"into {groups} equal lane groups")
+        n = shape[0] // groups
+        self._views = [
+            (copy.copy(policy), _LaneView(sim, slice(g * n, (g + 1) * n)))
+            for g, policy in enumerate(self.policies)]
         for policy, view in self._views:
             policy.reset(view)
 

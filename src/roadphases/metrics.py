@@ -218,9 +218,7 @@ def _by_policy(policies, a, run) -> list[tuple]:
     stacks = [([i], None) for i, policy in enumerate(policies)
               if policy is None]
     if gated:
-        stacks.append((gated, LaneGroups(
-            (policies[i], slice(g * n, (g + 1) * n))
-            for g, i in enumerate(gated))))
+        stacks.append((gated, LaneGroups(policies[i] for i in gated)))
     for group, policy in stacks:
         results = run(np.tile(a, (len(group), 1)), policy)
         for g, i in enumerate(group):

@@ -189,6 +189,13 @@ policies = open_loop, local_feedback
                                               r"per_road: 'maybe'$"):
             parse_config(TABLE1_CFG + "[diagram]\nper_road = maybe\n")
 
+    @pytest.mark.parametrize("word,value", [
+        ("1", True), ("yes", True), ("True", True), ("ON", True),
+        ("0", False), ("no", False), ("False", False), ("OFF", False)])
+    def test_per_road_reads_the_boolean_words(self, word, value):
+        cfg = parse_config(TABLE1_CFG + f"[diagram]\nper_road = {word}\n")
+        assert cfg.per_road is value
+
     def test_density_grid_forms(self):
         t = build_figure_eight(5, 5)
         assert parse_density_grid("linspace(0,1,3)", t) == [0.0, 0.5, 1.0]
@@ -279,6 +286,30 @@ policies = open_loop, local_feedback
         assert capsys.readouterr().err.startswith(
             "error: bad [topology] section: ")
 
+    @pytest.mark.parametrize("command,text,error", [
+        ("simulate", "[topology\nfamily = figure_eight\n",
+         "error: bad config syntax: File contains no section headers."),
+        ("simulate", TABLE1_CFG.replace("seeds = 0", "seeds = 0\nseeds = 1"),
+         "error: bad config syntax: While reading from '<string>' [line 11]: "
+         "option 'seeds' in section 'run' already exists\n"),
+        ("simulate", TABLE1_CFG + "count = 4\n",
+         "error: [occupancy] needs exactly one of explicit / count / "
+         "density\n"),
+        ("simulate", TABLE1_CFG.replace("explicit = 0,1,0,1,0,1,0,0,1,0", ""),
+         "error: [occupancy] needs exactly one of explicit / count / "
+         "density\n"),
+        ("diagram", TABLE1_CFG + "\n[diagram]\ndensities = linspace(0,1,0)\n",
+         "error: linspace needs at least one point\n"),
+    ], ids=["no_section_header", "repeated_key", "two_occupancy_keys",
+            "no_occupancy_key", "empty_linspace"])
+    def test_config_no_run_can_use_exits_one(self, tmp_path, capsys,
+                                             command, text, error):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        assert run_in_empty_dir([command, "--config", str(cfg_path)],
+                                tmp_path) == (1, [])
+        assert capsys.readouterr().err.startswith(error)
+
     def test_percent_sign_is_read_literally(self, tmp_path, capsys):
         cfg_path = tmp_path / "percent.cfg"
         cfg_path.write_text(TABLE1_CFG + "\n[diagram]\ndensities = 5%\n")
@@ -363,6 +394,31 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--config", str(cfg_path)], tmp_path) == 0
         assert (tmp_path / "counters.tsv").read_text() == TABLE2_TSV
         assert (tmp_path / "occupancy.txt").read_text() == TABLE3_TXT
+
+    @pytest.mark.parametrize("flag,text,key", [
+        (["--mode", "discrete"], TABLE1_CFG, ("continuous", "discrete")),
+        # open-loop counters first part from the priority rule's at step 7
+        (["--policy", "open_loop"],
+         TABLE1_CFG.replace("horizon = 5", "horizon = 10"),
+         ("priority", "open_loop")),
+    ], ids=["mode", "policy"])
+    def test_flag_overrides_its_config_key(self, tmp_path, flag, text, key):
+        # the flag writes what the config edited to its value writes, and
+        # not what the config alone writes
+        cfg_path, edited = tmp_path / "table1.cfg", tmp_path / "edited.cfg"
+        cfg_path.write_text(text)
+        edited.write_text(text.replace(*key))
+        written = {}
+        for name, args in {"config": [cfg_path], "flag": [cfg_path, *flag],
+                           "edited": [edited]}.items():
+            out = tmp_path / name
+            assert main(["--out", str(out), "simulate", "--config",
+                         *map(str, args)]) == 0
+            written[name] = {p.name: p.read_text() for p in out.iterdir()}
+        assert written["flag"] == written["edited"] != written["config"]
+        if flag[0] == "--mode":
+            assert written["flag"] == {"counters.tsv": TABLE2_TSV,
+                                       "occupancy.txt": TABLE3_TXT}
 
     def test_continuous_dump_reads_back_exactly(self, tmp_path):
         # the fig8_sweep network: its counters soon need more than the six
@@ -642,7 +698,11 @@ r_size = 24
                       r"\[2, 59\]"),
         ("0.25,0.75", 1, r"r = 0.25 with r_size = 1: .* = 0 lies outside"),
         ("1.5", 60, r"r must lie in \(0, 1\): 1.5"),
-    ], ids=["n_below_2", "m_below_2", "r_size_too_small", "r_above_1"])
+        # a series is either a ratio or a policy, never both
+        ("0.25\npolicy_list = priority, open_loop", 60,
+         r"^error: choose one of r_list / policy_list, not both$"),
+    ], ids=["n_below_2", "m_below_2", "r_size_too_small", "r_above_1",
+            "with_policy_list"])
     def test_r_list_rejects_a_ratio_it_cannot_build(
             self, tmp_path, capsys, r_list, r_size, message):
         cfg_path = tmp_path / "rsweep.cfg"
@@ -681,6 +741,13 @@ class TestEigenCommand:
         multi = [r for r in rows if ";" in r.split(",")[2]]
         assert multi, "no density exposed several eigenvalues"
 
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_rejects_fewer_than_two_points(self, tmp_path, capsys, points):
+        assert run_in_empty_dir(["eigen", "--n", "5", "--m", "5",
+                                 "--points", points], tmp_path) == (1, [])
+        assert capsys.readouterr().err == \
+            "error: need at least 2 grid points\n"
+
     def test_capacity_two_no_quarter_plateau(self, tmp_path):
         assert run_cli(["eigen", "--n", "45", "--m", "15", "--capacity",
                         "2", "--points", "41"], tmp_path) == 0
@@ -710,6 +777,16 @@ class TestPhasesCommand:
                        tmp_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "2 diagram series" in err
+        assert not (tmp_path / "phases.csv").exists()
+
+    @pytest.mark.parametrize("tail", ["", "\n"], ids=["header", "blank_line"])
+    def test_rejects_a_csv_without_rows(self, tmp_path, capsys, tail):
+        csv_path = tmp_path / "diagram.csv"
+        csv_path.write_text("topology_id,policy,r,density,flow,phase,"
+                            f"converged,seed_count\n{tail}")
+        assert run_cli(["phases", "--input", str(csv_path)], tmp_path) == 1
+        assert capsys.readouterr().err == \
+            f"error: empty diagram CSV: {csv_path}\n"
         assert not (tmp_path / "phases.csv").exists()
 
     @pytest.mark.parametrize("point", ["nan,0.7", "0.0,inf", "0.2,-inf"])
@@ -779,6 +856,20 @@ class TestResponseCommand:
         trace = (tmp_path / "response_open_loop_seed0.csv").read_text()
         assert trace.splitlines()[0] == "step,distance"
         assert len(trace.splitlines()) == 202
+
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_rejects_continuous_mode(self, tmp_path, capsys, monkeypatch,
+                                     how):
+        runs = count_calls(monkeypatch, "run_response_traces")
+        cfg_path = tmp_path / "resp.cfg"
+        cfg_path.write_text(RESPONSE_CFG if how == "flag" else
+                            RESPONSE_CFG.replace("discrete", "continuous"))
+        flag = ["--mode", "continuous"] if how == "flag" else []
+        assert run_in_empty_dir(["response", "--config", str(cfg_path),
+                                 *flag], tmp_path) == (1, [])
+        assert capsys.readouterr().err == \
+            "error: response scenarios run in discrete mode\n"
+        assert runs == []
 
     @pytest.mark.parametrize("horizon", [0, -5])
     def test_rejects_empty_horizon(self, tmp_path, capsys, horizon):
@@ -941,18 +1032,24 @@ class TestGlobalFeedbackCommands:
 class TestBadArguments:
     """argparse's own errors exit 1, like any other invalid input."""
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", "--mode", "quantum"],
-        ["eigen", "--m", "5"],
-        ["bogus"],
-        ["eigen", "--n", "x", "--m", "5"],
-    ], ids=["bad_choice", "missing_flag", "unknown_command", "bad_int"])
-    def test_exits_one(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv,error", [
+        (["simulate", "--mode", "quantum"],
+         "roadphases simulate: error: argument --mode: invalid choice"),
+        (["eigen", "--m", "5"], "roadphases eigen: error: the following "
+                                "arguments are required: --n"),
+        (["simulate"], "roadphases simulate: error: the following "
+                       "arguments are required: --config\n"),
+        (["bogus"], "roadphases: error: argument command: invalid choice"),
+        (["eigen", "--n", "x", "--m", "5"],
+         "roadphases eigen: error: argument --n: invalid int value"),
+    ], ids=["bad_choice", "missing_flag", "missing_config", "unknown_command",
+            "bad_int"])
+    def test_exits_one(self, tmp_path, capsys, argv, error):
         with pytest.raises(SystemExit) as exc:
             main(["--out", str(tmp_path / "out"), *argv])
         assert exc.value.code == 1
-        assert re.search(r"^roadphases[a-z ]*: error: ",
-                         capsys.readouterr().err, re.M)
+        assert re.search("^" + re.escape(error), capsys.readouterr().err,
+                         re.M)
         assert not (tmp_path / "out").exists()
 
     def test_help_exits_zero(self, capsys):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -542,13 +543,29 @@ class TestEmittedGates:
         # the three policies share one stack, three lanes each
         a = self.placements(t)
         policies = self.policies(t)
-        groups = LaneGroups((policy, slice(3 * g, 3 * g + 3))
-                            for g, policy in enumerate(policies.values()))
+        groups = LaneGroups(policies.values())
         xs, gates = self.recorded(t, np.tile(a, (3, 1)), groups)
         for g, (name, policy) in enumerate(policies.items()):
             lanes = slice(3 * g, 3 * g + 3)
             self.check(t, a, [x[lanes] for x in xs], gates[:, lanes], name,
                        policy)
+
+    @pytest.mark.parametrize("lanes,policies", [(5, 2), (None, 2), (4, 0)],
+                             ids=["uneven", "one_run", "no_policies"])
+    def test_lane_groups_reject_a_stack_they_cannot_split(self, lanes,
+                                                          policies):
+        # each lane needs a gate of its own policy: 5 lanes do not split
+        # into 2 equal blocks, and a 1-D placement has no lanes to split
+        t = GATE_NETWORKS["figure_eight"]
+        a = init_occupancy(t, count=4, seed=0)
+        if lanes is not None:
+            a = np.tile(a, (lanes, 1))
+        groups = LaneGroups([OpenLoopPolicy(), LocalFeedbackPolicy()]
+                            [:policies])
+        with pytest.raises(ValueError, match=re.escape(
+                f"a placement of shape {a.shape} does not split into "
+                f"{policies} equal lane groups")):
+            Simulation(t, a, DISCRETE, groups)
 
     @staticmethod
     def placements(t):

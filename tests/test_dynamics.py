@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -299,12 +300,33 @@ class TestExactnessBound:
         a = init_occupancy(t, count=count, seed=seed)
         gates = (np.random.default_rng(seed).random(
             (self.HORIZON, len(t.junctions))) < 0.5) if gated else None
+        fired = self.check_within_bound(t, a, gates)
+        if name.startswith("fig8"):
+            # the figure-eight runs outgrow the mantissa within the horizon,
+            # so the bound is tested where it matters
+            assert fired is not None
+
+    @settings(max_examples=30, deadline=None)
+    @given(t=small_networks(), gated=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bound_holds_on_every_family(self, t, gated, seed):
+        rng = np.random.default_rng(seed)
+        a = init_occupancy(t, count=int(rng.integers(t.counting_size + 1)),
+                           seed=int(rng.integers(1 << 30)))
+        gates = rng.integers(2, size=(self.HORIZON, len(t.junctions))) > 0 \
+            if gated else None
+        self.check_within_bound(t, a, gates)
+
+    def check_within_bound(self, t, a, gates):
+        """Step a continuous run of placement ``a`` (replaying ``gates``,
+        or under the priority rule if None) beside the Fraction oracle;
+        return the first step whose state breaks the bound, or None."""
         refs = reference.reference_trajectory(t, a.tolist(), self.HORIZON,
                                               gates=gates)
         sim = Simulation(t, a, CONTINUOUS,
-                         RecordedGates(gates) if gated else None)
+                         None if gates is None else RecordedGates(gates))
         D, M = exact_bits(a.tolist())
-        fired = None  # the first step whose state breaks the bound
+        fired = None
         for k, s in enumerate(sim.trajectory(self.HORIZON)):
             if fired is None:
                 # the placement and states 0 .. k - 1 fit: step k is exact
@@ -313,10 +335,7 @@ class TestExactnessBound:
             D, M = max(D, d), max(M, m)
             if fired is None and D + M + 2 > 53:
                 fired = k
-        if name.startswith("fig8"):
-            # the figure-eight runs outgrow the mantissa within the horizon,
-            # so the bound is tested where it matters
-            assert fired is not None
+        return fired
 
 
 class TestTrivialCases:
@@ -332,6 +351,11 @@ class TestTrivialCases:
         assert density(a, t) == 1.0
         states = simulate(t, a, DISCRETE, horizon=30)
         assert not states[-1].any()
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_simulate_rejects_an_empty_horizon(self, fig8_55, horizon):
+        with pytest.raises(ValueError, match=r"^horizon must be >= 1$"):
+            simulate(fig8_55, A55, CONTINUOUS, horizon=horizon)
 
     def test_occupancy_at_time_zero_is_a(self, fig8_55):
         x = np.zeros(10, dtype=np.int64)
@@ -392,6 +416,19 @@ class TestInitOccupancy:
             init_occupancy(fig8_55, values=[2] + A55[1:])
         with pytest.raises(ValueError):
             init_occupancy(fig8_55, values=[np.nan] + A55[1:])
+
+    @pytest.mark.parametrize("spec,message", [
+        ({}, "specify exactly one of values / count / density"),
+        ({"count": 3, "density": 0.5},
+         "specify exactly one of values / count / density"),
+        ({"values": A55, "count": 3},
+         "specify exactly one of values / count / density"),
+        ({"density": 1.5}, "density must lie in [0, 1]"),
+    ], ids=["none", "count_and_density", "values_and_count",
+            "density_above_1"])
+    def test_rejects_a_bad_spec(self, fig8_55, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            init_occupancy(fig8_55, **spec, seed=0)
 
     @pytest.mark.parametrize("name", sorted(PLACEMENT_NETWORKS))
     def test_placements_match_position_walk(self, name):

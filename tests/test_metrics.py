@@ -431,9 +431,9 @@ class TestStackedSweep:
         rebuilds = []
         real = StepKernel.occupancy
 
-        def counting(self, x, a, discrete):
+        def counting(self, x, a):
             rebuilds.append(x.shape)
-            return real(self, x, a, discrete)
+            return real(self, x, a)
 
         monkeypatch.setattr(StepKernel, "occupancy", counting)
         for policy in (LocalFeedbackPolicy(), GlobalFeedbackPolicy(solution)):
@@ -484,6 +484,10 @@ class TestClassifyEmpirical:
         with pytest.raises(ValueError, match="eps"):
             classify_phases_empirical(diag, eps)
 
+    def test_empty_diagram_has_no_segments(self):
+        seg = classify_phases_empirical(self._diagram([]))
+        assert seg.labels == () and seg.segments == ()
+
     def test_segments_tile_the_axis(self):
         pairs = [(k / 20, flow_approx(k / 20, 0.6)) for k in range(21)]
         seg = classify_phases_empirical(self._diagram(pairs))
@@ -525,6 +529,10 @@ class TestDistanceAndResponse:
     def test_response_time_rejects_band_that_cannot_be_met(self, band):
         with pytest.raises(ValueError, match="band"):
             response_time([4.0, 2.0, 1.0, 1.0], band)
+
+    def test_response_time_rejects_an_empty_trace(self):
+        with pytest.raises(ValueError, match="^empty response trace$"):
+            response_time([], band=0.1)
 
     def test_stacked_distance_matches_lone_formula(self):
         t = build_torus_city(3, 3, 4)

@@ -15,7 +15,8 @@ two checkouts alike:
       (continuous), in seconds;
 * L6  the ``diagram`` and ``response`` commands of the benchmark's
       ``city_policies`` config (workload seed 0), each through
-      ``cli.main`` in the child process, in seconds;
+      ``cli.main`` in the child process, in seconds (a command that
+      exits nonzero raises, here and in L7);
 * L7  the ``simulate`` command on the 8x8x9 city (discrete, density 0.3,
       seed 0, 2,000 steps) through ``cli.main``, in seconds: stepping,
       ``counters.tsv`` and ``occupancy.txt`` together.
@@ -135,6 +136,18 @@ def layer4() -> dict:
                                       unit="s per sweep")}
 
 
+def run_command(argv: list[str]) -> None:
+    """One quiet ``cli.main`` call; a command that fails raises, since it
+    would otherwise time as a fast one."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError(f"roadphases {' '.join(argv)} exited with code "
+                           f"{code}: {err.getvalue().strip()}")
+
+
 def layer6() -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import CITY_POLICIES  # imports nothing from the program
@@ -143,13 +156,11 @@ def layer6() -> dict:
         cfg = Path(tmp) / "city_policies.cfg"
         cfg.write_text(CITY_POLICIES.config_text(0))
         for command in CITY_POLICIES.commands:
-            def run():
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    cli.main(["--out", tmp, command, "--config", str(cfg)])
-            run()  # first-call costs
+            argv = ["--out", tmp, command, "--config", str(cfg)]
+            run_command(argv)  # first-call costs
             out[f"city_policies/{command}"] = entry(
-                timed(run, 1), 1.0, 1, unit="s per command")
+                timed(lambda: run_command(argv), 1), 1.0, 1,
+                unit="s per command")
     return out
 
 
@@ -174,16 +185,10 @@ def layer7() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "simulate.cfg"
         cfg.write_text(L7_CFG)
-
-        def run():
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["--out", tmp, "simulate", "--config",
-                                 str(cfg)])
-            if code != 0:  # a failed command would time as a fast one
-                raise RuntimeError(f"simulate exited with code {code}")
-        return {"city_8x8x9/simulate": entry(timed(run, 1), 1.0, 1,
-                                             horizon=2000,
-                                             unit="s per command")}
+        argv = ["--out", tmp, "simulate", "--config", str(cfg)]
+        return {"city_8x8x9/simulate": entry(
+            timed(lambda: run_command(argv), 1), 1.0, 1, horizon=2000,
+            unit="s per command")}
 
 
 def machine() -> dict:
