@@ -99,6 +99,16 @@ def _identity_residual(lam: Fraction, d: Fraction, b: PhaseBoundaries,
     return max(min(terms), -lam)
 
 
+def _density(d, capacity: int = 1) -> Fraction:
+    """``d`` as a Fraction in [0, 1], at a junction of capacity 1 or 2."""
+    if capacity not in (1, 2):
+        raise ValueError("capacity must be 1 or 2")
+    d = Fraction(d)
+    if not 0 <= d <= 1:
+        raise ValueError("density must lie in [0, 1]")
+    return d
+
+
 def eigen_candidates(d, n: int, m: int, capacity: int = 1) -> EigenResult:
     """All nonnegative eigenvalues at density d, exact fixed-point check.
 
@@ -106,11 +116,7 @@ def eigen_candidates(d, n: int, m: int, capacity: int = 1) -> EigenResult:
     kept only if it satisfies the identity exactly.  ``selected`` is the
     flow-relevant value: the sole candidate when unique, else zero.
     """
-    if capacity not in (1, 2):
-        raise ValueError("capacity must be 1 or 2")
-    d = Fraction(d)
-    if not 0 <= d <= 1:
-        raise ValueError("density must lie in [0, 1]")
+    d = _density(d, capacity)
     b = phase_boundaries(n, m)
     pool = {Fraction(0), d / (1 + b.rho)}
     if capacity == 1:
@@ -135,12 +141,8 @@ def flow_approx(d, r, capacity: int = 1) -> float:
     convention that the last term drops for d < r and forces 0 for d >= r.
     Capacity 2:  the same without the 1/4 cap.
     """
-    if capacity not in (1, 2):
-        raise ValueError("capacity must be 1 or 2")
-    d = Fraction(d)
+    d = _density(d, capacity)
     r = Fraction(r)
-    if not 0 <= d <= 1:
-        raise ValueError("density must lie in [0, 1]")
     if not 0 < r < 1:
         raise ValueError("r must lie strictly between 0 and 1")
     terms = [d]
@@ -172,10 +174,8 @@ def road_diagrams(d, r) -> RoadDiagramPoint:
     Uses the large-network phase boundaries 1/4, (2r+1)/4 and r; the output
     satisfies d = r*d_n + (1-r)*d_m exactly.
     """
-    d = Fraction(d)
+    d = _density(d)
     r = Fraction(r)
-    if not 0 <= d <= 1:
-        raise ValueError("density must lie in [0, 1]")
     if r <= Fraction(1, 2):
         raise ValueError("per-road split needs r > 1/2")
     quarter = Fraction(1, 4)

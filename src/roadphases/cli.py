@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, control, metrics
-from .dynamics import (DISCRETE, MODES, Simulation, init_occupancy,
-                       kernel_for, occupancy_at)
+from .dynamics import (DISCRETE, MODES, Simulation, car_count,
+                       init_occupancy, kernel_for, occupancy_at)
 from .topology import NetworkTopology, build_figure_eight, build_topology
 
 # each junction policy by name: how a RunConfig builds it on network t
@@ -55,11 +55,13 @@ def _parse_bool(text: str) -> bool:
     return states[_choice(states)(text.lower())]
 
 
-def _seed(text: str) -> int:
-    """A random seed: an integer >= 0."""
-    if int(text) < 0:
-        raise ValueError(text)
-    return int(text)
+def _within(cast, lo, hi):
+    """Parser of one ``cast`` value in [lo, hi]; NaN lies in none."""
+    def parse(text: str):
+        if not lo <= cast(text) <= hi:
+            raise ValueError(text)
+        return cast(text)
+    return parse
 
 
 def _tuple_of(cast):
@@ -108,9 +110,10 @@ class RunConfig:
     topology: tuple[tuple[str, str], ...]
     mode: str = _ini("run", "mode", _choice(MODES), DISCRETE)
     policy: str = _ini("run", "policy", _choice(_POLICIES), "priority")
-    horizon: int | None = _ini("run", "horizon", int)
+    horizon: int | None = _ini("run", "horizon", _within(int, 1, np.inf))
     burn_in: int | None = _ini("run", "burn_in", int)
-    seeds: tuple[int, ...] = _ini("run", "seeds", _distinct(_seed), (0, 1, 2))
+    seeds: tuple[int, ...] = _ini(
+        "run", "seeds", _distinct(_within(int, 0, np.inf)), (0, 1, 2))
     cycle: int = _ini("policy", "cycle", int, 4)
     green_first: int = _ini("policy", "green_first", int, 2)
     offset: int = _ini("policy", "offset", int, 0)
@@ -124,11 +127,13 @@ class RunConfig:
                           "linspace(0,1,20)")
     eps: float = _ini("diagram", "eps", float, metrics.DEFAULT_EPS)
     per_road: bool = _ini("diagram", "per_road", _parse_bool, False)
-    r_list: tuple[float, ...] = _ini("diagram", "r_list", _distinct(float), ())
+    r_list: tuple[float, ...] = _ini("diagram", "r_list",
+                                     _distinct(_within(float, 0, 1)), ())
     r_size: int = _ini("diagram", "r_size", int, 60)
     policy_list: tuple[str, ...] = _ini("diagram", "policy_list",
                                         _distinct(_choice(_POLICIES)), ())
-    response_density: float = _ini("response", "density", float, 0.3)
+    response_density: float = _ini("response", "density",
+                                     _within(float, 0, 1), 0.3)
     response_horizon: int | None = _ini("response", "horizon", int)
     response_band_fraction: float = _ini("response", "band_fraction", float,
                                          0.1)
@@ -269,36 +274,36 @@ def write_response_csv(trace: list[float], path) -> None:
 
 
 def read_diagram_csv(path) -> metrics.FundamentalDiagram:
-    """Rebuild a diagram (points only) from the CSV dump of one series;
-    an unreadable row or a non-finite density or flow names its line."""
+    """Rebuild a diagram (points only) from the CSV dump of one series; a
+    row that is unreadable, short or not finite names its line."""
+    points, series = [], set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        rows = [(reader.line_num, row) for row in reader]
-    missing = [c for c in ("topology_id", "policy", "r", "density", "flow",
-                           "converged", "seed_count")
-               if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"{path} lacks diagram columns: {', '.join(missing)}")
-    if not rows:
+        try:
+            for row in reader:  # a short row, or a missing column, reads None
+                lacking = [c for c in ("topology_id", "policy", "r", "density",
+                                       "flow", "converged", "seed_count")
+                           if row.get(c) is None]
+                if lacking:
+                    raise ValueError(f"no value for {', '.join(lacking)}")
+                p = metrics.DiagramPoint(
+                    float(row["density"]), float(row["flow"]),
+                    bool(int(row["converged"])), int(row["seed_count"]), ())
+                if not np.isfinite([p.density, p.flow]).all():
+                    raise ValueError("density and flow must be finite, got "
+                                     f"{p.density}, {p.flow}")
+                points.append(p)
+                series.add((row["topology_id"], row["policy"], row["r"]))
+        except (csv.Error, ValueError) as exc:  # csv.Error: e.g. a huge field
+            line = reader.reader.line_num  # DictReader's own lags a failure
+            raise ValueError(f"{path} line {line}: {exc}") from exc
+    if not points:
         raise ValueError(f"empty diagram CSV: {path}")
-    series = {(row["topology_id"], row["policy"], row["r"]) for _, row in rows}
     if len(series) > 1:
         raise ValueError(f"{path} holds {len(series)} diagram series "
                          "(topology_id, policy, r), expected one")
     topology_id, policy_id, r = series.pop()
-    diagram = metrics.FundamentalDiagram(topology_id, float(r), policy_id)
-    for line, row in rows:
-        try:
-            p = metrics.DiagramPoint(
-                float(row["density"]), float(row["flow"]),
-                bool(int(row["converged"])), int(row["seed_count"]), ())
-            if not np.isfinite([p.density, p.flow]).all():
-                raise ValueError("density and flow must be finite, got "
-                                 f"{p.density}, {p.flow}")
-        except (TypeError, ValueError) as exc:  # TypeError: a short row
-            raise ValueError(f"{path} line {line}: {exc}") from exc
-        diagram.points.append(p)
-    return diagram
+    return metrics.FundamentalDiagram(topology_id, float(r), policy_id, points)
 
 
 def counter_lines(states: np.ndarray) -> str:
@@ -327,8 +332,6 @@ def cmd_simulate(args, out_dir: Path) -> int:
     cfg, t = _load_config(args)
     a = _initial_occupancy(cfg, t)
     horizon = cfg.horizon if cfg.horizon is not None else 50
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
     sim = Simulation(t, a, cfg.mode, make_policy(cfg.policy, cfg, t))
     written = ["counters.tsv"] + ["occupancy.txt"] * (cfg.mode == DISCRETE)
     with contextlib.ExitStack() as stack:  # each state written as reached
@@ -349,8 +352,6 @@ def _series_for_diagram(cfg: RunConfig, t: NetworkTopology):
         raise ConfigError("choose one of r_list / policy_list, not both")
     if cfg.r_list:
         for r in cfg.r_list:
-            if not 0 < r < 1:
-                raise ConfigError(f"r must lie in (0, 1): {r}")
             n = round(r * cfg.r_size)
             if not 2 <= n <= cfg.r_size - 1:
                 raise ConfigError(f"r = {r:g} with r_size = {cfg.r_size}: "
@@ -466,12 +467,9 @@ def cmd_response(args, out_dir: Path) -> int:
     if not cfg.response_policies:
         raise ConfigError("[response] policies must name at least one policy")
     metrics.check_tolerance("band_fraction", cfg.response_band_fraction)
-    if not 0 <= cfg.response_density <= 1:
-        raise ConfigError("[response] density must lie in [0, 1], got "
-                          f"{cfg.response_density!r}")
     horizon = 8 * t.counting_size if cfg.response_horizon is None \
         else cfg.response_horizon
-    count = round(cfg.response_density * t.counting_size)
+    count = car_count(t, cfg.response_density)
     if count > kernel_for(t).rc.size:  # a clustered start fills road cells
         raise ConfigError(f"[response] density {cfg.response_density!r} needs "
                           f"{count} road cells (has {kernel_for(t).rc.size})")

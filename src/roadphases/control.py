@@ -25,6 +25,12 @@ from .topology import NetworkTopology, ratio_r
 FLOW_CAP = 0.25  # a capacity-1 junction approach cannot exceed this
 
 
+def _check_cycle(cycle: int) -> None:
+    """Room for two approaches; float64 holds each slot count exactly."""
+    if not 2 <= cycle <= 2 ** 53:
+        raise ValueError(f"cycle must lie in [2, 2**53], got {cycle}")
+
+
 @dataclass(frozen=True)
 class LQModel:
     """Road-inventory model x+ = x + B(u - ubar) with weights Q and R.
@@ -154,8 +160,7 @@ def global_feedback_timing(t: NetworkTopology, gain: np.ndarray,
     ``xbar`` and ``ubar`` may be (roads,) or stacked (lanes, roads); the
     slots then come per lane.
     """
-    if cycle < 2:
-        raise ValueError("cycle must be >= 2")
+    _check_cycle(cycle)
     kern = kernel_for(t)
     v = np.asarray(inventories, float) - xbar
     # gain @ v per lane, with the same BLAS product as for one vector
@@ -177,25 +182,23 @@ class OpenLoopPolicy:
     policy_id = "open_loop"
 
     def __init__(self, cycle: int = 4, green_first: int = 2, offset=0):
-        if cycle < 2:
-            raise ValueError("cycle must be >= 2")
+        _check_cycle(cycle)
         if not 1 <= green_first <= cycle - 1:
             raise ValueError("green_first must lie in [1, cycle-1]")
         self.cycle, self.green_first, self.offset = cycle, green_first, offset
 
     def reset(self, sim):
-        n, cycle = sim.kernel.slot_a.size, self.cycle
+        n = sim.kernel.slot_a.size
         offsets = self.offset if np.ndim(self.offset) else [self.offset] * n
         if len(offsets) != n:
             raise ValueError(f"offset needs one entry per junction ({n}), "
                              f"got {len(offsets)}")
-        # (cycle, junctions): row k holds the greens of phase k; offsets are
-        # reduced as Python ints first, so that none wraps in int64
-        phase = np.arange(cycle)[:, None] + [o % cycle for o in offsets]
-        self._greens_by_phase = phase % cycle < self.green_first
+        # reduced as Python ints, so that none wraps in int64
+        self._offsets = np.array([o % self.cycle for o in offsets], np.int64)
 
     def greens(self, k: int, sim) -> np.ndarray:
-        return self._greens_by_phase[k % self.cycle]
+        # both terms lie below cycle <= 2**53, so their sum cannot wrap
+        return (k % self.cycle + self._offsets) % self.cycle < self.green_first
 
     def phase_key(self, k: int):
         return k % self.cycle
@@ -228,10 +231,8 @@ class GlobalFeedbackPolicy:
     policy_id = "global_feedback"
 
     def __init__(self, solution: LQRSolution, cycle: int = 4):
-        if cycle < 2:
-            raise ValueError("cycle must be >= 2")
-        self.solution = solution
-        self.cycle = cycle
+        _check_cycle(cycle)
+        self.solution, self.cycle = solution, cycle
 
     def reset(self, sim):
         self._xbar, self._ubar = nominal_point(

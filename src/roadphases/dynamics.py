@@ -230,6 +230,14 @@ def density(a: np.ndarray, t: NetworkTopology) -> float | np.ndarray:
     return np.asarray(a).sum(-1) / t.counting_size
 
 
+def car_count(t: NetworkTopology, density: float) -> int:
+    """Cars at ``density`` on t, rounded half to even; NaN or a density
+    outside [0, 1] is rejected."""
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
+    return round(density * t.counting_size)
+
+
 def init_occupancy(t: NetworkTopology, values=None, count: int | None = None,
                    density: float | None = None,
                    seed: int | None = None) -> np.ndarray:
@@ -249,13 +257,9 @@ def init_occupancy(t: NetworkTopology, values=None, count: int | None = None,
             arr = arr.astype(np.int64)
         return check_occupancy(t, arr)
     if density is not None:
-        if not 0 <= density <= 1:
-            raise ValueError("density must lie in [0, 1]")
-        count = round(density * t.counting_size)
-    assert count is not None
+        count = car_count(t, density)
     if not 0 <= count <= t.counting_size:
-        raise ValueError(
-            f"car count {count} outside [0, {t.counting_size}]")
+        raise ValueError(f"car count {count} outside [0, {t.counting_size}]")
     kern = kernel_for(t)
     rng = np.random.default_rng(seed)
     picked = rng.choice(kern.counting.size, size=count, replace=False)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .analytic import PhaseLabel
 from .control import LaneGroups
-from .dynamics import DISCRETE, Simulation, init_occupancy, kernel_for
+from .dynamics import (DISCRETE, Simulation, car_count, init_occupancy,
+                       kernel_for)
 from .topology import NetworkTopology, ratio_r
 
 CONVERGENCE_TOL = 1e-3
@@ -75,10 +76,6 @@ class Segmentation:
     segments: tuple[PhaseSegment, ...]
 
 
-def default_horizon(t: NetworkTopology) -> int:
-    return 50 * t.counting_size
-
-
 def _policy_id(policy) -> str:
     if policy is None:
         return "priority"
@@ -90,7 +87,7 @@ def _measure(t: NetworkTopology, a, mode: str, policy, horizon: int | None,
     """Runs from a stack of placements (lanes, slots) on one trajectory,
     burn-in included: per-lane arrays (flow, converged, road_flow,
     road_density), the road densities zero unless ``per_road`` sums them."""
-    horizon = default_horizon(t) if horizon is None else horizon
+    horizon = 50 * t.counting_size if horizon is None else horizon
     burn_in = horizon // 2 if burn_in is None else burn_in
     if not horizon > burn_in >= 0:
         raise ValueError("need horizon > burn_in >= 0")
@@ -170,11 +167,7 @@ def sweep_diagrams(t: NetworkTopology, densities, mode: str, policies,
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("sweep_diagram needs at least one seed")
-    counts = []
-    for d in densities:
-        if not 0 <= d <= 1:
-            raise ValueError(f"density {d} outside [0, 1]")
-        counts.append(round(d * t.counting_size))
+    counts = [car_count(t, d) for d in densities]
     runs = list(itertools.product(counts, seeds))
     lane = {run: i for i, run in enumerate(dict.fromkeys(runs))}
     placements = np.zeros((len(lane), t.n_slots), np.int64)

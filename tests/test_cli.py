@@ -1,20 +1,26 @@
 """Config parsing, subcommand outputs, table dumps, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import re
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadphases.cli import (
     _POLICIES,
+    _SCHEMA,
     ConfigError,
     RunConfig,
     main,
@@ -356,7 +362,8 @@ class TestUnknownKeys:
                             + "\n[policy]\ncycle = 1\n")
         assert run_in_empty_dir(["simulate", "--config", str(cfg_path)],
                                 tmp_path) == (1, [])
-        assert capsys.readouterr().err == "error: cycle must be >= 2\n"
+        assert capsys.readouterr().err == ("error: cycle must lie in "
+                                           "[2, 2**53], got 1\n")
 
     def test_keys_of_other_commands_are_accepted(self, tmp_path):
         cfg_path = tmp_path / "all.cfg"
@@ -479,8 +486,8 @@ class TestSimulateCommand:
         assert run_in_empty_dir([command, "--config", str(cfg_path)],
                                 tmp_path) == (1, [])
         assert capsys.readouterr().err == {
-            "simulate": "error: horizon must be >= 1\n",
-            "diagram": "error: need horizon > burn_in >= 0\n"}[command]
+            "simulate": "error: bad value for [run] horizon: '0'\n",
+            "diagram": "error: bad value for [run] horizon: '0'\n"}[command]
 
 
 DIAGRAM_CFG = """\
@@ -697,7 +704,7 @@ r_size = 24
         ("0.999", 60, r"r = 0.999 with r_size = 60: .* = 60 lies outside "
                       r"\[2, 59\]"),
         ("0.25,0.75", 1, r"r = 0.25 with r_size = 1: .* = 0 lies outside"),
-        ("1.5", 60, r"r must lie in \(0, 1\): 1.5"),
+        ("1.5", 60, r"^error: bad value for \[diagram\] r_list: '1.5'$"),
         # a series is either a ratio or a policy, never both
         ("0.25\npolicy_list = priority, open_loop", 60,
          r"^error: choose one of r_list / policy_list, not both$"),
@@ -803,16 +810,36 @@ class TestPhasesCommand:
         assert not (tmp_path / "phases.csv").exists()
 
     @pytest.mark.parametrize("row, fault", [
-        ("t,priority,0.5,abc,0.25,free,1,1", "could not convert"),
-        ("t,priority,0.5,0.5,0.25,free,yes,1", "invalid literal"),
-        ("t,priority,0.5,0.5,0.25,free,1", "NoneType")])
+        ("t,priority,0.5,abc,0.25,free,1,1",
+         "could not convert string to float: 'abc'"),
+        ("t,priority,0.5,0.5,0.25,free,yes,1",
+         "invalid literal for int() with base 10: 'yes'"),
+        ("t,priority,0.5,0.5,0.25,free,1", "no value for seed_count"),
+        ("t,priority", "no value for r, density, flow, converged, "
+                       "seed_count")],
+        ids=["bad_float", "bad_int", "short", "two_fields"])
     def test_rejects_unreadable_rows(self, tmp_path, capsys, row, fault):
         csv_path = tmp_path / "diagram.csv"
         csv_path.write_text("topology_id,policy,r,density,flow,phase,"
                             f"converged,seed_count\n{row}\n")
         assert run_cli(["phases", "--input", str(csv_path)], tmp_path) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {csv_path} line 2: ") and fault in err
+        assert capsys.readouterr().err == \
+            f"error: {csv_path} line 2: {fault}\n"
+        assert not (tmp_path / "phases.csv").exists()
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_rejects_a_field_above_the_csv_limit(self, tmp_path, capsys,
+                                                 line):
+        # csv.Error, not a ValueError: it used to escape main
+        lines = ["topology_id,policy,r,density,flow,phase,converged,"
+                 "seed_count", "t,priority,0.5,0.5,0.25,free,1,1"] * 2
+        lines[line - 1] += "x" * 140_000
+        csv_path = tmp_path / "diagram.csv"
+        csv_path.write_text("\n".join(lines[:3]) + "\n")
+        assert run_cli(["phases", "--input", str(csv_path)], tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {csv_path} line {line}: field larger than field limit "
+            f"({csv.field_size_limit()})\n")
         assert not (tmp_path / "phases.csv").exists()
 
     @pytest.mark.parametrize("eps", ["nan", "-0.01", "inf"])
@@ -912,9 +939,8 @@ class TestResponseCommand:
             "density = 0.25", f"density = {density}"))
         assert run_in_empty_dir(["response", "--config", str(cfg_path)],
                                 tmp_path) == (1, [])
-        assert capsys.readouterr().err == ("error: [response] density must "
-                                           "lie in [0, 1], got "
-                                           f"{float(density)!r}\n")
+        assert capsys.readouterr().err == ("error: bad value for [response] "
+                                           f"density: {density!r}\n")
         assert runs == []  # rejected before any policy is run
 
     def test_rejects_density_beyond_the_road_cells(self, tmp_path, capsys,
@@ -1027,6 +1053,153 @@ class TestGlobalFeedbackCommands:
         cfg_path.write_text(GLOBAL_CFG)
         assert run_cli([command, "--config", str(cfg_path)], tmp_path) == 0
         assert len(built) == 1
+
+
+class TestCycleRange:
+    """[policy] cycle lies in [2, 2**53] under both light policies: a long
+    open-loop cycle allocates nothing per phase, and a cycle whose slots
+    float64 cannot count exits 1 naming it, with no warning on the way."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cycle", [10 ** 12, 2 ** 53, 2 ** 53 + 1,
+                                       10 ** 26])
+    @pytest.mark.parametrize("policy", ["open_loop", "global_feedback"])
+    def test_cycle_range(self, tmp_path, capsys, policy, cycle):
+        cfg_path = tmp_path / "cycle.cfg"
+        cfg_path.write_text(GLOBAL_CFG.replace(
+            "policy = global_feedback", f"policy = {policy}").replace(
+            "cycle = 4", f"cycle = {cycle}"))
+        code, written = run_in_empty_dir(
+            ["diagram", "--config", str(cfg_path)], tmp_path)
+        err = capsys.readouterr().err
+        if cycle <= 2 ** 53:
+            assert (code, written) == (0, ["diagram.csv", "diagram.dat"])
+            assert "error" not in err
+        else:
+            assert (code, written) == (1, [])
+            assert err == f"error: cycle must lie in [2, 2**53], got {cycle}\n"
+
+
+def valid_values(t) -> dict[str, list[str]]:
+    """Values of each RunConfig field that a run on network t accepts (some
+    only with other keys), boundaries included, all of them tiny."""
+    zeros = ["0"] * t.n_slots
+    return {
+        "mode": ["discrete", "continuous"],
+        "policy": list(_POLICIES),
+        "horizon": ["1", "7", "50"],
+        "burn_in": ["0", "3", "49"],
+        "seeds": ["0", "2", "0,1", "3,1,2"],
+        "cycle": ["2", "4", "7", str(2 ** 53)],
+        "green_first": ["1", "2", "6"],
+        "offset": ["0", "3", "-5", str(2 ** 64)],
+        "q_scale": ["1", "0", "2.5"],
+        "r_scale": ["10", "1", "0.1"],
+        "occupancy_values": [",".join(zeros), ",".join(["1"] + zeros[1:])],
+        "occupancy_count": ["0", "1", str(t.counting_size)],
+        "occupancy_density": ["0", "0.3", "1"],
+        "densities": ["0.2", "0,0.5,1", "linspace(0,1,4)",
+                      f"counts(0,{t.counting_size})"],
+        "eps": ["0", "0.02", "0.5"],
+        "per_road": ["yes", "off", "TRUE"],
+        "r_list": ["0.5", "0.25,0.75"],
+        "r_size": ["3", "8", "12"],
+        "policy_list": ["priority,open_loop",
+                        "local_feedback,global_feedback"],
+        "response_density": ["0", "0.25", "0.5"],
+        "response_horizon": ["1", "20", "50"],
+        "response_band_fraction": ["0", "0.1", "2"],
+        "response_policies": ["open_loop", "priority",
+                              "local_feedback,global_feedback"],
+    }
+
+
+MUTATIONS = ["", "nan", "inf", "-inf", "-1", "-0.5", "0", "1e30",
+             str(10 ** 30), "anarchy", "1,1", "open_loop,open_loop"]
+# a value that sizes a run or a network: 10**30 would step or build forever
+BOUNDED = {"horizon", "response_horizon", "r_size"}
+NETWORKS = [f"family = figure_eight\nn = {n}\nm = {m}"
+            for n in (2, 4, 6) for m in (2, 3, 6)] + [
+    "family = torus_city\nrows = 2\ncols = 2\nsegment_len = 3"]
+
+
+@st.composite
+def config_runs(draw):
+    """(argv after --out, INI text): a config command on a tiny network,
+    with a horizon of at most 50 and at most two keys mutated, repeated or
+    unknown; any other key is valid or left out."""
+    network = draw(st.sampled_from(NETWORKS))
+    t = parse_config(f"[topology]\n{network}\n").build_topology()
+    valid = valid_values(t)
+    values = {name: draw(st.sampled_from(valid[name]))
+              for name, *_ in _SCHEMA if name in BOUNDED
+              or draw(st.sampled_from([True, False, False]))}
+    keys = {name: (section, key) for name, section, key, _ in _SCHEMA}
+    extra = []  # (section, line) of a repeated or unknown key
+    for name in draw(st.lists(st.sampled_from(list(keys)), max_size=2)):
+        how = draw(st.sampled_from(["mutate", "mutate", "repeat", "unknown"]))
+        if how == "mutate":
+            values[name] = draw(st.sampled_from(
+                [v for v in MUTATIONS if name not in BOUNDED or len(v) < 5]))
+        else:
+            section, key = keys[name]
+            extra.append((section, f"{'bogus' if how == 'unknown' else key}"
+                                   f" = {valid[name][0]}"))
+    sections = {"topology": [network]}
+    for name, (section, key) in keys.items():
+        if name in values:
+            sections.setdefault(section, []).append(f"{key} = {values[name]}")
+    for section, line in extra:
+        sections.setdefault(section, []).append(line)
+    text = "".join(f"[{section}]\n" + "\n".join(lines) + "\n\n"
+                   for section, lines in sections.items())
+    command = draw(st.sampled_from(["simulate", "diagram", "response"]))
+    flags = draw(st.lists(st.sampled_from([
+        ["--seeds", "1"], ["--seeds", "0"], ["--seeds", "x"],
+        ["--mode", "discrete"], ["--mode", "continuous"],
+        ["--policy", "open_loop"], ["--policy", "global_feedback"],
+        ["--strict"]]), max_size=2))
+    if command != "diagram":
+        flags = [f for f in flags if f != ["--strict"]]
+    return [command, "--config", "run.cfg", *sum(flags, [])], text
+
+
+class TestExitCodes:
+    """The README's exit codes as a property: every config command exits
+    0, 1, 2 or 3 (or 1 through argparse) and never raises; exit 1 prints
+    one error line and exit 0 writes every file it names, with no numpy
+    warning on the way."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(run=config_runs())
+    def test_every_config_exits_with_a_documented_code(self, run):
+        argv, text = run
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "run.cfg").write_text(text)
+            argv[2] = str(Path(tmp) / "run.cfg")
+            out, stdout, stderr = Path(tmp) / "out", io.StringIO(), \
+                io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(["--out", str(out), *argv])
+                except SystemExit as exc:  # argparse's own usage errors
+                    code = ("argparse", exc.code)
+            err = stderr.getvalue()
+            if code == ("argparse", 1):
+                assert re.search(r"^roadphases \w+: error: ", err, re.M)
+            elif code == 1:
+                assert err.startswith("error: ")
+                assert "\nerror: " not in err
+            elif code == 2:
+                assert err.startswith("numerical failure: ")
+            elif code == 0:
+                written = stdout.getvalue().splitlines()[-1].split(" -> ")[1]
+                assert all((out / name).is_file()
+                           for name in written.split(", "))
+            else:
+                assert code == 3 and "--strict" in argv
 
 
 class TestBadArguments:

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadphases.control import (
     FLOW_CAP,
@@ -90,6 +92,25 @@ class TestOpenLoop:
                     assert greens.dtype == bool
                     assert greens.tolist() == table[k % cycle], (
                         policy.offset, k)
+
+    # offsets far outside int64 and cycles up to the 2**53 bound: the old
+    # per-phase table's row k % cycle, computed with Python ints
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), cycle=st.integers(2, 2 ** 53),
+           k=st.integers(0, 2 ** 64),
+           offset=st.one_of(
+               st.integers(-2 ** 70, 2 ** 70),
+               st.tuples(*[st.integers(-2 ** 70, 2 ** 70)] * 4),
+               st.sampled_from([2 ** 64, -2 ** 64 - 1,
+                                (2 ** 64, -1, 0, 2 ** 63)])))
+    def test_greens_equal_the_phase_table_row(self, data, cycle, k, offset):
+        t = build_torus_city(2, 2, 2)  # 4 junctions
+        green_first = data.draw(st.integers(1, cycle - 1), "green_first")
+        sim = Simulation(t, np.zeros(t.n_slots, dtype=np.int64),
+                         policy=OpenLoopPolicy(cycle, green_first, offset))
+        offsets = offset if isinstance(offset, tuple) else (offset,) * 4
+        row = [(k % cycle + o % cycle) % cycle < green_first for o in offsets]
+        assert sim.policy.greens(k, sim).tolist() == row
 
     @pytest.mark.parametrize("offset", [(0,), (0, 1, 2, 3, 0)])
     def test_policy_rejects_wrong_offset_count(self, offset):
@@ -357,11 +378,13 @@ class TestGlobalTiming:
             slots = global_feedback_timing(t, gain, xbar, ubar, x)
             assert np.all(slots >= 1) and np.all(slots <= 3)
 
-    @pytest.mark.parametrize("cycle", [0, 1])
+    @pytest.mark.parametrize("cycle", [0, 1, 2 ** 53 + 1])
     def test_rejects_short_cycle(self, city, cycle):
-        # np.clip(share, 1, cycle - 1) would give no green slot at all
+        # np.clip(share, 1, cycle - 1) would give no green slot at all, and
+        # above 2**53 the float64 share no longer counts slots exactly
         t, gain, xbar, ubar = city
-        with pytest.raises(ValueError, match=r"^cycle must be >= 2$"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cycle must lie in [2, 2**53], got {cycle}") + "$"):
             global_feedback_timing(t, gain, xbar, ubar, xbar, cycle)
 
 

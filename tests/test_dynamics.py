@@ -423,7 +423,7 @@ class TestInitOccupancy:
          "specify exactly one of values / count / density"),
         ({"values": A55, "count": 3},
          "specify exactly one of values / count / density"),
-        ({"density": 1.5}, "density must lie in [0, 1]"),
+        ({"density": 1.5}, "density must lie in [0, 1], got 1.5"),
     ], ids=["none", "count_and_density", "values_and_count",
             "density_above_1"])
     def test_rejects_a_bad_spec(self, fig8_55, spec, message):
