@@ -8,10 +8,10 @@ eigen      closed-form eigenvalue / flow curves -> CSV
 phases     phase segmentation of an existing diagram CSV
 response   distance-to-uniform traces per policy after a clustered start
 
-Configuration is an INI file (key = value under sections); command-line
-flags override config keys.  Exit codes: 0 ok, 1 invalid config, flags or
-inputs, 2 numerical failure (Riccati), 3 non-converged sweep points under
---strict.
+Configuration is an INI file (key = value under sections, each value
+checked as it is read); command-line flags override config keys.  Exit
+codes: 0 ok, 1 invalid config, flags or inputs (or a refused allocation),
+2 numerical failure (Riccati), 3 non-converged sweep points under --strict.
 """
 
 from __future__ import annotations
@@ -55,13 +55,16 @@ def _parse_bool(text: str) -> bool:
     return states[_choice(states)(text.lower())]
 
 
-def _within(cast, lo, hi):
+def _within(cast, lo, hi=np.inf):
     """Parser of one ``cast`` value in [lo, hi]; NaN lies in none."""
     def parse(text: str):
         if not lo <= cast(text) <= hi:
             raise ValueError(text)
         return cast(text)
     return parse
+
+
+_tolerance = _within(float, 0, sys.float_info.max)  # finite and >= 0
 
 
 def _tuple_of(cast):
@@ -110,10 +113,10 @@ class RunConfig:
     topology: tuple[tuple[str, str], ...]
     mode: str = _ini("run", "mode", _choice(MODES), DISCRETE)
     policy: str = _ini("run", "policy", _choice(_POLICIES), "priority")
-    horizon: int | None = _ini("run", "horizon", _within(int, 1, np.inf))
+    horizon: int | None = _ini("run", "horizon", _within(int, 1))
     burn_in: int | None = _ini("run", "burn_in", int)
     seeds: tuple[int, ...] = _ini(
-        "run", "seeds", _distinct(_within(int, 0, np.inf)), (0, 1, 2))
+        "run", "seeds", _distinct(_within(int, 0)), (0, 1, 2))
     cycle: int = _ini("policy", "cycle", int, 4)
     green_first: int = _ini("policy", "green_first", int, 2)
     offset: int = _ini("policy", "offset", int, 0)
@@ -125,18 +128,19 @@ class RunConfig:
     occupancy_density: float | None = _ini("occupancy", "density", float)
     densities: str = _ini("diagram", "densities", str.strip,
                           "linspace(0,1,20)")
-    eps: float = _ini("diagram", "eps", float, metrics.DEFAULT_EPS)
+    eps: float = _ini("diagram", "eps", _tolerance, metrics.DEFAULT_EPS)
     per_road: bool = _ini("diagram", "per_road", _parse_bool, False)
     r_list: tuple[float, ...] = _ini("diagram", "r_list",
                                      _distinct(_within(float, 0, 1)), ())
-    r_size: int = _ini("diagram", "r_size", int, 60)
+    # the smallest size from which a ratio builds: n = 2, m = r_size + 1 - n
+    r_size: int = _ini("diagram", "r_size", _within(int, 3), 60)
     policy_list: tuple[str, ...] = _ini("diagram", "policy_list",
                                         _distinct(_choice(_POLICIES)), ())
     response_density: float = _ini("response", "density",
                                      _within(float, 0, 1), 0.3)
-    response_horizon: int | None = _ini("response", "horizon", int)
-    response_band_fraction: float = _ini("response", "band_fraction", float,
-                                         0.1)
+    response_horizon: int | None = _ini("response", "horizon", _within(int, 1))
+    response_band_fraction: float = _ini("response", "band_fraction",
+                                         _tolerance, 0.1)
     response_policies: tuple[str, ...] = _ini(
         "response", "policies", _distinct(_choice(_POLICIES)),
         ("open_loop", "local_feedback", "global_feedback"))
@@ -220,11 +224,10 @@ def parse_density_grid(spec: str, t: NetworkTopology) -> list[float]:
 def make_policy(name: str, cfg: RunConfig, t: NetworkTopology, d=None):
     """Instantiate a gate policy; global feedback solves once for network t.
 
-    ``d`` is ignored (global feedback reads each run's own density); it is
+    ``name`` is one of _POLICIES, as its config parser or argparse checked;
+    ``d`` is ignored (global feedback reads each run's own density), and
     accepted for callers that still pass an operating density.
     """
-    if name not in _POLICIES:
-        raise ConfigError(f"unknown policy {name!r}")
     return _POLICIES[name](cfg, t)
 
 
@@ -331,7 +334,7 @@ def occupancy_lines(t: NetworkTopology, states: np.ndarray, a) -> str:
 def cmd_simulate(args, out_dir: Path) -> int:
     cfg, t = _load_config(args)
     a = _initial_occupancy(cfg, t)
-    horizon = cfg.horizon if cfg.horizon is not None else 50
+    horizon = cfg.horizon or 50
     sim = Simulation(t, a, cfg.mode, make_policy(cfg.policy, cfg, t))
     written = ["counters.tsv"] + ["occupancy.txt"] * (cfg.mode == DISCRETE)
     with contextlib.ExitStack() as stack:  # each state written as reached
@@ -367,7 +370,6 @@ def _series_for_diagram(cfg: RunConfig, t: NetworkTopology):
 
 def cmd_diagram(args, out_dir: Path) -> int:
     cfg, t = _load_config(args)
-    metrics.check_tolerance("eps", cfg.eps)
     series_data = []
     all_converged = True
     for net, series in _series_for_diagram(cfg, t):
@@ -466,9 +468,7 @@ def cmd_response(args, out_dir: Path) -> int:
         raise ConfigError("response scenarios run in discrete mode")
     if not cfg.response_policies:
         raise ConfigError("[response] policies must name at least one policy")
-    metrics.check_tolerance("band_fraction", cfg.response_band_fraction)
-    horizon = 8 * t.counting_size if cfg.response_horizon is None \
-        else cfg.response_horizon
+    horizon = cfg.response_horizon or 8 * t.counting_size
     count = car_count(t, cfg.response_density)
     if count > kernel_for(t).rc.size:  # a clustered start fills road cells
         raise ConfigError(f"[response] density {cfg.response_density!r} needs "
@@ -556,7 +556,7 @@ def main(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.run(args, out_dir)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except control.RiccatiError as exc:

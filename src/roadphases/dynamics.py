@@ -251,11 +251,9 @@ def init_occupancy(t: NetworkTopology, values=None, count: int | None = None,
     given = sum(arg is not None for arg in (values, count, density))
     if given != 1:
         raise ValueError("specify exactly one of values / count / density")
-    if values is not None:
-        arr = np.asarray(values, dtype=float)
-        if np.all(arr == np.round(arr)):
-            arr = arr.astype(np.int64)
-        return check_occupancy(t, arr)
+    if values is not None:  # checked before the cast: inf has no int64
+        arr = check_occupancy(t, np.asarray(values, dtype=float))
+        return arr.astype(np.int64) if np.all(arr == np.round(arr)) else arr
     if density is not None:
         count = car_count(t, density)
     if not 0 <= count <= t.counting_size:

@@ -226,8 +226,6 @@ policies = open_loop, local_feedback
         # an operating density may still be passed; it is ignored
         assert make_policy("global_feedback", cfg, t, 0.3).solution.gain \
             .tolist() == pol.solution.gain.tolist()
-        with pytest.raises(ConfigError, match="^unknown policy 'anarchy'$"):
-            make_policy("anarchy", cfg, t)
 
     @pytest.mark.parametrize("name", list(_POLICIES))
     def test_every_policy_name_builds_under_its_own_id(self, name):
@@ -265,10 +263,20 @@ policies = open_loop, local_feedback
         ("diagram", TABLE1_CFG.replace("continuous", "discrete")
          + "\n[diagram]\nr_list = 0.5, 0.25, 0.50\n",
          "[diagram] r_list: '0.5, 0.25, 0.50'"),
+        # each value is checked as it is read, by every command, used or not
+        ("simulate", TABLE1_CFG + "\n[diagram]\neps = -1\n",
+         "[diagram] eps: '-1'"),
+        ("response", TABLE1_CFG.replace("continuous", "discrete")
+         + "\n[diagram]\nr_size = 2\n", "[diagram] r_size: '2'"),
+        ("simulate", TABLE1_CFG + "\n[response]\nhorizon = 0\n",
+         "[response] horizon: '0'"),
+        ("diagram", TABLE1_CFG + "\n[response]\nband_fraction = inf\n",
+         "[response] band_fraction: 'inf'"),
     ], ids=["mode", "policy", "policy_list", "response_policies", "seeds",
             "repeated_seeds_and_policies", "repeated_seeds",
             "repeated_response_policies", "repeated_policy_list",
-            "repeated_r_list"])
+            "repeated_r_list", "eps_under_simulate", "r_size_under_response",
+            "response_horizon_under_simulate", "band_under_diagram"])
     def test_bad_name_exits_one_naming_its_key(self, tmp_path, capsys,
                                                command, text, named):
         cfg_path = tmp_path / "bad.cfg"
@@ -306,8 +314,19 @@ policies = open_loop, local_feedback
          "density\n"),
         ("diagram", TABLE1_CFG + "\n[diagram]\ndensities = linspace(0,1,0)\n",
          "error: linspace needs at least one point\n"),
+        # sizes above the 128 TiB of a 47-bit address space, refused at once
+        # under any overcommit setting (10**8-10**11 could really allocate)
+        ("diagram", TABLE1_CFG
+         + "\n[diagram]\ndensities = linspace(0,1,1000000000000000)\n",
+         "error: Unable to allocate 7.11 PiB for an array with shape "
+         "(1000000000000000,) and data type float64\n"),
+        ("diagram", TABLE1_CFG
+         + "\n[diagram]\nr_list = 0.5\nr_size = 10000000000000\n",
+         "error: Unable to allocate 1.42 PiB for an array with shape "
+         "(20, 10000000000001) and data type int64\n"),
     ], ids=["no_section_header", "repeated_key", "two_occupancy_keys",
-            "no_occupancy_key", "empty_linspace"])
+            "no_occupancy_key", "empty_linspace", "refused_grid",
+            "refused_r_size"])
     def test_config_no_run_can_use_exits_one(self, tmp_path, capsys,
                                              command, text, error):
         cfg_path = tmp_path / "bad.cfg"
@@ -527,7 +546,8 @@ class TestDiagramCommand:
         cfg_path = tmp_path / "diag.cfg"
         cfg_path.write_text(DIAGRAM_CFG + f"eps = {eps}\n")
         assert run_cli(["diagram", "--config", str(cfg_path)], tmp_path) == 1
-        assert "eps" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: bad value for [diagram] eps: {eps!r}\n"
         assert not (tmp_path / "diagram.csv").exists()
         assert sweeps == []
 
@@ -703,13 +723,17 @@ r_size = 24
         ("0.01", 60, r"r = 0.01 with r_size = 60: round\(r \* r_size\) = 1"),
         ("0.999", 60, r"r = 0.999 with r_size = 60: .* = 60 lies outside "
                       r"\[2, 59\]"),
-        ("0.25,0.75", 1, r"r = 0.25 with r_size = 1: .* = 0 lies outside"),
+        # below 3 no ratio builds, and the parser names the key
+        ("0.25,0.75", 0, r"^error: bad value for \[diagram\] r_size: '0'$"),
+        ("0.25,0.75", 1, r"^error: bad value for \[diagram\] r_size: '1'$"),
+        ("0.5", 2, r"^error: bad value for \[diagram\] r_size: '2'$"),
+        ("0.25", 3, r"r = 0.25 with r_size = 3: .* = 1 lies outside \[2, 2\]"),
         ("1.5", 60, r"^error: bad value for \[diagram\] r_list: '1.5'$"),
         # a series is either a ratio or a policy, never both
         ("0.25\npolicy_list = priority, open_loop", 60,
          r"^error: choose one of r_list / policy_list, not both$"),
-    ], ids=["n_below_2", "m_below_2", "r_size_too_small", "r_above_1",
-            "with_policy_list"])
+    ], ids=["n_below_2", "m_below_2", "r_size_zero", "r_size_too_small",
+            "r_size_two", "r_size_three", "r_above_1", "with_policy_list"])
     def test_r_list_rejects_a_ratio_it_cannot_build(
             self, tmp_path, capsys, r_list, r_size, message):
         cfg_path = tmp_path / "rsweep.cfg"
@@ -904,7 +928,8 @@ class TestResponseCommand:
         cfg_path.write_text(RESPONSE_CFG.replace(
             "horizon = 200", f"horizon = {horizon}"))
         assert run_cli(["response", "--config", str(cfg_path)], tmp_path) == 1
-        assert "horizon" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: bad value for [response] horizon: '{horizon}'\n"
         assert not (tmp_path / "response_summary.csv").exists()
 
     @pytest.mark.parametrize("fraction", ["-0.5", "nan", "inf"])
@@ -915,7 +940,8 @@ class TestResponseCommand:
         cfg_path.write_text(RESPONSE_CFG.replace(
             "horizon = 200", f"horizon = 200\nband_fraction = {fraction}"))
         assert run_cli(["response", "--config", str(cfg_path)], tmp_path) == 1
-        assert "band" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: bad value for [response] band_fraction: {fraction!r}\n"
         assert not (tmp_path / "response_summary.csv").exists()
         assert runs == []  # rejected before any policy is run
 
@@ -1116,8 +1142,9 @@ def valid_values(t) -> dict[str, list[str]]:
 
 MUTATIONS = ["", "nan", "inf", "-inf", "-1", "-0.5", "0", "1e30",
              str(10 ** 30), "anarchy", "1,1", "open_loop,open_loop"]
-# a value that sizes a run or a network: 10**30 would step or build forever
-BOUNDED = {"horizon", "response_horizon", "r_size"}
+# a value that sizes a run: 10**30 would step forever (an r_size of 10**30
+# exits at once: numpy refuses a dimension that large before allocating)
+BOUNDED = {"horizon", "response_horizon"}
 NETWORKS = [f"family = figure_eight\nn = {n}\nm = {m}"
             for n in (2, 4, 6) for m in (2, 3, 6)] + [
     "family = torus_city\nrows = 2\ncols = 2\nsegment_len = 3"]
@@ -1125,9 +1152,11 @@ NETWORKS = [f"family = figure_eight\nn = {n}\nm = {m}"
 
 @st.composite
 def config_runs(draw):
-    """(argv after --out, INI text): a config command on a tiny network,
-    with a horizon of at most 50 and at most two keys mutated, repeated or
-    unknown; any other key is valid or left out."""
+    """(argv after --out, {file name: bytes}, the error line expected or
+    None): a config command on a tiny network, with a horizon of at most
+    50 and at most two keys mutated, repeated or unknown; any other key is
+    valid or left out.  A lone mutation its key's parser rejects must be
+    reported as that key's bad value."""
     network = draw(st.sampled_from(NETWORKS))
     t = parse_config(f"[topology]\n{network}\n").build_topology()
     valid = valid_values(t)
@@ -1136,8 +1165,11 @@ def config_runs(draw):
               or draw(st.sampled_from([True, False, False]))}
     keys = {name: (section, key) for name, section, key, _ in _SCHEMA}
     extra = []  # (section, line) of a repeated or unknown key
-    for name in draw(st.lists(st.sampled_from(list(keys)), max_size=2)):
-        how = draw(st.sampled_from(["mutate", "mutate", "repeat", "unknown"]))
+    size = draw(st.sampled_from([0, 1, 1, 2]))  # a lone change half the time
+    changes = draw(st.lists(st.sampled_from(list(keys)), min_size=size,
+                            max_size=size))
+    for name in changes:
+        how = draw(st.sampled_from(["mutate"] * 3 + ["repeat", "unknown"]))
         if how == "mutate":
             values[name] = draw(st.sampled_from(
                 [v for v in MUTATIONS if name not in BOUNDED or len(v) < 5]))
@@ -1161,23 +1193,75 @@ def config_runs(draw):
         ["--strict"]]), max_size=2))
     if command != "diagram":
         flags = [f for f in flags if f != ["--strict"]]
-    return [command, "--config", "run.cfg", *sum(flags, [])], text
+    error = None
+    if len(changes) == 1 and not extra and ["--seeds", "x"] not in flags:
+        name, section, key, parse = next(
+            entry for entry in _SCHEMA if entry[0] == changes[0])
+        try:
+            parse(values[name])
+        except ValueError:
+            error = f"error: bad value for [{section}] {key}: " \
+                    f"{values[name]!r}\n"
+    return ([command, "--config", "run.cfg", *sum(flags, [])],
+            {"run.cfg": text.encode()}, error)
+
+
+DIAGRAM_HEADER = b"topology_id,policy,r,density,flow,phase,converged," \
+    b"seed_count"
+CSV_NUMBERS = [b"0", b"0.1", b"0.25", b"0.5", b"1", b"-1", b"2", b"1e308",
+               b"5e-324"]
+# fields a hand-made or damaged CSV may hold: quotes, NUL, bytes that are
+# not UTF-8, and one field over the csv module's 131,072-character limit
+CSV_FIELDS = [b"t", b"priority", b"0.5", b"free", b"nan", b"", b'"',
+              b'"a,b"', b'"x""y"', b"\x00", b"\xff\xfe", b"x" * 140_000]
+
+
+@st.composite
+def phases_runs(draw):
+    """(argv, files, None): ``phases`` on the bytes of a diagram CSV: an
+    empty file, or a header (whole, behind a BOM, or cut short) and up to
+    five rows, each a well-formed one or up to nine drawn fields."""
+    header = draw(st.sampled_from([DIAGRAM_HEADER] * 3 + [
+        b"\xef\xbb\xbf" + DIAGRAM_HEADER, DIAGRAM_HEADER[:30]]))
+    number = st.sampled_from(CSV_NUMBERS)
+    well_formed = st.tuples(number, number, st.sampled_from([b"0", b"1"]),
+                            st.sampled_from([b"1", b"3"])).map(
+        lambda f: b"t,priority,0.5,%s,%s,free,%s,%s" % f)
+    drawn = st.lists(st.sampled_from(CSV_FIELDS), max_size=9).map(b",".join)
+    rows = draw(st.lists(st.one_of(well_formed, well_formed, drawn),
+                         max_size=5))
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    data = draw(st.sampled_from([b"", eol.join([header, *rows]) + eol]))
+    flags = draw(st.sampled_from([[], ["--eps", "0.5"], ["--eps", "nan"]]))
+    return ["phases", "--input", "diagram.csv", *flags], \
+        {"diagram.csv": data}, None
+
+
+@st.composite
+def eigen_runs(draw):
+    """(argv, {}, None): ``eigen`` with n and m in [0, 60], a capacity of
+    1, 2 or 3 (3 is not a choice) and 0 to 200 grid points."""
+    n, m, points = (draw(st.integers(0, 60)), draw(st.integers(0, 60)),
+                    draw(st.integers(0, 200)))
+    capacity = draw(st.sampled_from([1, 2, 3]))
+    return ["eigen", "--n", str(n), "--m", str(m), "--capacity",
+            str(capacity), "--points", str(points)], {}, None
 
 
 class TestExitCodes:
-    """The README's exit codes as a property: every config command exits
-    0, 1, 2 or 3 (or 1 through argparse) and never raises; exit 1 prints
-    one error line and exit 0 writes every file it names, with no numpy
-    warning on the way."""
+    """The README's exit codes as a property: every command exits 0, 1, 2
+    or 3 (or 1 through argparse) and never raises; exit 1 prints one error
+    line and exit 0 writes every file it names, with no numpy warning on
+    the way."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @settings(max_examples=100, deadline=None)
-    @given(run=config_runs())
-    def test_every_config_exits_with_a_documented_code(self, run):
-        argv, text = run
+    @staticmethod
+    def check(argv, files, error):
+        """Run ``main`` in a fresh directory that holds ``files``, each of
+        argv's file names standing for its path there."""
         with tempfile.TemporaryDirectory() as tmp:
-            (Path(tmp) / "run.cfg").write_text(text)
-            argv[2] = str(Path(tmp) / "run.cfg")
+            for name, data in files.items():
+                (Path(tmp) / name).write_bytes(data)
+            argv = [str(Path(tmp) / a) if a in files else a for a in argv]
             out, stdout, stderr = Path(tmp) / "out", io.StringIO(), \
                 io.StringIO()
             with contextlib.redirect_stdout(stdout), \
@@ -1187,6 +1271,8 @@ class TestExitCodes:
                 except SystemExit as exc:  # argparse's own usage errors
                     code = ("argparse", exc.code)
             err = stderr.getvalue()
+            if error is not None:
+                assert (code, err) == (1, error)
             if code == ("argparse", 1):
                 assert re.search(r"^roadphases \w+: error: ", err, re.M)
             elif code == 1:
@@ -1200,6 +1286,24 @@ class TestExitCodes:
                            for name in written.split(", "))
             else:
                 assert code == 3 and "--strict" in argv
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(run=config_runs())
+    def test_every_config_exits_with_a_documented_code(self, run):
+        self.check(*run)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(run=phases_runs())
+    def test_every_phases_input_exits_with_a_documented_code(self, run):
+        self.check(*run)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(run=eigen_runs())
+    def test_every_eigen_run_exits_with_a_documented_code(self, run):
+        self.check(*run)
 
 
 class TestBadArguments:

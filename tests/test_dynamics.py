@@ -417,6 +417,15 @@ class TestInitOccupancy:
         with pytest.raises(ValueError):
             init_occupancy(fig8_55, values=[np.nan] + A55[1:])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e30])
+    def test_rejects_a_value_no_int_holds_without_a_warning(self, fig8_55,
+                                                            value):
+        # checked before the integer cast, which warns on such a value
+        with pytest.raises(ValueError, match=r"^occupancies must lie in "
+                                             r"\[0, 1\]$"):
+            init_occupancy(fig8_55, values=[value] + A55[1:])
+
     @pytest.mark.parametrize("spec,message", [
         ({}, "specify exactly one of values / count / density"),
         ({"count": 3, "density": 0.5},

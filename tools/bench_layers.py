@@ -16,10 +16,15 @@ two checkouts alike:
 * L6  the ``diagram`` and ``response`` commands of the benchmark's
       ``city_policies`` config (workload seed 0), each through
       ``cli.main`` in the child process, in seconds (a command that
-      exits nonzero raises, here and in L7);
+      exits nonzero raises, here and in L7 and L8);
 * L7  the ``simulate`` command on the 8x8x9 city (discrete, density 0.3,
       seed 0, 2,000 steps) through ``cli.main``, in seconds: stepping,
-      ``counters.tsv`` and ``occupancy.txt`` together.
+      ``counters.tsv`` and ``occupancy.txt`` together;
+* L8  the paper's Section 4 policy comparison: the ``diagram`` command on
+      the 8x8x9 city with ``policy_list = priority, open_loop,
+      local_feedback, global_feedback``, the default 20-density grid,
+      seeds 0-2, discrete, at a quarter of the default horizon (15,200
+      steps), through ``cli.main``, in seconds (about a minute).
 
 Each timing is the mean over ``steps`` calls.  Every tree, given as
 ``label=src`` (a checkout's ``src`` directory), is timed REPEATS times, and
@@ -191,6 +196,34 @@ def layer7() -> dict:
             unit="s per command")}
 
 
+L8_CFG = """\
+[topology]
+family = torus_city
+rows = 8
+cols = 8
+segment_len = 9
+
+[run]
+mode = discrete
+horizon = 15200
+seeds = 0,1,2
+
+[diagram]
+densities = linspace(0,1,20)
+policy_list = priority,open_loop,local_feedback,global_feedback
+"""
+
+
+def layer8() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "policies.cfg"
+        cfg.write_text(L8_CFG)
+        argv = ["--out", tmp, "diagram", "--config", str(cfg)]
+        return {"city_8x8x9/policies_diagram": entry(
+            timed(lambda: run_command(argv), 1), 1.0, 1, horizon=15200,
+            runs=240, unit="s per command")}
+
+
 def machine() -> dict:
     deps = np.show_config(mode="dicts")["Build Dependencies"]
     blas = {k: deps[k]["name"] for k in ("blas", "lapack")}
@@ -208,7 +241,7 @@ def measure() -> dict:
     from roadphases import cli, control, dynamics, metrics, topology
     return {"src": str(Path(cli.__file__).resolve().parent.parent),
             "L1": layer1(), "L2": layer2(), "L4": layer4(), "L6": layer6(),
-            "L7": layer7()}
+            "L7": layer7(), "L8": layer8()}
 
 
 def run_child(src: Path) -> dict:
