@@ -156,8 +156,8 @@ def flow_approx(d, r, capacity: int = 1) -> float:
 
 
 def classify_phase_analytic(d, n: int, m: int) -> PhaseLabel:
-    """Phase at density d; freeze wins whenever d >= r."""
-    d = Fraction(d)
+    """Phase at density d in [0, 1]; freeze wins whenever d >= r."""
+    d = _density(d)
     b = phase_boundaries(n, m)
     if d >= b.r:
         return PhaseLabel.FREEZE

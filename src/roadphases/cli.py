@@ -65,6 +65,7 @@ def _within(cast, lo, hi=np.inf):
 
 
 _tolerance = _within(float, 0, sys.float_info.max)  # finite and >= 0
+_positive = _within(float, np.nextafter(0, 1), sys.float_info.max)  # and > 0
 
 
 def _tuple_of(cast):
@@ -114,18 +115,19 @@ class RunConfig:
     mode: str = _ini("run", "mode", _choice(MODES), DISCRETE)
     policy: str = _ini("run", "policy", _choice(_POLICIES), "priority")
     horizon: int | None = _ini("run", "horizon", _within(int, 1))
-    burn_in: int | None = _ini("run", "burn_in", int)
+    burn_in: int | None = _ini("run", "burn_in", _within(int, 0))
     seeds: tuple[int, ...] = _ini(
         "run", "seeds", _distinct(_within(int, 0)), (0, 1, 2))
-    cycle: int = _ini("policy", "cycle", int, 4)
-    green_first: int = _ini("policy", "green_first", int, 2)
+    cycle: int = _ini("policy", "cycle", _within(int, 2, 2 ** 53), 4)
+    green_first: int = _ini("policy", "green_first", _within(int, 1), 2)
     offset: int = _ini("policy", "offset", int, 0)
-    q_scale: float = _ini("policy", "q_scale", float, 1.0)
-    r_scale: float = _ini("policy", "r_scale", float, 10.0)
+    q_scale: float = _ini("policy", "q_scale", _tolerance, 1.0)
+    r_scale: float = _ini("policy", "r_scale", _positive, 10.0)
     occupancy_values: tuple[float, ...] | None = _ini(
-        "occupancy", "explicit", _tuple_of(float))
-    occupancy_count: int | None = _ini("occupancy", "count", int)
-    occupancy_density: float | None = _ini("occupancy", "density", float)
+        "occupancy", "explicit", _tuple_of(_within(float, 0, 1)))
+    occupancy_count: int | None = _ini("occupancy", "count", _within(int, 0))
+    occupancy_density: float | None = _ini("occupancy", "density",
+                                           _within(float, 0, 1))
     densities: str = _ini("diagram", "densities", str.strip,
                           "linspace(0,1,20)")
     eps: float = _ini("diagram", "eps", _tolerance, metrics.DEFAULT_EPS)

@@ -354,8 +354,8 @@ def step(x, a, t: NetworkTopology, mode: str = DISCRETE,
     kern = kernel_for(t)
     if gate is not None:
         gate = np.asarray(gate)
-        if gate.shape != kern.slot_a.shape:
-            raise ValueError("gate needs one entry per junction")
+        if gate.shape != kern.slot_a.shape or not np.isin(gate, (0, 1)).all():
+            raise ValueError("gate needs one True/False entry per junction")
     return kern.to_slots(kern.apply(kern.to_kernel(x), kern.terms(a), gate))
 
 

@@ -132,6 +132,8 @@ def detect_period(t: NetworkTopology, a, policy=None,
     if np.ndim(a) != 1:
         raise ValueError("detect_period takes one placement, not a stack")
     max_steps = 20 * t.counting_size if max_steps is None else max_steps
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     sim = Simulation(t, a, DISCRETE, policy)
     phase_key = getattr(sim.policy, "phase_key", lambda k: ())
     seen: dict[tuple, tuple] = {}  # key -> (step, x[0] at that step)

@@ -162,6 +162,11 @@ class TestClassifyPhase:
     def test_examples(self, d, n, m, expected):
         assert classify_phase_analytic(d, n, m) is expected
 
+    @pytest.mark.parametrize("d", [2, -1, Fraction(11, 10)])
+    def test_rejects_density_outside_unit_interval(self, d):
+        with pytest.raises(ValueError, match=r"density must lie in \[0, 1\]"):
+            classify_phase_analytic(d, 5, 5)
+
     def test_small_r_has_no_saturation(self):
         n, m = 15, 75  # r < 1/4
         b = phase_boundaries(n, m)

@@ -381,8 +381,8 @@ class TestUnknownKeys:
                             + "\n[policy]\ncycle = 1\n")
         assert run_in_empty_dir(["simulate", "--config", str(cfg_path)],
                                 tmp_path) == (1, [])
-        assert capsys.readouterr().err == ("error: cycle must lie in "
-                                           "[2, 2**53], got 1\n")
+        assert capsys.readouterr().err == \
+            "error: bad value for [policy] cycle: '1'\n"
 
     def test_keys_of_other_commands_are_accepted(self, tmp_path):
         cfg_path = tmp_path / "all.cfg"
@@ -1028,7 +1028,8 @@ class TestGlobalFeedbackCommands:
         cfg_path.write_text(GLOBAL_CFG.replace("cycle = 4",
                                                "cycle = 4\nq_scale = -1"))
         assert run_cli([command, "--config", str(cfg_path)], tmp_path) == 1
-        assert "Q must be positive semidefinite" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: bad value for [policy] q_scale: '-1'\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["q_scale", "r_scale"])
@@ -1041,7 +1042,7 @@ class TestGlobalFeedbackCommands:
             assert run_cli(["diagram", "--config", str(cfg_path)],
                            tmp_path) == 1
         assert capsys.readouterr().err == \
-            f"error: {key} must be finite, got {float(value)!r}\n"
+            f"error: bad value for [policy] {key}: {value!r}\n"
 
     def test_one_solve_per_series_and_response_policy(self, tmp_path,
                                                       monkeypatch):
@@ -1082,9 +1083,10 @@ class TestGlobalFeedbackCommands:
 
 
 class TestCycleRange:
-    """[policy] cycle lies in [2, 2**53] under both light policies: a long
+    """[policy] cycle lies in [2, 2**53]: under both light policies a long
     open-loop cycle allocates nothing per phase, and a cycle whose slots
-    float64 cannot count exits 1 naming it, with no warning on the way."""
+    float64 cannot count exits 1 naming its key, with no warning on the
+    way."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("cycle", [10 ** 12, 2 ** 53, 2 ** 53 + 1,
@@ -1103,7 +1105,7 @@ class TestCycleRange:
             assert "error" not in err
         else:
             assert (code, written) == (1, [])
-            assert err == f"error: cycle must lie in [2, 2**53], got {cycle}\n"
+            assert err == f"error: bad value for [policy] cycle: '{cycle}'\n"
 
 
 def valid_values(t) -> dict[str, list[str]]:
@@ -1145,6 +1147,12 @@ MUTATIONS = ["", "nan", "inf", "-inf", "-1", "-0.5", "0", "1e30",
 # a value that sizes a run: 10**30 would step forever (an r_size of 10**30
 # exits at once: numpy refuses a dimension that large before allocating)
 BOUNDED = {"horizon", "response_horizon"}
+# values outside their key's own range, whatever the other keys: each must
+# be its parser's error, under every command and policy
+OUT_OF_RANGE = {"burn_in": ["-1"], "cycle": ["0", "1"], "green_first": ["0"],
+                "q_scale": ["-1", "nan"], "r_scale": ["0", "inf"],
+                "occupancy_density": ["2"], "occupancy_count": ["-1"],
+                "occupancy_values": ["7"]}
 NETWORKS = [f"family = figure_eight\nn = {n}\nm = {m}"
             for n in (2, 4, 6) for m in (2, 3, 6)] + [
     "family = torus_city\nrows = 2\ncols = 2\nsegment_len = 3"]
@@ -1155,8 +1163,8 @@ def config_runs(draw):
     """(argv after --out, {file name: bytes}, the error line expected or
     None): a config command on a tiny network, with a horizon of at most
     50 and at most two keys mutated, repeated or unknown; any other key is
-    valid or left out.  A lone mutation its key's parser rejects must be
-    reported as that key's bad value."""
+    valid or left out.  A lone mutation its key's parser rejects, or that
+    lies in OUT_OF_RANGE, must be reported as that key's bad value."""
     network = draw(st.sampled_from(NETWORKS))
     t = parse_config(f"[topology]\n{network}\n").build_topology()
     valid = valid_values(t)
@@ -1171,8 +1179,10 @@ def config_runs(draw):
     for name in changes:
         how = draw(st.sampled_from(["mutate"] * 3 + ["repeat", "unknown"]))
         if how == "mutate":
-            values[name] = draw(st.sampled_from(
-                [v for v in MUTATIONS if name not in BOUNDED or len(v) < 5]))
+            pool = [v for v in MUTATIONS if name not in BOUNDED or len(v) < 5]
+            if name in OUT_OF_RANGE and draw(st.booleans()):
+                pool = OUT_OF_RANGE[name]
+            values[name] = draw(st.sampled_from(pool))
         else:
             section, key = keys[name]
             extra.append((section, f"{'bogus' if how == 'unknown' else key}"
@@ -1199,7 +1209,10 @@ def config_runs(draw):
             entry for entry in _SCHEMA if entry[0] == changes[0])
         try:
             parse(values[name])
+            rejected = values[name] in OUT_OF_RANGE.get(name, ())
         except ValueError:
+            rejected = True
+        if rejected:
             error = f"error: bad value for [{section}] {key}: " \
                     f"{values[name]!r}\n"
     return ([command, "--config", "run.cfg", *sum(flags, [])],
@@ -1292,6 +1305,24 @@ class TestExitCodes:
     @given(run=config_runs())
     def test_every_config_exits_with_a_documented_code(self, run):
         self.check(*run)
+
+    @pytest.mark.parametrize("name,value", [
+        (name, value) for name, values in OUT_OF_RANGE.items()
+        for value in values])
+    def test_out_of_range_value_is_its_parsers_error(self, name, value):
+        section, key = next(entry[1:3] for entry in _SCHEMA
+                            if entry[0] == name)
+        for command in ("simulate", "diagram", "response"):
+            for policy in _POLICIES:
+                sections = {"topology": [NETWORKS[0]],
+                            "run": [f"policy = {policy}"]}
+                sections.setdefault(section, []).append(f"{key} = {value}")
+                text = "".join(f"[{s}]\n" + "\n".join(lines) + "\n"
+                               for s, lines in sections.items())
+                self.check([command, "--config", "run.cfg"],
+                           {"run.cfg": text.encode()},
+                           f"error: bad value for [{section}] {key}: "
+                           f"{value!r}\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=60, deadline=None)

@@ -569,6 +569,15 @@ class TestStepValidation:
         with pytest.raises(ValueError):
             step(x, A55, fig8_55, DISCRETE, gate=np.array([True, False]))
 
+    @pytest.mark.parametrize("gate", [[2], [0.5], [-1], [np.nan]])
+    def test_gate_entries_checked(self, fig8_55, gate):
+        # a gate of 2 would drive an entry counter below zero
+        x = np.zeros(10, dtype=np.int64)
+        with pytest.raises(ValueError, match="True/False"):
+            step(x, A55, fig8_55, DISCRETE, gate=np.array(gate))
+        for ok in ([1], [0.0], [False]):  # 0/1 of any dtype is a light
+            step(x, A55, fig8_55, DISCRETE, gate=np.array(ok))
+
     def test_gate_caps_entries(self, fig8_55):
         # all-red would be invalid policy-wise, but the cap must still bind
         x = np.zeros(10, dtype=np.int64)

@@ -162,6 +162,12 @@ class TestDetectPeriod:
         a = init_occupancy(t, density=0.45, seed=5)
         assert detect_period(t, a, max_steps=3) is None
 
+    def test_rejects_a_negative_horizon(self):
+        t = build_figure_eight(5, 5)
+        assert detect_period(t, A55, max_steps=0) is None
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            detect_period(t, A55, max_steps=-1)
+
     @pytest.mark.parametrize("policy", sorted(SWEEP_POLICIES))
     @pytest.mark.parametrize("t", PERIOD_NETWORKS.values(),
                              ids=PERIOD_NETWORKS.keys())

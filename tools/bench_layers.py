@@ -13,6 +13,9 @@ two checkouts alike:
       the same stack with no gate, so an entry less it is the gate's cost;
 * L4  the 60-density x 3-seed Fig-8 45/15 sweep at horizon 5,900
       (continuous), in seconds;
+* L5  ``control.solve_lqr(control.build_lq_model(t))`` on the 4x4, 8x8
+      and 12x12 cities of segment length 9 (32, 128 and 288 roads), in
+      ms per solve: the LQR solve each global-feedback series pays once;
 * L6  the ``diagram`` and ``response`` commands of the benchmark's
       ``city_policies`` config (workload seed 0), each through
       ``cli.main`` in the child process, in seconds (a command that
@@ -76,6 +79,7 @@ REPEATS = 7
 # steps per timing, sized so that one timing takes roughly 10-100 ms
 L1_STEPS = {"fig8_45_15": 1000, "city_8x8x9": 300, "grid_32x32x45": 8}
 L2_STEPS = 400
+L5_STEPS = {4: 100, 8: 8, 12: 2}  # solves per timing, by city side
 
 
 def placements(t, lanes: int, density: float = 0.3) -> np.ndarray:
@@ -139,6 +143,17 @@ def layer4() -> dict:
     return {"fig8_45_15_sweep": entry(seconds, 1.0, 1, runs=180,
                                       horizon=100 * t.counting_size,
                                       unit="s per sweep")}
+
+
+def layer5() -> dict:
+    out = {}
+    for side, steps in L5_STEPS.items():
+        t = topology.build_torus_city(side, side, 9)
+        control.solve_lqr(control.build_lq_model(t))  # first-call costs
+        out[f"city_{side}x{side}x9"] = entry(
+            timed(lambda: control.solve_lqr(control.build_lq_model(t)),
+                  steps), 1e3, steps, roads=len(t.roads), unit="ms per solve")
+    return out
 
 
 def run_command(argv: list[str]) -> None:
@@ -240,8 +255,8 @@ def measure() -> dict:
     global cli, control, dynamics, metrics, topology
     from roadphases import cli, control, dynamics, metrics, topology
     return {"src": str(Path(cli.__file__).resolve().parent.parent),
-            "L1": layer1(), "L2": layer2(), "L4": layer4(), "L6": layer6(),
-            "L7": layer7(), "L8": layer8()}
+            "L1": layer1(), "L2": layer2(), "L4": layer4(), "L5": layer5(),
+            "L6": layer6(), "L7": layer7(), "L8": layer8()}
 
 
 def run_child(src: Path) -> dict:
