@@ -33,20 +33,20 @@ def _check_cycle(cycle: int) -> None:
 
 @dataclass(frozen=True)
 class LQModel:
-    """Road-inventory model x+ = x + B(u - ubar) with weights Q and R.
+    """Road-inventory model x+ = x + B(u - ubar) with scalar weights Q, R.
 
     Nothing here depends on density: the nominal point (xbar, ubar) comes
     from nominal_point, so one solution serves every run on the network.
     """
 
     B: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
+    Q: float  # state weight, >= 0
+    R: float  # control weight, > 0
 
 
 def build_lq_model(t: NetworkTopology, q_scale: float = 1.0,
                    r_scale: float = 10.0) -> LQModel:
-    """Interconnection and weights for a network.
+    """Interconnection of a network, with weights Q = q_scale, R = r_scale.
 
     Column i of B sends road i's outflow half-and-half to the two exits of
     its destination junction and removes it from road i, so columns sum to
@@ -63,7 +63,7 @@ def build_lq_model(t: NetworkTopology, q_scale: float = 1.0,
     np.add.at(B, (road, road), -1.0)
     for out in (kern.out_ceil, kern.out_floor):
         np.add.at(B, (np.tile(out, 2), road), 0.5)
-    return LQModel(B=B, Q=q_scale * np.eye(n), R=r_scale * np.eye(n))
+    return LQModel(B=B, Q=float(q_scale), R=float(r_scale))
 
 
 def nominal_point(t: NetworkTopology, d) -> tuple[np.ndarray, np.ndarray]:
@@ -104,45 +104,44 @@ def _mass_projection(B: np.ndarray) -> np.ndarray | None:
     return None
 
 
+@np.errstate(over="raise", invalid="raise")  # caught as a RiccatiError
 def solve_lqr(model: LQModel) -> LQRSolution:
     """Exact solution of the discrete Riccati equation with A = I.
 
     When the columns of B sum to zero the total-inventory direction cannot
     be moved by any control, so it is projected out first; the returned gain
     acts on full-space deviations.  With A = I the equation reads
-    P (I + G P)^-1 G P = Q for G = B R^-1 B', and its positive semidefinite
-    solution is P = G^-1/2 W diag(p) W' G^-1/2, where W diag(s) W' is
-    G^1/2 Q G^1/2 and p = (s + sqrt(s^2 + 4s)) / 2: G^1/2 P G^1/2 commutes
-    with G^1/2 Q G^1/2, and each of its eigenvalues solves p^2 = s (1 + p).
-    Raises RiccatiError when G is singular (a mode no control moves), or if
-    rounding leaves a defect above 1e-9 max(1, max|Q|).
+    P (I + G P)^-1 G P = Q I for G = B B' / R, so one eigen-decomposition
+    G = U diag(g) U' solves it: P = U diag(p / g) U', where each mode's p
+    solves p^2 = s (1 + p) for s = Q g.  Raises ValueError unless R > 0 and
+    Q >= 0, and RiccatiError when G is singular (a mode no control moves),
+    when a step of the solve fails in float64 (an overflow, a singular
+    system), or if rounding leaves a defect above 1e-9 max(1, Q).
     """
-    if np.linalg.eigvalsh(model.R).min() <= 0:
-        raise ValueError("R must be positive definite")
-    q_eigs = np.linalg.eigvalsh(model.Q)  # zeros may round to just below 0
-    if q_eigs.min() < -1e-12 * max(1.0, q_eigs.max()):
-        raise ValueError("Q must be positive semidefinite")
-    B, Q, R = model.B, model.Q, model.R
-    V = _mass_projection(B)
-    if V is not None:
-        B, Q = V.T @ B, V.T @ Q @ V
-    g, U = np.linalg.eigh(B @ np.linalg.solve(R, B.T))
-    if g.min() <= 1e-12 * g.max():
-        raise RiccatiError("uncontrollable mode: B R^-1 B' has eigenvalues "
-                           f"{g.min():.3e} to {g.max():.3e}", np.inf)
-    root = np.sqrt(g)
-    half = (U * root) @ U.T  # G^1/2
-    s, W = np.linalg.eigh(half @ Q @ half)
-    s = np.clip(s, 0.0, None)  # Q's zero modes may round to just below 0
-    p = 0.5 * (s + np.sqrt(s * s + 4 * s))
-    X = (U / root) @ (U.T @ W) * np.sqrt(p)
-    P = X @ X.T  # exactly symmetric: NumPy forms X X' with one syrk
-    gain_sub = np.linalg.solve(R + B.T @ P @ B, B.T @ P)
-    residual = float(np.max(np.abs(Q - P @ B @ gain_sub)))
-    if not residual <= 1e-9 * max(1.0, float(np.max(np.abs(Q)))):  # or NaN
-        raise RiccatiError("Riccati solution is inaccurate", residual)
-    gain = gain_sub @ V.T if V is not None else gain_sub
-    # I - B gain = (I + G P)^-1, and G P is similar to W diag(p) W'
+    q, r = model.Q, model.R
+    if not (r > 0 and q >= 0):  # NaN fails both
+        raise ValueError(f"need Q >= 0 and R > 0, got Q = {q!r}, R = {r!r}")
+    V = _mass_projection(model.B)
+    B = model.B if V is None else V.T @ model.B
+    try:
+        g, U = np.linalg.eigh(B @ B.T / r)
+        if g.min() <= 1e-12 * g.max():
+            raise RiccatiError("uncontrollable mode: B B' / R has eigenvalues"
+                               f" {g.min():.3e} to {g.max():.3e}", np.inf)
+        s = q * g
+        p = 0.5 * (s + np.sqrt(s) * np.sqrt(s + 4))  # s * s would overflow
+        X = U * np.sqrt(p / g)
+        P = X @ X.T  # exactly symmetric: NumPy forms X X' with one syrk
+        gain_sub = np.linalg.solve(r * np.eye(len(B.T)) + B.T @ P @ B, B.T @ P)
+        residual = float(np.max(np.abs(q * np.eye(len(g)) - P @ B @ gain_sub)))
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise RiccatiError(f"Riccati solve failed for Q = {q!r}, R = {r!r}: "
+                           f"{exc}", np.inf) from None
+    if not residual <= 1e-9 * max(1.0, q):  # a NaN one reads inf
+        raise RiccatiError("Riccati solution is inaccurate",
+                           np.nan_to_num(residual, nan=np.inf))
+    gain = gain_sub if V is None else gain_sub @ V.T
+    # I - B gain = (I + G P)^-1, and G P = U diag(p) U'
     return LQRSolution(gain=gain, P=P, residual=residual,
                        spectral_radius=float(1 / (1 + p.min())))
 

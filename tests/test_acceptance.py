@@ -287,7 +287,7 @@ def test_criterion_8_large_junction():
 
 def test_criterion_9_riccati():
     from roadphases.control import LQModel
-    scalar = LQModel(B=np.array([[1.0]]), Q=np.eye(1), R=np.eye(1))
+    scalar = LQModel(B=np.array([[1.0]]), Q=1.0, R=1.0)
     sol = solve_lqr(scalar)
     golden = (1 + 5 ** 0.5) / 2
     assert abs(sol.P[0, 0] - golden) <= 1e-9

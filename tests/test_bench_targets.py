@@ -9,6 +9,9 @@ bytecode cache either).
 import types
 from pathlib import Path
 
+from roadphases import control
+from roadphases.topology import build_torus_city
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # wrapped names the program has dropped on purpose: the topology text
@@ -33,3 +36,11 @@ def test_every_traced_name_resolves():
             missing.append(f"{module}.{path}")
     assert set(missing) <= KNOWN_GONE, missing
 
+
+def test_traced_solve_records_its_model():
+    """The tracer hashes each solved model's fields; a renamed or reshaped
+    LQModel field would fail every traced run."""
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        control.solve_lqr(control.build_lq_model(build_torus_city(2, 2, 2)))
+    assert len(tracer.lqr_models) == 1

@@ -1044,6 +1044,30 @@ class TestGlobalFeedbackCommands:
         assert capsys.readouterr().err == \
             f"error: bad value for [policy] {key}: {value!r}\n"
 
+    @pytest.mark.parametrize("weights", ["q_scale = 1e308", "q_scale = 1e200",
+                                         "r_scale = 1e-300",
+                                         "q_scale = 1e308\nr_scale = 1e-300"])
+    def test_extreme_weight_solves_or_exits_two(self, tmp_path, capsys,
+                                                weights):
+        # q_scale / r_scale past 1e154 once overflowed s * s in the solve
+        cfg_path = tmp_path / "glob.cfg"
+        cfg_path.write_text(GLOBAL_CFG.replace("cycle = 4",
+                                               f"cycle = 4\n{weights}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no warning on the way
+            code, written = run_in_empty_dir(
+                ["diagram", "--config", str(cfg_path)], tmp_path)
+        err = capsys.readouterr().err
+        if code == 2:
+            assert written == [] and err.count("\n") == 1
+            assert err.startswith("numerical failure: Riccati ")
+            assert "nan" not in err
+        else:
+            assert (code, written) == (0, ["diagram.csv", "diagram.dat"])
+            assert "numerical failure" not in err
+        if weights == "q_scale = 1e308\nr_scale = 1e-300":  # s overflows
+            assert code == 2 and "overflow" in err
+
     def test_one_solve_per_series_and_response_policy(self, tmp_path,
                                                       monkeypatch):
         import roadphases.cli as cli_mod
@@ -1121,8 +1145,8 @@ def valid_values(t) -> dict[str, list[str]]:
         "cycle": ["2", "4", "7", str(2 ** 53)],
         "green_first": ["1", "2", "6"],
         "offset": ["0", "3", "-5", str(2 ** 64)],
-        "q_scale": ["1", "0", "2.5"],
-        "r_scale": ["10", "1", "0.1"],
+        "q_scale": ["1", "0", "2.5", "1e308"],
+        "r_scale": ["10", "1", "0.1", "1e-300"],
         "occupancy_values": [",".join(zeros), ",".join(["1"] + zeros[1:])],
         "occupancy_count": ["0", "1", str(t.counting_size)],
         "occupancy_density": ["0", "0.3", "1"],
