@@ -89,42 +89,34 @@ class RiccatiError(RuntimeError):
 @dataclass(frozen=True)
 class LQRSolution:
     gain: np.ndarray        # full-space feedback: u = ubar - gain @ (x - xbar)
-    P: np.ndarray           # Riccati solution on the solved subspace
-    residual: float         # Riccati defect max|Q - P B gain| on that subspace
-    spectral_radius: float  # closed loop on the solved subspace
-
-
-def _mass_projection(B: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis of the complement of an uncontrollable 1 direction."""
-    n = B.shape[0]
-    ones = np.ones(n)
-    if n > 1 and np.allclose(ones @ B, 0.0, atol=1e-12):
-        q, _ = np.linalg.qr(np.column_stack([ones, np.eye(n)]))
-        return q[:, 1:n]
-    return None
+    P: np.ndarray           # full-space Riccati solution, 0 on the total
+    residual: float         # Riccati defect max|Q - P B gain| off the total
+    spectral_radius: float  # closed loop off the total inventory
 
 
 @np.errstate(over="raise", invalid="raise")  # caught as a RiccatiError
 def solve_lqr(model: LQModel) -> LQRSolution:
     """Exact solution of the discrete Riccati equation with A = I.
 
-    When the columns of B sum to zero the total-inventory direction cannot
-    be moved by any control, so it is projected out first; the returned gain
-    acts on full-space deviations.  With A = I the equation reads
-    P (I + G P)^-1 G P = Q I for G = B B' / R, so one eigen-decomposition
-    G = U diag(g) U' solves it: P = U diag(p / g) U', where each mode's p
-    solves p^2 = s (1 + p) for s = Q g.  Raises ValueError unless R > 0 and
-    Q >= 0, and RiccatiError when G is singular (a mode no control moves),
-    when a step of the solve fails in float64 (an overflow, a singular
-    system), or if rounding leaves a defect above 1e-9 max(1, Q).
+    With A = I the equation reads P (I + G P)^-1 G P = Q I for
+    G = B B' / R, so one eigen-decomposition G = U diag(g) U' solves it:
+    P = U diag(p / g) U', and the gain (R + B'PB)^-1 B'P is
+    B' U diag(p / (1 + p) / g) U' / R, where each mode's p solves
+    p^2 = s (1 + p) for s = Q g.  When the columns of B sum to zero no
+    control moves the total inventory, so its mode, G's zero eigenvalue,
+    is dropped.  Raises ValueError unless R > 0 and Q >= 0, and
+    RiccatiError when another mode of G is zero (no control moves it),
+    when a step overflows in float64, or if rounding leaves a
+    defect above 1e-9 max(1, Q).
     """
-    q, r = model.Q, model.R
+    q, r, B = model.Q, model.R, model.B
     if not (r > 0 and q >= 0):  # NaN fails both
         raise ValueError(f"need Q >= 0 and R > 0, got Q = {q!r}, R = {r!r}")
-    V = _mass_projection(model.B)
-    B = model.B if V is None else V.T @ model.B
+    mass = int(len(B) > 1 and np.allclose(np.ones(len(B)) @ B, 0.0,
+                                          atol=1e-12))
     try:
         g, U = np.linalg.eigh(B @ B.T / r)
+        g, U = g[mass:], U[:, mass:]  # eigh sorts the mass mode's 0 first
         if g.min() <= 1e-12 * g.max():
             raise RiccatiError("uncontrollable mode: B B' / R has eigenvalues"
                                f" {g.min():.3e} to {g.max():.3e}", np.inf)
@@ -132,16 +124,15 @@ def solve_lqr(model: LQModel) -> LQRSolution:
         p = 0.5 * (s + np.sqrt(s) * np.sqrt(s + 4))  # s * s would overflow
         X = U * np.sqrt(p / g)
         P = X @ X.T  # exactly symmetric: NumPy forms X X' with one syrk
-        gain_sub = np.linalg.solve(r * np.eye(len(B.T)) + B.T @ P @ B, B.T @ P)
-        residual = float(np.max(np.abs(q * np.eye(len(g)) - P @ B @ gain_sub)))
+        gain = (B.T @ U) * (p / (1 + p) / g) @ U.T / r
+        residual = float(np.max(np.abs(q * U @ U.T - P @ B @ gain)))
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise RiccatiError(f"Riccati solve failed for Q = {q!r}, R = {r!r}: "
                            f"{exc}", np.inf) from None
     if not residual <= 1e-9 * max(1.0, q):  # a NaN one reads inf
         raise RiccatiError("Riccati solution is inaccurate",
                            np.nan_to_num(residual, nan=np.inf))
-    gain = gain_sub if V is None else gain_sub @ V.T
-    # I - B gain = (I + G P)^-1, and G P = U diag(p) U'
+    # I - B gain = (I + G P)^-1 off the total, and G P = U diag(p) U'
     return LQRSolution(gain=gain, P=P, residual=residual,
                        spectral_radius=float(1 / (1 + p.min())))
 
@@ -176,7 +167,8 @@ def global_feedback_timing(t: NetworkTopology, gain: np.ndarray,
 class OpenLoopPolicy:
     """Fixed-cycle lights: the priority approach is green first, for
     ``green_first`` steps of each ``cycle``, shifted by ``offset`` (one int
-    for every junction, or a sequence of one per junction)."""
+    for every junction, or a sequence of one per junction; an integral
+    float counts as its int, and any other entry is rejected)."""
 
     policy_id = "open_loop"
 
@@ -184,6 +176,10 @@ class OpenLoopPolicy:
         _check_cycle(cycle)
         if not 1 <= green_first <= cycle - 1:
             raise ValueError("green_first must lie in [1, cycle-1]")
+        for o in offset if np.ndim(offset) else [offset]:
+            if not (isinstance(o, (int, np.integer)) or isinstance(
+                    o, (float, np.floating)) and float(o).is_integer()):
+                raise ValueError(f"offset entries must be integers, got {o!r}")
         self.cycle, self.green_first, self.offset = cycle, green_first, offset
 
     def reset(self, sim):

@@ -1049,7 +1049,8 @@ class TestGlobalFeedbackCommands:
                                          "q_scale = 1e308\nr_scale = 1e-300"])
     def test_extreme_weight_solves_or_exits_two(self, tmp_path, capsys,
                                                 weights):
-        # q_scale / r_scale past 1e154 once overflowed s * s in the solve
+        # q_scale / r_scale past 1e154 once overflowed s * s in the solve;
+        # only the pair leaves float64 (s = Q g overflows)
         cfg_path = tmp_path / "glob.cfg"
         cfg_path.write_text(GLOBAL_CFG.replace("cycle = 4",
                                                f"cycle = 4\n{weights}"))
@@ -1058,15 +1059,26 @@ class TestGlobalFeedbackCommands:
             code, written = run_in_empty_dir(
                 ["diagram", "--config", str(cfg_path)], tmp_path)
         err = capsys.readouterr().err
-        if code == 2:
-            assert written == [] and err.count("\n") == 1
+        if weights == "q_scale = 1e308\nr_scale = 1e-300":
+            assert (code, written) == (2, [])
             assert err.startswith("numerical failure: Riccati ")
+            assert err.count("\n") == 1 and "overflow" in err
             assert "nan" not in err
         else:
             assert (code, written) == (0, ["diagram.csv", "diagram.dat"])
             assert "numerical failure" not in err
-        if weights == "q_scale = 1e308\nr_scale = 1e-300":  # s overflows
-            assert code == 2 and "overflow" in err
+
+    def test_deadbeat_weight_on_two_road_network(self, tmp_path):
+        # at Q / R = 1e29 the gain is B's pseudo-inverse, with no solve to
+        # turn singular on the figure eight's rank-1 B
+        cfg_path = tmp_path / "fig8.cfg"
+        cfg_path.write_text(GLOBAL_CFG.replace(
+            "family = torus_city\nrows = 2\ncols = 2\nsegment_len = 2",
+            "family = figure_eight\nn = 2\nm = 2").replace(
+            "cycle = 4", "cycle = 4\nq_scale = 1e30"))
+        assert run_in_empty_dir(["diagram", "--config", str(cfg_path)],
+                                tmp_path) == (0, ["diagram.csv",
+                                                  "diagram.dat"])
 
     def test_one_solve_per_series_and_response_policy(self, tmp_path,
                                                       monkeypatch):

@@ -78,11 +78,14 @@ class TestOpenLoop:
         n = len(t.junctions)
         sim = Simulation(t, np.zeros(t.n_slots, dtype=np.int64))
         for green_first in range(1, cycle):
+            # integral floats act as their ints
             policies = [OpenLoopPolicy(cycle, green_first, offset)
-                        for offset in (0, 1, -3, cycle + 2, 2 ** 63 - 1)]
+                        for offset in (0, 1, -3, -3.0, cycle + 2, 2 ** 63 - 1)]
             policies += [OpenLoopPolicy(cycle, green_first, offset=offset)
                          for offset in (tuple(range(n)),
-                                        tuple(5 - 3 * j for j in range(n)))]
+                                        tuple(5 - 3 * j for j in range(n)),
+                                        tuple(np.float64(5 - 3 * j)
+                                              for j in range(n)))]
             for policy in policies:
                 policy.reset(sim)
                 table = [[open_loop_green(policy, j, k) for j in range(n)]
@@ -120,6 +123,15 @@ class TestOpenLoop:
                                              r"junction \(4\), "
                                              rf"got {len(offset)}$"):
             Simulation(t, np.zeros(t.n_slots, dtype=np.int64), policy=policy)
+
+    @pytest.mark.parametrize("offset,bad", [
+        (1.5, "1.5"), (3.9, "3.9"), (float("nan"), "nan"),
+        (float("inf"), "inf"), ((0, 2, 0.5, 1), "0.5"),
+        ((0, np.float64(-np.inf), 0, 1), "np.float64(-inf)"), ("1", "'1'")])
+    def test_rejects_non_integral_offset(self, offset, bad):
+        message = f"offset entries must be integers, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OpenLoopPolicy(offset=offset)
 
     def test_flow_cap_under_cycle_four(self):
         # a single approach can enter at most once per cycle
@@ -265,7 +277,7 @@ class TestRiccati:
     def test_uncontrollable_mode_raises(self):
         with pytest.raises(RiccatiError, match="uncontrollable mode"):
             solve_lqr(scalar_model(b=0.0))
-        # zero column sums (the mass direction is projected out) and rank 1,
+        # zero column sums (the mass mode is dropped) and rank 1,
         # so one of the two remaining modes is out of reach too
         B = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(RiccatiError, match="uncontrollable mode"):
@@ -281,7 +293,7 @@ class TestRiccati:
              "city_2x2x2", "city_4x4x9"])
     def test_spectral_radius_of_closed_loop(self, model):
         # the closed form 1 / (1 + min p) against the eigenvalues of
-        # I - B gain on the solved subspace
+        # I - B gain off the total inventory
         sol = solve_lqr(model)
         B, V = projected(model.B) if len(model.B) > 1 else (model.B, np.eye(1))
         closed = np.eye(len(V.T)) - B @ sol.gain @ V
@@ -299,11 +311,23 @@ class TestRiccati:
         t = build_torus_city(2, 2, 2)
         model = build_lq_model(t)
         sol = solve_lqr(model)
-        (B, _), P = projected(model.B), sol.P
-        inner = np.linalg.solve(model.R * np.eye(len(B.T)) + B.T @ P @ B,
-                                B.T @ P)
-        defect = P - (model.Q * np.eye(len(B)) + P - P @ B @ inner)
+        B, P, n = model.B, sol.P, len(model.B)
+        # the full-space equation, with Q blind to the total inventory
+        Q = model.Q * (np.eye(n) - np.ones((n, n)) / n)
+        inner = np.linalg.solve(model.R * np.eye(n) + B.T @ P @ B, B.T @ P)
+        defect = P - (Q + P - P @ B @ inner)
         assert np.max(np.abs(defect)) <= 1e-10
+        assert np.max(np.abs(P @ np.ones(n))) <= 1e-11
+
+    # Q / R -> inf sends each mode's p / ((1 + p) g) to 1 / g: deadbeat
+    @pytest.mark.parametrize("t", [
+        build_figure_eight(2, 2), build_two_junction(5, 4, 4, 5),
+        build_torus_city(2, 2, 2), build_torus_city(8, 8, 9)],
+        ids=["figure_eight", "two_junction", "city_2x2x2", "city_8x8x9"])
+    def test_gain_tends_to_pseudoinverse(self, t):
+        model = build_lq_model(t, q_scale=1e30)
+        gain = solve_lqr(model).gain
+        assert np.max(np.abs(gain - np.linalg.pinv(model.B))) <= 1e-12
 
     # build_lq_model's default weights keep the bare shape as their id
     @pytest.mark.parametrize("shape,q,r", [
@@ -318,7 +342,7 @@ class TestRiccati:
         if q == 0:  # no mode is weighed, so P = 0; scipy finds no solution,
             assert not sol.P.any()  # as A = I puts every mode on |z| = 1
             return
-        B, _ = projected(model.B)
+        B, V = projected(model.B)
         I, R = np.eye(len(B)), r * np.eye(len(B.T))
         P = scipy_linalg.solve_discrete_are(I, B, q * I, R)
         # one Newton step polishes scipy's answer, which is off by 1.4e-10
@@ -326,7 +350,7 @@ class TestRiccati:
         K = np.linalg.solve(R + B.T @ P @ B, B.T @ P)
         P_ref = scipy_linalg.solve_discrete_lyapunov((I - B @ K).T,
                                                      q * I + K.T @ R @ K)
-        assert np.allclose(sol.P, P_ref, rtol=0.0, atol=1e-11)
+        assert np.allclose(sol.P, V @ P_ref @ V.T, rtol=0.0, atol=1e-11)
 
 
 @pytest.fixture(scope="module")
