@@ -3,7 +3,7 @@
 Subcommands
 -----------
 simulate   counter trajectory (TSV) and, in discrete mode, car positions
-diagram    fundamental-diagram sweep -> CSV, plot data, optional SVG
+diagram    fundamental-diagram sweep -> CSV and plot data
 eigen      closed-form eigenvalue / flow curves -> CSV
 phases     phase segmentation of an existing diagram CSV
 response   distance-to-uniform traces per policy after a clustered start
@@ -392,8 +392,6 @@ def cmd_diagram(args, out_dir: Path) -> int:
         write_road_csv([d for _, d, _ in series_data],
                        out_dir / "diagram_roads.csv")
         written.append("diagram_roads.csv")
-    if args.plot and _render_svg(series_data, out_dir / "diagram.svg"):
-        written.append("diagram.svg")
     print(f"diagram: {len(series_data)} series -> {', '.join(written)}")
     if not all_converged:
         print("warning: some points did not converge", file=sys.stderr)
@@ -412,27 +410,6 @@ def plot_data_text(series_data) -> str:
         lines += [f"{p.density!r}\t{p.flow!r}" for p in diagram.points]
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
-
-
-def _render_svg(series_data, path: Path) -> bool:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("warning: matplotlib not installed, skipping SVG",
-              file=sys.stderr)
-        return False
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for label, diagram, _seg in series_data:
-        ax.plot(diagram.densities, diagram.flows, marker=".", label=label)
-    ax.set_xlabel("density")
-    ax.set_ylabel("average flow")
-    ax.legend(fontsize=7)
-    fig.tight_layout()
-    fig.savefig(path)
-    plt.close(fig)
-    return True
 
 
 def cmd_eigen(args, out_dir: Path) -> int:
@@ -541,8 +518,6 @@ def main(argv=None) -> int:
     p_diag = add_common("diagram", cmd_diagram, "density sweep")
     p_diag.add_argument("--strict", action="store_true",
                         help="exit 3 when any point fails to converge")
-    p_diag.add_argument("--plot", action="store_true",
-                        help="also render an SVG (needs matplotlib)")
     p_eig = add_command("eigen", cmd_eigen, "closed-form curves")
     p_eig.add_argument("--n", type=int, required=True)
     p_eig.add_argument("--m", type=int, required=True)

@@ -190,13 +190,14 @@ class OpenLoopPolicy:
                              f"got {len(offsets)}")
         # reduced as Python ints, so that none wraps in int64
         self._offsets = np.array([o % self.cycle for o in offsets], np.int64)
+        self._lanes = len(np.atleast_2d(sim.a))
 
     def greens(self, k: int, sim) -> np.ndarray:
         # both terms lie below cycle <= 2**53, so their sum cannot wrap
         return (k % self.cycle + self._offsets) % self.cycle < self.green_first
 
-    def phase_key(self, k: int):
-        return k % self.cycle
+    def phase(self, k: int) -> np.ndarray:
+        return np.full((self._lanes, 1), k % self.cycle)
 
 
 class LocalFeedbackPolicy:
@@ -245,8 +246,8 @@ class GlobalFeedbackPolicy:
             self._slots = self._timing(sim)
         return phase < self._slots
 
-    def phase_key(self, k: int):
-        return k % self.cycle, self._slots.tobytes()  # of every lane
+    def phase(self, k: int) -> np.ndarray:
+        return np.insert(np.atleast_2d(self._slots), 0, k % self.cycle, 1)
 
 
 class LaneGroups:
@@ -275,6 +276,13 @@ class LaneGroups:
         for policy, view in self._views:
             gate[view.lanes] = policy.greens(k, view)
         return gate
+
+    def phase(self, k: int) -> np.ndarray:
+        rows = [policy.phase(k) if hasattr(policy, "phase") else view.a[:, :0]
+                for policy, view in self._views]
+        width = max(row.shape[1] for row in rows)  # narrower rows pad with 0
+        return np.vstack([np.pad(row, ((0, 0), (0, width - row.shape[1])))
+                          for row in rows])
 
 
 class _LaneView:

@@ -283,12 +283,12 @@ class Simulation:
     order), ``road_counts()`` and ``poised()``: read-only arrays, valid until
     the next step, the per-road ones computed once per state and cached.
 
-    ``policy`` is any object with ``reset(sim)`` and
-    ``greens(k, sim) -> bool array`` (True = priority approach green), of
-    shape (junctions,) for every lane or (lanes, junctions), or None for the
-    bare priority-to-the-right rule.  The simulation resets and steps its
-    own shallow copy, ``sim.policy``, so one policy object may serve any
-    number of live runs.
+    ``policy`` is None for the bare priority-to-the-right rule, or any
+    object with ``reset(sim)``, ``greens(k, sim) -> bool array`` (True =
+    priority approach green) of shape (junctions,) or (lanes, junctions),
+    and optionally ``phase(k)``: the gate state that the counters do not
+    hold, one int row per lane.  The simulation resets and steps its own
+    shallow copy, ``sim.policy``, so one policy may serve many live runs.
     """
 
     def __init__(self, t: NetworkTopology, a, mode: str = DISCRETE,

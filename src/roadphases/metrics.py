@@ -120,32 +120,49 @@ def estimate_growth_rate(t: NetworkTopology, a, mode: str = DISCRETE,
 
 
 def detect_period(t: NetworkTopology, a, policy=None,
-                  max_steps: int | None = None) -> PeriodResult | None:
-    """Earliest exact recurrence of (counters up to a shift, light phase).
+                  max_steps: int | None = None):
+    """Earliest exact recurrence of (counters up to a shift, light phase),
+    of one run, or as a list of one per lane of a stack; None if none.
 
-    Discrete mode and one placement only.  Counters never repeat (they
-    grow), but when x - x[0] at step k equals its value at an earlier step s
-    under the same phase, x at k is x at s plus a uniform shift c, which the
-    dynamics carry along unchanged: the regime is periodic from s on, with
-    flow c per period.
+    Discrete mode only.  When x - x[0] at step k equals its value at step
+    s < k under the same phase, x at k is x at s plus a uniform shift c,
+    which the dynamics carry along: the regime is periodic from s on, with
+    flow c per period.  A lane's first match with its one state saved at
+    steps 0, 1, 2, 4, ... or max_steps is its period p (Brent, BIT 20, 1980)
+    by step 2 max_steps; runs p steps apart then meet at the start.
     """
-    if np.ndim(a) != 1:
-        raise ValueError("detect_period takes one placement, not a stack")
     max_steps = 20 * t.counting_size if max_steps is None else max_steps
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     sim = Simulation(t, a, DISCRETE, policy)
-    phase_key = getattr(sim.policy, "phase_key", lambda k: ())
-    seen: dict[tuple, tuple] = {}  # key -> (step, x[0] at that step)
-    for _ in sim.trajectory(max_steps):
-        x, k = sim.x, sim.k
-        key = ((x - x[0]).tobytes(), phase_key(k))
-        if key in seen:
-            start, x0 = seen[key]
-            return PeriodResult(period=k - start, start=start,
-                                flow=float(x[0] - x0) / (k - start))
-        seen[key] = k, x[0]
-    return None
+    period, start = np.zeros((2, len(np.atleast_2d(sim.a))), int)
+    flow = np.zeros(len(period))
+    for s in sim.trajectory(2 * max_steps):
+        key = _state_key(s)
+        if s.k and (hit := (period == 0) & (key == saved).all(1)).any():
+            period[hit] = s.k - saved_at
+            if period.all():
+                break
+        if s.k <= max_steps and (not s.k & (s.k - 1) or s.k == max_steps):
+            saved_at, saved = s.k, key
+    for p in np.unique(period[(period > 0) & (period <= max_steps)]):
+        lag, lead = (Simulation(t, a, DISCRETE, policy) for _ in "ab")
+        for _ in zip(lag.trajectory(max_steps - p),  # lead runs p steps ahead
+                     itertools.islice(lead.trajectory(max_steps), p, None)):
+            apart = (_state_key(lag) != _state_key(lead)).any(1)
+            start += apart & (period == p)  # once met, two runs stay met
+            if not apart[period == p].any():
+                break
+        flow[period == p] = np.atleast_2d(lead.x - lag.x)[period == p, 0] / p
+    found = [PeriodResult(int(p), int(k), float(f)) if 0 < p <= max_steps - k
+             else None for p, k, f in zip(period, start, flow)]
+    return found[0] if sim.a.ndim == 1 else found
+
+
+def _state_key(sim) -> np.ndarray:  # per lane: x - x[0], then the phase
+    x, phase = np.atleast_2d(sim.x), getattr(sim.policy, "phase", None)
+    return np.concatenate([x - x[:, :1]] + ([phase(sim.k)] if phase else []),
+                          axis=1)
 
 
 def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,

@@ -551,25 +551,6 @@ class TestDiagramCommand:
         assert not (tmp_path / "diagram.csv").exists()
         assert sweeps == []
 
-    def test_plot_without_matplotlib(self, tmp_path, capsys, monkeypatch):
-        # a None entry makes ``import matplotlib`` raise ImportError
-        monkeypatch.setitem(sys.modules, "matplotlib", None)
-        cfg_path = tmp_path / "diag.cfg"
-        cfg_path.write_text(DIAGRAM_CFG + "per_road = true\n")
-        written, errs = {}, {}
-        for name, flags in (("plain", []), ("plot", ["--plot"])):
-            out = tmp_path / name
-            assert main(["--out", str(out), "diagram", "--config",
-                         str(cfg_path), *flags]) == 0
-            written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
-            errs[name] = capsys.readouterr().err
-        assert "warning: matplotlib not installed" in errs["plot"]
-        assert "matplotlib" not in errs["plain"]
-        assert "diagram.svg" not in written["plot"]
-        assert written["plot"] == written["plain"]
-        assert set(written["plain"]) == {"diagram.csv", "diagram.dat",
-                                         "diagram_roads.csv"}
-
     def test_csv_phases_agree_on_reread(self, tmp_path):
         cfg_path = tmp_path / "diag.cfg"
         cfg_path.write_text(DIAGRAM_CFG)
@@ -1386,8 +1367,10 @@ class TestBadArguments:
         (["bogus"], "roadphases: error: argument command: invalid choice"),
         (["eigen", "--n", "x", "--m", "5"],
          "roadphases eigen: error: argument --n: invalid int value"),
+        (["diagram", "--config", "sweep.cfg", "--plot"],
+         "roadphases: error: unrecognized arguments: --plot"),
     ], ids=["bad_choice", "missing_flag", "missing_config", "unknown_command",
-            "bad_int"])
+            "bad_int", "no_plot_flag"])
     def test_exits_one(self, tmp_path, capsys, argv, error):
         with pytest.raises(SystemExit) as exc:
             main(["--out", str(tmp_path / "out"), *argv])

@@ -702,11 +702,11 @@ class TestGlobalFeedbackPolicy:
             assert greens == [p < slots[0] for p in range(6)]
 
 
-class TestGlobalPhaseKey:
-    """One hashable key per run or stack: the cycle phase and the green
-    slots of every lane."""
+class TestPhaseRows:
+    """One int row per lane: the cycle phase, then global feedback's green
+    slots of that lane."""
 
-    def test_keys_of_stacks(self):
+    def test_global_rows_of_stacks(self):
         t = build_torus_city(3, 3, 4)
         policy = GlobalFeedbackPolicy(solve_lqr(build_lq_model(t)))
         a = np.stack([init_occupancy(t, density=d, seed=1)
@@ -715,15 +715,35 @@ class TestGlobalPhaseKey:
                 for lanes in (a[0], a[:1], a, a[::-1])]
         lanes_differ = False
         for k in range(24):
-            lone, one, stack, flipped = (s.policy.phase_key(k) for s in sims)
-            hash((lone, one, stack, flipped))  # TypeError if one is unhashable
-            assert lone == one  # a (1, slots) stack is its lone run
-            assert {lone[0], stack[0], flipped[0]} == {k % policy.cycle}
-            lanes_differ |= stack != flipped
+            lone, one, stack, flipped = (s.policy.phase(k) for s in sims)
+            assert lone.shape == (1, 1 + len(t.junctions))
+            np.testing.assert_array_equal(lone, one)  # its 1-lane stack
+            np.testing.assert_array_equal(lone, stack[:1])
+            np.testing.assert_array_equal(flipped, stack[::-1])
+            assert (stack[:, 0] == k % policy.cycle).all()
+            lanes_differ |= len(np.unique(stack, axis=0)) > 1
             for s in sims:
                 s.advance()
-        # the lanes get different slots, and the key tells them apart
+        # the lanes get different slots, and their rows tell them apart
         assert lanes_differ
+
+    def test_lane_groups_pad_their_rows(self):
+        # open loop gives the cycle phase, local feedback no phase at all
+        t = build_torus_city(2, 2, 3)
+        a = np.stack([init_occupancy(t, density=d, seed=0)
+                      for d in (0.3, 0.6)])
+        policies = [OpenLoopPolicy(cycle=5), LocalFeedbackPolicy(),
+                    GlobalFeedbackPolicy(solve_lqr(build_lq_model(t)))]
+        sim = Simulation(t, np.tile(a, (3, 1)), policy=LaneGroups(policies))
+        alone = Simulation(t, a, policy=policies[2])
+        for k in range(12):
+            rows = sim.policy.phase(k)
+            assert rows.shape == (6, 1 + len(t.junctions))
+            assert (rows[:2, 0] == k % 5).all() and not rows[:2, 1:].any()
+            assert not rows[2:4].any()
+            np.testing.assert_array_equal(rows[4:], alone.policy.phase(k))
+            sim.advance()
+            alone.advance()
 
 
 class TestMutualExclusion:

@@ -1,16 +1,20 @@
 """Flow estimation, period detection, sweeps, phases, response traces."""
 
 import statistics
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadphases.analytic import PhaseLabel, flow_approx, phase_boundaries
 from roadphases.cli import (read_diagram_csv, write_diagram_csv,
                             write_response_csv, write_road_csv)
 from roadphases.control import (
     GlobalFeedbackPolicy,
+    LaneGroups,
     LocalFeedbackPolicy,
     OpenLoopPolicy,
     build_lq_model,
@@ -45,6 +49,8 @@ from roadphases.topology import (
     build_two_junction,
 )
 
+from test_dynamics import small_networks
+
 A55 = [0, 1, 0, 1, 0, 1, 0, 0, 1, 0]
 
 SWEEP_POLICIES = {
@@ -54,6 +60,8 @@ SWEEP_POLICIES = {
     "global_feedback": lambda t: GlobalFeedbackPolicy(
         solve_lqr(build_lq_model(t)), cycle=3),
 }
+
+GATE_POLICIES = ("open_loop", "local_feedback", "global_feedback")
 
 PERIOD_NETWORKS = {
     "figure_eight": build_figure_eight(7, 4),
@@ -151,11 +159,63 @@ class TestDetectPeriod:
             assert (res.start, res.period) == expect, (name, d, seed)
 
     @pytest.mark.parametrize("lanes", [1, 3])
-    def test_rejects_a_stack(self, lanes):
-        # one lane would first match x - x[0] = 0 against itself at step 0
+    def test_stack_returns_lone_results(self, lanes):
+        # a 1-lane stack reads x - x[0] per lane, not lane 0's row
         t = build_figure_eight(5, 5)
-        with pytest.raises(ValueError, match="one placement"):
-            detect_period(t, np.tile(A55, (lanes, 1)))
+        a = np.stack([A55] + [init_occupancy(t, count=c, seed=c)
+                              for c in (3, 7)])[:lanes]
+        assert detect_period(t, a) == [detect_period(t, lane) for lane in a]
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=small_networks(), name=st.sampled_from(
+        sorted(SWEEP_POLICIES) + ["lane_groups"]), lanes=st.integers(1, 3),
+        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_stacks_match_the_dict_oracle(self, t, name, lanes, seed, data):
+        policies = [SWEEP_POLICIES[n](t) for n in (
+            GATE_POLICIES if name == "lane_groups" else [name])]
+        stacked = LaneGroups(policies) if name == "lane_groups" \
+            else policies[0]
+        rng = np.random.default_rng(seed)
+        a = np.stack([init_occupancy(
+            t, count=int(rng.integers(t.counting_size + 1)),
+            seed=int(rng.integers(1 << 30)))
+            for _ in range(lanes * len(policies))])
+        long = 5 * t.counting_size
+        found = [r for r in detect_period(t, a, stacked, long) if r]
+        edges = [r.start + r.period + d for r in found for d in (-1, 0, 1)]
+        for max_steps in (long, data.draw(st.one_of(
+                st.integers(0, 20), st.sampled_from(edges or [long])))):
+            results = detect_period(t, a, stacked, max_steps)
+            for lane, res in enumerate(results):
+                assert res == dict_period(t, a[lane], policies[lane // lanes],
+                                          max_steps), (lane, max_steps)
+
+    def test_memory_is_flat_in_max_steps(self):
+        # this run does not recur in 300,000 steps, so each call steps
+        # 2 max_steps while it keeps one saved state
+        t = build_torus_city(8, 8, 9)
+        policy = GlobalFeedbackPolicy(solve_lqr(build_lq_model(t)))
+        a = init_occupancy(t, density=0.263, seed=0)
+        # first-call costs, numpy's own allocation caches among them
+        detect_period(t, a, policy, max_steps=400)
+        peaks = []
+        for max_steps in (400, 800):
+            tracemalloc.start()
+            try:
+                assert detect_period(t, a, policy, max_steps) is None
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < t.n_slots * 8  # one saved state
+
+    def test_found_on_the_last_step_it_may_use(self):
+        # start + period = max_steps is found, one step less is not; with
+        # start 0, the period shows only at step 2 max_steps
+        t = build_figure_eight(5, 5)
+        table = PeriodResult(period=4, start=0, flow=0.25)
+        assert detect_period(t, A55) == table
+        assert detect_period(t, A55, max_steps=4) == table
+        assert detect_period(t, A55, max_steps=3) is None
 
     def test_none_when_horizon_too_short(self):
         t = build_figure_eight(30, 20)
@@ -184,17 +244,40 @@ class TestDetectPeriod:
         assert any(found)
 
 
+def lone_phase(policy, k) -> bytes:
+    """A lone run's light phase, read through ``phase`` itself; priority
+    and local feedback have none."""
+    if policy is None or isinstance(policy, LocalFeedbackPolicy):
+        return b""
+    return policy.phase(k).tobytes()
+
+
+def dict_period(t, a, policy, max_steps):
+    """The dict detector detect_period replaced: the first step whose
+    (x - x[0], phase) was seen before, every one kept."""
+    sim = Simulation(t, a, DISCRETE, policy)
+    seen = {}  # key -> (step, x[0] at that step)
+    for s in sim.trajectory(max_steps):
+        x, k = s.x, s.k
+        key = ((x - x[0]).tobytes(), lone_phase(s.policy, k))
+        if key in seen:
+            start, x0 = seen[key]
+            return PeriodResult(period=k - start, start=start,
+                                flow=float(x[0] - x0) / (k - start))
+        seen[key] = k, x[0]
+    return None
+
+
 def occupancy_walk_period(t, a, policy, max_steps):
     """The reference detect_period is pinned to: the earliest recurrence of
     (occupancy, junction-entry parities, light phase)."""
     sim = Simulation(t, a, DISCRETE, policy)
     kern = sim.kernel
-    phase_key = getattr(sim.policy, "phase_key", lambda k: ())
     seen, snapshots = {}, []
     for k in range(max_steps + 1):
         parity = (sim.x[kern.slot_a] + sim.x[kern.slot_b]) % 2
         y = kern.occupancy(sim.x, sim.a)
-        key = (y.tobytes(), parity.tobytes(), phase_key(k))
+        key = (y.tobytes(), parity.tobytes(), lone_phase(sim.policy, k))
         if key in seen:
             start = seen[key]
             period = k - start

@@ -27,7 +27,9 @@ two checkouts alike:
       the 8x8x9 city with ``policy_list = priority, open_loop,
       local_feedback, global_feedback``, the default 20-density grid,
       seeds 0-2, discrete, at a quarter of the default horizon (15,200
-      steps), through ``cli.main``, in seconds (about a minute).
+      steps), through ``cli.main``, in seconds (about a minute); it
+      raises unless ``diagram.csv`` and ``diagram.dat`` have the SHA-256
+      recorded for this config (L8_SHA256).
 
 Each timing is the mean over ``steps`` calls.  Every tree, given as
 ``label=src`` (a checkout's ``src`` directory), is timed REPEATS times, and
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -229,14 +232,29 @@ policy_list = priority,open_loop,local_feedback,global_feedback
 """
 
 
+# SHA-256 of L8's output files: a tree that writes other bytes is not
+# timing the same results, so L8 raises rather than report it
+L8_SHA256 = {
+    "diagram.csv":
+        "0a4f7bb770644c5c51c2811be0465058976b230660f75d6b89bac70d316b210f",
+    "diagram.dat":
+        "c13fcaebfcdd2db0c381a3155dd95a9f126803961e0f60ffc098e0ba0d4c59f0",
+}
+
+
 def layer8() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "policies.cfg"
         cfg.write_text(L8_CFG)
         argv = ["--out", tmp, "diagram", "--config", str(cfg)]
+        seconds = timed(lambda: run_command(argv), 1)
+        for name, want in L8_SHA256.items():
+            got = hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
+            if got != want:
+                raise RuntimeError(f"L8 wrote a {name} with SHA-256 {got}, "
+                                   f"not {want}")
         return {"city_8x8x9/policies_diagram": entry(
-            timed(lambda: run_command(argv), 1), 1.0, 1, horizon=15200,
-            runs=240, unit="s per command")}
+            seconds, 1.0, 1, horizon=15200, runs=240, unit="s per command")}
 
 
 def machine() -> dict:
