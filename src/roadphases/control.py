@@ -52,9 +52,6 @@ def build_lq_model(t: NetworkTopology, q_scale: float = 1.0,
     its destination junction and removes it from road i, so columns sum to
     zero (cars are conserved).
     """
-    for name, w in (("q_scale", q_scale), ("r_scale", r_scale)):
-        if not np.isfinite(w):
-            raise ValueError(f"{name} must be finite, got {w!r}")
     kern = kernel_for(t)
     n = len(kern.road_lengths)
     # every road enters one junction, as its priority or non-priority road
@@ -104,14 +101,14 @@ def solve_lqr(model: LQModel) -> LQRSolution:
     B' U diag(p / (1 + p) / g) U' / R, where each mode's p solves
     p^2 = s (1 + p) for s = Q g.  When the columns of B sum to zero no
     control moves the total inventory, so its mode, G's zero eigenvalue,
-    is dropped.  Raises ValueError unless R > 0 and Q >= 0, and
-    RiccatiError when another mode of G is zero (no control moves it),
+    is dropped.  Raises ValueError unless 0 <= Q < inf and 0 < R < inf,
+    and RiccatiError when another mode of G is zero (no control moves it),
     when a step overflows in float64, or if rounding leaves a
     defect above 1e-9 max(1, Q).
     """
     q, r, B = model.Q, model.R, model.B
-    if not (r > 0 and q >= 0):  # NaN fails both
-        raise ValueError(f"need Q >= 0 and R > 0, got Q = {q!r}, R = {r!r}")
+    if not (0 <= q < np.inf and 0 < r < np.inf):  # NaN fails both
+        raise ValueError(f"need finite Q >= 0, R > 0, got Q = {q}, R = {r}")
     mass = int(len(B) > 1 and np.allclose(np.ones(len(B)) @ B, 0.0,
                                           atol=1e-12))
     try:
@@ -218,7 +215,9 @@ class LocalFeedbackPolicy:
 
 
 class GlobalFeedbackPolicy:
-    """LQ feedback quantized into green slots, refreshed each cycle.
+    """LQ feedback quantized into green slots, timed from the road counts
+    by ``greens`` at each cycle start, step 0 included; its phase there is
+    the clock alone, with slots 0.
 
     The gain is the network's; each run (each lane of a stack) linearizes
     at its own density, which ``reset`` reads from its initial occupancy.
@@ -233,21 +232,20 @@ class GlobalFeedbackPolicy:
     def reset(self, sim):
         self._xbar, self._ubar = nominal_point(
             sim.topology, density(sim.a, sim.topology))
-        self._slots = self._timing(sim)
-
-    def _timing(self, sim) -> np.ndarray:
-        return global_feedback_timing(sim.topology, self.solution.gain,
-                                      self._xbar, self._ubar,
-                                      sim.road_counts(), self.cycle)
+        self._slots = np.zeros(self._ubar.shape[:-1] + sim.kernel.slot_a.shape,
+                               np.int64)
 
     def greens(self, k: int, sim) -> np.ndarray:
         phase = k % self.cycle
-        if phase == 0 and k:  # reset timed step 0
-            self._slots = self._timing(sim)
+        if phase == 0:
+            self._slots = global_feedback_timing(
+                sim.topology, self.solution.gain, self._xbar, self._ubar,
+                sim.road_counts(), self.cycle)
         return phase < self._slots
 
     def phase(self, k: int) -> np.ndarray:
-        return np.insert(np.atleast_2d(self._slots), 0, k % self.cycle, 1)
+        phase = k % self.cycle
+        return np.insert(np.atleast_2d(self._slots) * (phase > 0), 0, phase, 1)
 
 
 class LaneGroups:

@@ -286,9 +286,10 @@ class Simulation:
     ``policy`` is None for the bare priority-to-the-right rule, or any
     object with ``reset(sim)``, ``greens(k, sim) -> bool array`` (True =
     priority approach green) of shape (junctions,) or (lanes, junctions),
-    and optionally ``phase(k)``: the gate state that the counters do not
-    hold, one int row per lane.  The simulation resets and steps its own
-    shallow copy, ``sim.policy``, so one policy may serve many live runs.
+    and optionally ``phase(k)``: the gate state at step k that the counters
+    do not hold, one int row per lane, read before ``greens(k)``.  The
+    simulation resets and steps its own shallow copy, ``sim.policy``, so
+    one policy may serve many live runs.
     """
 
     def __init__(self, t: NetworkTopology, a, mode: str = DISCRETE,

@@ -185,7 +185,7 @@ def sweep_diagrams(t: NetworkTopology, densities, mode: str, policies,
     """
     seeds = tuple(seeds)
     if not seeds:
-        raise ValueError("sweep_diagram needs at least one seed")
+        raise ValueError("sweep_diagrams needs at least one seed")
     counts = [car_count(t, d) for d in densities]
     runs = list(itertools.product(counts, seeds))
     lane = {run: i for i, run in enumerate(dict.fromkeys(runs))}

@@ -264,15 +264,23 @@ class TestRiccati:
             model.B = np.zeros((1, 1))
 
     def test_requires_positive_definite_R(self):
-        for r in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match=r"need Q >= 0 and R > 0, "
-                               rf"got Q = 1\.0, R = {r!r}"):
+        for r in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"need finite Q >= 0, R > 0,"
+                               rf" got Q = 1\.0, R = {r!r}"):
                 solve_lqr(scalar_model(r=r))
 
-    @pytest.mark.parametrize("q", [-1.0, -1e-6, float("nan")])
+    @pytest.mark.parametrize("q", [-1.0, -1e-6, float("nan"), float("inf")])
     def test_requires_positive_semidefinite_Q(self, q):
-        with pytest.raises(ValueError, match=r"need Q >= 0 and R > 0"):
+        with pytest.raises(ValueError, match=r"need finite Q >= 0, R > 0"):
             solve_lqr(scalar_model(q=q))
+
+    @pytest.mark.parametrize("weights", [{"q_scale": np.inf},
+                                         {"r_scale": np.inf}])
+    def test_infinite_weight_builds_but_does_not_solve(self, weights):
+        # the model holds any weight; solve_lqr alone checks the range
+        model = build_lq_model(build_torus_city(2, 2, 2), **weights)
+        with pytest.raises(ValueError, match="need finite"):
+            solve_lqr(model)
 
     def test_uncontrollable_mode_raises(self):
         with pytest.raises(RiccatiError, match="uncontrollable mode"):
@@ -726,6 +734,23 @@ class TestPhaseRows:
                 s.advance()
         # the lanes get different slots, and their rows tell them apart
         assert lanes_differ
+
+    def test_global_row_is_the_clock_at_a_cycle_start(self):
+        # greens re-times from the counters there, so the row holds no
+        # slots; within a cycle it holds the slots its gates were cut from
+        t = build_two_junction(4, 3, 5, 2)
+        policy = GlobalFeedbackPolicy(solve_lqr(build_lq_model(t)), cycle=5)
+        sim = Simulation(t, np.stack([init_occupancy(t, density=d, seed=0)
+                                      for d in (0.3, 0.6)]), policy=policy)
+        for k in range(15):
+            row = sim.policy.phase(k)
+            if k % 5 == 0:
+                np.testing.assert_array_equal(row, [[0, 0, 0], [0, 0, 0]])
+            else:
+                np.testing.assert_array_equal(
+                    row[:, 1:] > k % 5, sim.policy.greens(k, sim))
+                assert row[:, 1:].all() and (row[:, 0] == k % 5).all()
+            sim.advance()
 
     def test_lane_groups_pad_their_rows(self):
         # open loop gives the cycle phase, local feedback no phase at all

@@ -26,6 +26,7 @@ from roadphases.dynamics import (
     Simulation,
     StepKernel,
     init_occupancy,
+    simulate,
 )
 from roadphases.metrics import (
     _distances,
@@ -137,14 +138,13 @@ class TestDetectPeriod:
         assert res is not None
         assert res.period % 4 == 0  # in phase with the light cycle
 
-    # (network, density, seed) -> (start, period) found when phase keys
-    # held the slots as a tuple of ints, one run per call
+    # (network, density, seed) -> (start, period), one run per call
     GLOBAL_PERIODS = {
         ("city", 0.2, 0): (22, 12), ("city", 0.2, 1): (34, 12),
         ("city", 0.4, 0): (19, 4), ("city", 0.4, 1): (23, 4),
-        ("city", 0.6, 0): (17, 12), ("city", 0.6, 1): (46, 4),
-        ("two_junction", 0.2, 0): (25, 20), ("two_junction", 0.2, 1): (57, 20),
-        ("two_junction", 0.4, 0): (17, 4), ("two_junction", 0.4, 1): (4, 4),
+        ("city", 0.6, 0): (16, 12), ("city", 0.6, 1): (46, 4),
+        ("two_junction", 0.2, 0): (25, 20), ("two_junction", 0.2, 1): (56, 20),
+        ("two_junction", 0.4, 0): (16, 4), ("two_junction", 0.4, 1): (4, 4),
         ("two_junction", 0.6, 0): (16, 4), ("two_junction", 0.6, 1): (54, 4),
     }
 
@@ -157,6 +157,28 @@ class TestDetectPeriod:
             res = detect_period(t, init_occupancy(t, density=d, seed=seed),
                                 policy)
             assert (res.start, res.period) == expect, (name, d, seed)
+
+    def test_global_feedback_start_is_not_late(self):
+        # at a cycle start greens re-times from the counters, so x - x[0]
+        # alone fixes the future there: were it equal one period later at
+        # the last cycle start c before a found start s, the recurrence
+        # would already have begun at c, and s would be late
+        checked = 0
+        for t in (build_two_junction(4, 3, 5, 2), build_torus_city(2, 2, 3)):
+            policy = GlobalFeedbackPolicy(solve_lqr(build_lq_model(t)))
+            a = np.stack([init_occupancy(t, density=d, seed=seed)
+                          for d in np.arange(1, 9) / 10 for seed in range(3)])
+            found = detect_period(t, a, policy)
+            xs = simulate(t, a, horizon=max(r.start + r.period
+                                            for r in found if r), policy=policy)
+            xs = xs - xs[..., :1]
+            for lane, r in enumerate(found):
+                if r and r.start:
+                    c = (r.start - 1) // policy.cycle * policy.cycle
+                    assert (xs[c, lane] != xs[c + r.period, lane]).any(), \
+                        (t.topology_id, lane, r)
+                    checked += 1
+        assert checked >= 30
 
     @pytest.mark.parametrize("lanes", [1, 3])
     def test_stack_returns_lone_results(self, lanes):

@@ -19,7 +19,9 @@ two checkouts alike:
 * L6  the ``diagram`` and ``response`` commands of the benchmark's
       ``city_policies`` config (workload seed 0), each through
       ``cli.main`` in the child process, in seconds (a command that
-      exits nonzero raises, here and in L7 and L8);
+      exits nonzero raises, here and in L7 and L8); it raises unless
+      ``diagram.csv``, ``diagram_roads.csv`` and ``response_summary.csv``
+      have the SHA-256 recorded for this config (L6_SHA256);
 * L7  the ``simulate`` command on the 8x8x9 city (discrete, density 0.3,
       seed 0, 2,000 steps) through ``cli.main``, in seconds: stepping,
       ``counters.tsv`` and ``occupancy.txt`` together;
@@ -171,6 +173,28 @@ def run_command(argv: list[str]) -> None:
                            f"{code}: {err.getvalue().strip()}")
 
 
+def check_sha256(layer: str, directory: str, want: dict) -> None:
+    """Raise unless each file named in ``want`` has its SHA-256 there: a
+    tree that writes other bytes is not timing the same results."""
+    for name, digest in want.items():
+        got = hashlib.sha256((Path(directory) / name).read_bytes()).hexdigest()
+        if got != digest:
+            raise RuntimeError(f"{layer} wrote a {name} with SHA-256 {got}, "
+                               f"not {digest}")
+
+
+# SHA-256 of L6's output files, from the city_policies config at workload
+# seed 0
+L6_SHA256 = {
+    "diagram.csv":
+        "a195b81103b0a380c6c7460ab8f2114c5a2cc99234cfc8e7ef49fbc80e9e5f39",
+    "diagram_roads.csv":
+        "969de719414e2c3471adbc3c3321362e59bc9066fc8a1357295458840ce44d76",
+    "response_summary.csv":
+        "03bc21727cbeb5418dfcaebca0fccf2aaa96ad0a0205011b413e6ff08bbc9579",
+}
+
+
 def layer6() -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import CITY_POLICIES  # imports nothing from the program
@@ -184,6 +208,7 @@ def layer6() -> dict:
             out[f"city_policies/{command}"] = entry(
                 timed(lambda: run_command(argv), 1), 1.0, 1,
                 unit="s per command")
+        check_sha256("L6", tmp, L6_SHA256)
     return out
 
 
@@ -232,8 +257,7 @@ policy_list = priority,open_loop,local_feedback,global_feedback
 """
 
 
-# SHA-256 of L8's output files: a tree that writes other bytes is not
-# timing the same results, so L8 raises rather than report it
+# SHA-256 of L8's output files
 L8_SHA256 = {
     "diagram.csv":
         "0a4f7bb770644c5c51c2811be0465058976b230660f75d6b89bac70d316b210f",
@@ -248,11 +272,7 @@ def layer8() -> dict:
         cfg.write_text(L8_CFG)
         argv = ["--out", tmp, "diagram", "--config", str(cfg)]
         seconds = timed(lambda: run_command(argv), 1)
-        for name, want in L8_SHA256.items():
-            got = hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest()
-            if got != want:
-                raise RuntimeError(f"L8 wrote a {name} with SHA-256 {got}, "
-                                   f"not {want}")
+        check_sha256("L8", tmp, L8_SHA256)
         return {"city_8x8x9/policies_diagram": entry(
             seconds, 1.0, 1, horizon=15200, runs=240, unit="s per command")}
 
