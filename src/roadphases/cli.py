@@ -312,7 +312,13 @@ def read_diagram_csv(path) -> metrics.FundamentalDiagram:
 
 
 def counter_lines(states: np.ndarray) -> str:
-    """Trajectory dump: one line per step, tab-separated exact decimals."""
+    """Trajectory dump: one line per step, tab-separated exact decimals.
+    Integer counters print as Python ints, the bytes that formatting them
+    as floats gives below 2^53."""
+    states = np.asarray(states)
+    if states.dtype.kind in "iu":
+        return "\n".join("\t".join(map(str, x))
+                         for x in states.tolist()) + "\n"
     return "\n".join(
         "\t".join(np.format_float_positional(v, trim="-") for v in x)
         for x in np.asarray(states, float)) + "\n"

@@ -31,7 +31,11 @@ entry counter may grow only under a green light.
 Independent runs on one network can be stacked as the rows of a (lanes,
 slots) array and advanced by the same update; every operation is
 elementwise per lane, so each lane matches its run stepped alone bit for bit.
-A step works in kernel order (StepKernel), a layout private to this module.
+A step works in kernel order (StepKernel), a layout private to this module:
+the counters, then each junction's two shares of its entries, which the
+step that moves the entries writes.  One gather of that state reads every
+supply and space term of the next step, and one minimum moves every road
+cell; only the junction rule works on rows of its own.
 """
 
 from __future__ import annotations
@@ -61,8 +65,16 @@ class StepKernel:
 
     A step runs in kernel order, the order it produces counters in: road
     cells road by road, then every ``slot_b``, then every ``slot_a``
-    (``order`` maps it to slots; ``row_*`` arrays index it).  A stack is
-    worked slots-first on its transpose, free in Fortran order (apply's).
+    (``order`` maps these n rows to slots; ``row_*`` arrays index them),
+    then each junction's ceil share and each one's floor share of its
+    entries, which feed its exits' first cells at the next step.  A stack
+    is worked rows-first on its transpose, free in Fortran order (apply's).
+
+    ``gather`` lists, for one step, the rows that every term reads: each
+    road row's supply (the row before it, or its junction's share at an
+    exit's first row), each entry's supply (its road's last cell), each
+    road row's space (the row after it, or its entry slot at a last cell)
+    and each junction's two exits (``row_exit``).
     """
 
     def __init__(self, t: NetworkTopology):
@@ -76,15 +88,20 @@ class StepKernel:
         self.rc = np.concatenate([np.arange(f, l + 1) for f, l
                                   in zip(self.first, self.road_last)])
         self.order = np.concatenate([self.rc, self.slot_b, self.slot_a])
+        c, n = self.rc.size, self.order.size
         # each road's last and first row, and the entry row its last cell feeds
         self.row_last = np.cumsum(self.road_lengths) - 1
         self.row_first = self.row_last - self.road_lengths + 1
         into = np.concatenate([self.pr_road, self.np_road])
-        self.row_entry = self.rc.size + np.argsort(into)
-        # per junction: its exits' first rows, and the supply rows feeding it
+        self.row_entry = c + np.argsort(into)
+        # per junction: its exits' first rows, ceil exits then floor exits
         outs = np.concatenate([self.out_ceil, self.out_floor])
         self.row_exit = self.row_first[outs]
-        self.row_feed = self.row_last[into] + 1
+        supply, space = np.arange(-1, c - 1), np.arange(1, c + 1)
+        supply[self.row_exit] = n + np.arange(outs.size)  # the share rows
+        space[self.row_last] = self.row_entry
+        self.gather = np.concatenate([supply, self.row_last[into], space,
+                                      self.row_exit])
         # the slot whose counter each slot's occupancy is read against
         self.succ = np.empty_like(self.order)
         self.succ[self.order] = np.concatenate([self.rc + 1, self.first[outs]])
@@ -95,51 +112,52 @@ class StepKernel:
         self.counting = np.sort(np.concatenate([self.rc, self.slot_a]))
 
     def to_kernel(self, v: np.ndarray) -> np.ndarray:
-        """A slot-order stack in kernel order (Fortran order)."""
-        return np.asarray(v).T[self.order].T
+        """A slot-order stack in kernel order (Fortran order), each
+        junction's shares of its entries included."""
+        x, j = np.asarray(v).T[self.order], len(self.slot_a)
+        return np.concatenate([x, *_shares(x[-j:] + x[-2 * j:-j])]).T
 
     def to_slots(self, v: np.ndarray) -> np.ndarray:
-        """A kernel-order stack in slot order (C order)."""
-        out = np.empty(v.shape, v.dtype)
-        out[..., self.order] = v
+        """A kernel-order stack in slot order (C order), shares dropped."""
+        out = np.empty(v.shape[:-1] + self.order.shape, v.dtype)
+        out[..., self.order] = v[..., :self.order.size]
         return out
 
     def terms(self, a: np.ndarray) -> np.ndarray:
-        """apply's view of a slot-order placement: a in kernel order, 1 - a
-        at road cells and at last cells, and capacity - a_a - a_b."""
-        a, j = self.to_kernel(a).T, len(self.slot_a)
-        free = 1 - a[:self.rc.size]
+        """apply's view of a slot-order placement, in gather order: the a
+        each supply adds, 1 - a at each road row, and capacity - a_a - a_b
+        at each junction's ceil exit (0 at its floor exit)."""
+        a, c, j = np.asarray(a).T[self.order], self.rc.size, len(self.slot_a)
+        # the share rows follow the n slot rows and add their junction's
+        # entry slots' a: slot_b's to the ceil share, slot_a's to the floor
+        supply = np.concatenate([a, a[c:]])[self.gather[:len(a)]]
         room = _junction_rows(self.capacity, a.ndim) - (a[-j:] + a[-2 * j:-j])
-        return np.concatenate([a, free, free[self.row_last], room]).T
+        return np.concatenate([supply, 1 - a[:c], room,
+                               np.zeros_like(room)]).T
 
     def apply(self, x: np.ndarray, p: np.ndarray,
               gate: np.ndarray | None = None) -> np.ndarray:
         """One synchronous update of every lane, in kernel order, in the
         mode of x's dtype.  ``p`` is ``terms`` of the placement; ``gate`` is
-        (junctions,) for every lane, or (lanes, junctions)."""
-        x, p = x.T, p.T
-        c, n, j = self.rc.size, len(x), len(self.slot_a)
-        a, free, free_last, room = p[:n], p[n:n + c], p[n + c:-j], p[-j:]
-        x_b, x_a = x[c:-j], x[-j:]
+        (junctions,) for every lane, or (lanes, junctions).  One gather and
+        one add give every term; one minimum gives every road cell."""
+        x = x.T
+        c, n, j = self.rc.size, self.order.size, len(self.slot_a)
+        g = x.take(self.gather, 0)
+        g += p.T
         out = np.empty(x.shape, x.dtype)
-        # supply: up[r + 1] = a + x at road row r, or a junction's share
-        up = np.empty((c + 1,) + x.shape[1:], x.dtype)
-        np.add(a[:c], x[:c], out=up[1:])
-        up_in = up.take(self.row_feed, 0)
-        up[self.row_exit] = a[c:] + np.concatenate(_shares(x_a + x_b))
-        # space: 1 - a + x of the next row, or of a last cell's entry slot
-        road = np.add(free, x[1:c + 1], out=out[:c])
-        road[self.row_last] = free_last + x.take(self.row_entry, 0)
-        np.minimum(up[:c], road, out=road)
-        x_out = x.take(self.row_exit, 0)
-        auth = room + x_out[:j] + x_out[j:]
+        np.minimum(g[:c], g[n:n + c], out=out[:c])
+        up_in, auth = g[c:n], g[n + c:-j] + g[-j:]
+        x_b, x_a = x[c:c + j], x[c + j:n]
         if gate is not None:
             # an entry grows only under green, and neither has priority
-            g = _junction_rows(gate, x.ndim).astype(x.dtype)
-            up_in = np.minimum(up_in, np.concatenate([x_b + g, x_a + (1 - g)]))
-        x_pr = np.minimum(up_in[:j], auth - x_a, out=out[c:-j])
-        np.minimum(up_in[j:], auth - (x_pr if gate is None else x_b),
-                   out=out[-j:])
+            green = _junction_rows(gate, x.ndim).astype(x.dtype)
+            up_in = np.minimum(up_in, np.concatenate([x_b + green,
+                                                      x_a + (1 - green)]))
+        x_pr = np.minimum(up_in[:j], auth - x_a, out=out[c:c + j])
+        x_np = np.minimum(up_in[j:], auth - (x_pr if gate is None else x_b),
+                          out=out[c + j:n])
+        np.concatenate(_shares(x_np + x_pr), out=out[n:])
         return out.T
 
     def occupancy(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -240,13 +258,15 @@ def car_count(t: NetworkTopology, density: float) -> int:
 
 def init_occupancy(t: NetworkTopology, values=None, count: int | None = None,
                    density: float | None = None,
-                   seed: int | None = None) -> np.ndarray:
+                   seed: int | np.random.Generator | None = None
+                   ) -> np.ndarray:
     """Build an initial placement from explicit values, a car count or a density.
 
     Seeded placements draw car positions uniformly over counting positions;
     a junction receives at most one car, assigned to a direction sub-cell by
     the same RNG, so a draw is valid by construction and only explicit
-    ``values`` are checked.
+    ``values`` are checked.  ``seed`` is anything ``default_rng`` takes; a
+    Generator is drawn from as it stands.
     """
     given = sum(arg is not None for arg in (values, count, density))
     if given != 1:
@@ -266,9 +286,10 @@ def init_occupancy(t: NetworkTopology, values=None, count: int | None = None,
     # a car placed at a junction sits at its slot_a; one more draw per such
     # junction, in counting (slot_a) order, moves it to slot_b
     held = np.flatnonzero(a[kern.slot_a])
-    held = held[np.argsort(kern.slot_a[held])]
-    to_b = held[rng.integers(2, size=held.size) == 1]
-    a[kern.slot_a[to_b]], a[kern.slot_b[to_b]] = 0, 1
+    if held.size:
+        held = held[np.argsort(kern.slot_a[held])]
+        to_b = held[rng.integers(2, size=held.size) == 1]
+        a[kern.slot_a[to_b]], a[kern.slot_b[to_b]] = 0, 1
     return a
 
 

@@ -663,6 +663,65 @@ class TestKernelArrays:
                 [int(sum(y[c] for c in r.cells)) for r in t.roads]
             sim.advance()
 
+    @pytest.mark.parametrize("t", [build_figure_eight(9, 3),
+                                   build_two_junction(7, 3, 5, 4),
+                                   build_torus_city(3, 4, 2)],
+                             ids=["figure_eight", "two_junction", "city"])
+    def test_gather_matches_topology_walk(self, t):
+        kern = kernel_for(t)
+        n, j = kern.order.size, len(t.junctions)
+        row = {int(slot): r for r, slot in enumerate(kern.order)}
+        # the share rows follow the n slot rows: ceils, then floors
+        share = {jn.out_ceil: n + i for i, jn in enumerate(t.junctions)}
+        share.update({jn.out_floor: n + j + i
+                      for i, jn in enumerate(t.junctions)})
+        entry = {jn.in_priority: jn.slot_b for jn in t.junctions}
+        entry.update({jn.in_nonpriority: jn.slot_a for jn in t.junctions})
+        supply, space = kern.gather[:n], kern.gather[n:]
+        for r, road in enumerate(t.roads):
+            cells = list(road.cells)
+            for i, cell in enumerate(cells):
+                assert supply[row[cell]] == (
+                    share[r] if i == 0 else row[cells[i - 1]])
+                assert space[row[cell]] == row[
+                    entry[r] if cell == cells[-1] else cells[i + 1]]
+        # each entry's supply is its road's last cell; then each exit
+        for jn in t.junctions:
+            for road in (jn.in_priority, jn.in_nonpriority):
+                assert supply[row[entry[road]]] == \
+                    row[t.roads[road].last_cell]
+        assert space[kern.rc.size:].tolist() == kern.row_exit.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=small_networks(), stacked=st.booleans(), discrete=st.booleans(),
+           gated=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_share_rows_are_the_entries_shares(self, t, stacked, discrete,
+                                               gated, seed):
+        # the state carries each junction's shares, written by the step
+        # that produces its entries
+        kern, rng = kernel_for(t), np.random.default_rng(seed)
+        n, j = kern.order.size, len(t.junctions)
+        lanes = 3 if stacked else 1
+        a = np.stack([init_occupancy(
+            t, count=int(rng.integers(t.counting_size + 1)),
+            seed=int(rng.integers(1 << 30))) for _ in range(lanes)])
+        gates = rng.integers(2, size=(40, lanes, j)) > 0
+        sim = Simulation(t, a if stacked else a[0],
+                         DISCRETE if discrete else CONTINUOUS,
+                         RecordedGates(gates if stacked else gates[:, 0])
+                         if gated else None)
+        for s in sim.trajectory(len(gates) - 1):
+            x = s.x
+            entries = x[..., kern.slot_a] + x[..., kern.slot_b]
+            if discrete:
+                want = [(entries + 1) // 2, entries // 2]
+            else:
+                want = [entries / 2, entries / 2]
+            assert s.counters.shape == x.shape[:-1] + (n + 2 * j,)
+            assert np.array_equal(s.counters[..., :n], x[..., kern.order])
+            assert np.array_equal(s.counters[..., n:],
+                                  np.concatenate(want, axis=-1)), f"k={s.k}"
+
 
 # roads of up to 20 cells, so per-road float sums go past numpy's 8-term
 # unrolled block
@@ -895,6 +954,15 @@ class TestDumps:
         x = np.array([10.34375, 0.1, 2 ** -30, 1e6 + 0.5])
         assert counter_lines([x]) == \
             "10.34375\t0.1\t0.0000000009313225746154785\t1000000.5\n"
+
+    def test_integer_rows_print_as_their_floats_do(self):
+        # discrete dumps skip the float formatting: the same bytes below
+        # 2^53, and exact digits above it
+        rng = np.random.default_rng(5)
+        states = np.concatenate([rng.integers(0, 2 ** 53, (4, 9)),
+                                 rng.integers(-99, 10 ** 6, (4, 9))])
+        assert counter_lines(states) == counter_lines(states.astype(float))
+        assert counter_lines([[2 ** 53 + 1]]) == "9007199254740993\n"
 
     def test_occupancy_line_junction_chars(self, fig8_55):
         states = simulate(fig8_55, A55, DISCRETE, horizon=2)

@@ -11,6 +11,10 @@ two checkouts alike:
       8x8x9 city, in us per step; every step gates a fresh state, so no
       policy reads a count cached by the call before.  ``priority`` steps
       the same stack with no gate, so an entry less it is the gate's cost;
+* L3  one measured run: ``metrics.estimate_growth_rate`` of one Fig-8
+      45/15 placement (density 0.3, seed 0, continuous) at its default
+      horizon, in seconds per run, with the ``StepKernel.apply`` calls one
+      run executed (counted in an untimed run);
 * L4  the 60-density x 3-seed Fig-8 45/15 sweep at horizon 5,900
       (continuous), in seconds;
 * L5  ``control.solve_lqr(control.build_lq_model(t))`` on the 4x4, 8x8
@@ -84,6 +88,7 @@ REPEATS = 7
 # steps per timing, sized so that one timing takes roughly 10-100 ms
 L1_STEPS = {"fig8_45_15": 1000, "city_8x8x9": 300, "grid_32x32x45": 8}
 L2_STEPS = 400
+L3_RUNS = 3
 L5_STEPS = {4: 100, 8: 8, 12: 2}  # solves per timing, by city side
 
 
@@ -137,6 +142,35 @@ def layer2() -> dict:
         out[name] = entry(timed(sim.advance, L2_STEPS), 1e6, L2_STEPS,
                           lanes=12, unit="us per step")
     return out
+
+
+def apply_calls(fn) -> int:
+    """``StepKernel.apply`` calls made by one call of ``fn``."""
+    real, calls = dynamics.StepKernel.apply, []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    dynamics.StepKernel.apply = counted
+    try:
+        fn()
+    finally:
+        dynamics.StepKernel.apply = real
+    return len(calls)
+
+
+def layer3() -> dict:
+    t = NETWORKS["fig8_45_15"]()
+    a = dynamics.init_occupancy(t, density=0.3, seed=0)
+
+    def run():
+        metrics.estimate_growth_rate(t, a, dynamics.CONTINUOUS)
+
+    run()  # first-call costs
+    return {"fig8_45_15/estimate_growth_rate": entry(
+        timed(run, L3_RUNS), 1.0, L3_RUNS, executed=apply_calls(run),
+        unit="s per run")}
 
 
 def layer4() -> dict:
@@ -293,7 +327,8 @@ def measure() -> dict:
     global cli, control, dynamics, metrics, topology
     from roadphases import cli, control, dynamics, metrics, topology
     return {"src": str(Path(cli.__file__).resolve().parent.parent),
-            "L1": layer1(), "L2": layer2(), "L4": layer4(), "L5": layer5(),
+            "L1": layer1(), "L2": layer2(), "L3": layer3(),
+            "L4": layer4(), "L5": layer5(),
             "L6": layer6(), "L7": layer7(), "L8": layer8()}
 
 
