@@ -190,12 +190,8 @@ def sweep_diagrams(t: NetworkTopology, densities, mode: str, policies,
     runs = list(itertools.product(counts, seeds))
     lane = {run: i for i, run in enumerate(dict.fromkeys(runs))}
     placements = np.zeros((len(lane), t.n_slots), np.int64)
-    rngs = {seed: np.random.default_rng(seed) for seed in seeds}
-    seeded = {seed: rng.bit_generator.state for seed, rng in rngs.items()}
     for (count, seed), i in lane.items():
-        # each placement draws from its seed's start, as a fresh seeding would
-        rngs[seed].bit_generator.state = seeded[seed]
-        placements[i] = init_occupancy(t, count=count, seed=rngs[seed])
+        placements[i] = init_occupancy(t, count=count, seed=seed)
     lanes = np.array([lane[r] for r in runs], np.intp).reshape(-1, len(seeds))
     by_policy = _by_policy(policies, placements, lambda a, policy: _measure(
         t, a, mode, policy, horizon, burn_in, per_road))

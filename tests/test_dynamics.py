@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import re
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadphases import dynamics
 from roadphases.cli import counter_lines, occupancy_lines
 from roadphases.dynamics import (
     CONTINUOUS,
     DISCRETE,
     Simulation,
+    StepKernel,
     check_occupancy,
     density,
     init_occupancy,
@@ -717,10 +720,40 @@ class TestKernelArrays:
                 want = [(entries + 1) // 2, entries // 2]
             else:
                 want = [entries / 2, entries / 2]
-            assert s.counters.shape == x.shape[:-1] + (n + 2 * j,)
-            assert np.array_equal(s.counters[..., :n], x[..., kern.order])
-            assert np.array_equal(s.counters[..., n:],
+            assert s.state.shape == x.shape[:-1] + (n + 2 * j,)
+            assert np.array_equal(s.counters, x[..., kern.order])
+            assert np.array_equal(s.state[..., n:],
                                   np.concatenate(want, axis=-1)), f"k={s.k}"
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=small_networks(), stacked=st.booleans(), discrete=st.booleans(),
+           gated=st.booleans(), blocks=st.integers(2, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocks_step_as_one_gather(self, t, stacked, discrete, gated,
+                                       blocks, seed):
+        # a stack wider than BLOCK_BYTES is gathered in blocks of road
+        # rows: each lane steps as it does in one block
+        rng = np.random.default_rng(seed)
+        lanes = 3 if stacked else 1
+        a = np.stack([init_occupancy(
+            t, count=int(rng.integers(t.counting_size + 1)),
+            seed=int(rng.integers(1 << 30))) for _ in range(lanes)])
+        a = a if stacked else a[0]
+        gates = rng.integers(2, size=(30,) + a.shape[:-1] + (
+            len(t.junctions),)) > 0
+        sim = Simulation(t, a, DISCRETE if discrete else CONTINUOUS,
+                         RecordedGates(gates) if gated else None)
+        kern, c = StepKernel(t), sim.kernel.rc.size
+        assert len(sim.kernel._blocks(a.shape[:-1])[0]) == 1
+        with mock.patch.object(dynamics, "BLOCK_BYTES",
+                               16 * c * lanes // blocks):
+            p = kern.terms(sim.a)
+            assert len(kern._blocks(a.shape[:-1])[0]) > 1
+        x = kern.to_kernel(sim.x)
+        for gate in gates:
+            sim.advance()
+            x = kern.apply(x, p, gate if gated else None)
+            assert np.array_equal(x, sim.state), f"k={sim.k}"
 
 
 # roads of up to 20 cells, so per-road float sums go past numpy's 8-term
@@ -806,7 +839,7 @@ class TestLaneStack:
             with pytest.raises(ValueError):
                 x[0, 0] = 1
             assert np.array_equal(x, state)
-            assert np.array_equal(sim.counters, kern.to_kernel(state))
+            assert np.array_equal(sim.state, kern.to_kernel(state))
             for read in (sim.road_counts(), sim.poised()):
                 assert not read.flags.writeable
                 with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadphases import metrics
 from roadphases.analytic import PhaseLabel, flow_approx, phase_boundaries
 from roadphases.cli import (read_diagram_csv, write_diagram_csv,
                             write_response_csv, write_road_csv)
@@ -360,28 +359,6 @@ class TestSweep:
         once = sweep_diagram(t, seeds=(s for s in (0, 1)), **kwargs)
         assert once.points == sweep_diagram(t, seeds=(0, 1), **kwargs).points
         assert [p.seed_count for p in once.points] == [2, 2]
-
-    @pytest.mark.parametrize("t", [build_figure_eight(45, 15),
-                                   build_torus_city(2, 2, 3)],
-                             ids=["fig8_45_15", "city"])
-    def test_placements_equal_fresh_seedings(self, t, monkeypatch):
-        # the sweep re-draws from one generator per seed, rewound before
-        # each placement: every row is what its own seeding would give
-        stacks, measure = [], metrics._measure
-
-        def spy(t, a, *args):
-            stacks.append(a)
-            return measure(t, a, *args)
-
-        monkeypatch.setattr(metrics, "_measure", spy)
-        counts, seeds = range(t.counting_size + 1), (0, 1, 2)
-        sweep_diagrams(t, [c / t.counting_size for c in counts], CONTINUOUS,
-                       [None], seeds, horizon=2)
-        assert len(stacks) == 1 and len(stacks[0]) == len(counts) * 3
-        fresh = [init_occupancy(t, count=c, seed=s)
-                 for c in counts for s in seeds]
-        for row, want in zip(stacks[0], fresh):
-            assert row.tolist() == want.tolist()
 
     def test_one_global_feedback_policy_serves_every_run(self):
         t = build_figure_eight(9, 3)
