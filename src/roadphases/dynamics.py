@@ -17,8 +17,11 @@ min of an upstream supply term and a downstream space term:
 
 Two arithmetic modes, and the counters' dtype is the mode (_validated casts
 to it): "continuous" float64 counters halve the junction split, and
-"discrete" int64 counters round it up for one outgoing road and down for the
-other (odd entrants one way, even the other), which is exact unconditionally.
+"discrete" integer counters round it up for one outgoing road and down for
+the other (odd entrants one way, even the other), which is exact
+unconditionally.  Discrete counters are int64 wherever they are read, but a
+Simulation steps them in int32, half the bytes, for as long as no value a
+step forms can reach 2**31 (its first 2**30 - 2 steps), then in int64.
 Continuous values are all dyadic, but their fraction depth grows each step
 and soon passes the 53-bit mantissa of float64: on the Fig-8 45/15 network, 9
 of 18 runs (5 to 55 cars, seeds 0 to 2) leave the exact rational dynamics
@@ -53,10 +56,11 @@ CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 MODES = (CONTINUOUS, DISCRETE)
 # Bytes of gathered terms per block of a step, so that a block's take, add
-# and minimum work in cache.  Of 64 KB to 1 MB, 256 KB stepped the 8x8x9
-# city at 180 lanes and the 32x32x45 grid fastest on a 2-vCPU Xeon with a
-# 4 MB L2.  A step of Fig-8 45/15 up to 282 lanes, or of the city up to 14,
-# is one block.
+# and minimum work in cache; a term takes the state's itemsize.  Of 64 KB to
+# 1 MB, 256 KB stepped the 8x8x9 city at 180 lanes and the 32x32x45 grid
+# fastest on a 2-vCPU Xeon with a 4 MB L2.  A float64 step of Fig-8 45/15 up
+# to 282 lanes, or of the city up to 14, is one block, and an int32 step of
+# the city up to 28.
 BLOCK_BYTES = 1 << 18
 
 
@@ -125,50 +129,55 @@ class StepKernel:
         """A slot-order stack in kernel order (Fortran order), each
         junction's shares of its entries included."""
         x, j = np.asarray(v).T[self.order], len(self.slot_a)
-        return np.concatenate([x, *_shares(x[-j:] + x[-2 * j:-j])]).T
+        return np.concatenate([x, _shares(x[-j:] + x[-2 * j:-j])]).T
 
-    def to_slots(self, v: np.ndarray) -> np.ndarray:
-        """A kernel-order stack in slot order (C order), shares dropped."""
-        out = np.empty(v.shape[:-1] + self.order.shape, v.dtype)
+    def to_slots(self, v: np.ndarray, dtype=None) -> np.ndarray:
+        """A kernel-order stack in slot order (C order), shares dropped, in
+        ``dtype`` (v's if None)."""
+        out = np.empty(v.shape[:-1] + self.order.shape,
+                       v.dtype if dtype is None else dtype)
         out[..., self.order] = v[..., :self.order.size]
         return out
 
     def terms(self, a: np.ndarray) -> np.ndarray:
-        """apply's view of a slot-order placement, in the block order of
-        its stack's gather: the a each supply adds, 1 - a at each road row,
-        and capacity - a_a - a_b at each junction's ceil exit (0 at its
-        floor exit)."""
+        """apply's view of a slot-order placement, in a's dtype, which must
+        be the state's, and in the block order of its stack's gather: the a
+        each supply adds, 1 - a at each road row, and capacity - a_a - a_b
+        at each junction's ceil exit (0 at its floor exit)."""
         a, c, j = np.asarray(a).T[self.order], self.rc.size, len(self.slot_a)
         # the share rows follow the n slot rows and add their junction's
         # entry slots' a: slot_b's to the ceil share, slot_a's to the floor
         supply = np.concatenate([a, a[c:]])[self.gather[:len(a)]]
-        room = _junction_rows(self.capacity, a.ndim) - (a[-j:] + a[-2 * j:-j])
+        room = (_junction_rows(self.capacity, a.ndim, a.dtype)
+                - (a[-j:] + a[-2 * j:-j]))
         p = np.concatenate([supply, 1 - a[:c], room, np.zeros_like(room)])
-        return p[self._blocks(a.shape[1:])[1]].T
+        return p[self._blocks(a.shape[1:], a.itemsize)[1]].T
 
-    def _blocks(self, lanes: tuple) -> tuple[list, np.ndarray]:
+    def _blocks(self, lanes: tuple, itemsize: int) -> tuple[list, np.ndarray]:
         """The gather of a stack of ``lanes``-shaped rows ((), or (lanes,))
-        in blocks of road rows, each of about BLOCK_BYTES so that its take,
-        add and minimum work in cache.  A block gathers its rows' supplies,
-        then their spaces; the last one goes on with each entry's supply
-        and each junction's exits.  Returns a (rows, row count, gather,
-        span of terms) tuple per block, and the positions in ``gather`` of
-        the blocks' gathers in turn, which order ``terms``."""
-        if lanes not in self._layouts:
+        of ``itemsize``-byte terms in blocks of road rows, each of about
+        BLOCK_BYTES so that its take, add and minimum work in cache.  A
+        block gathers its rows' supplies, then their spaces; the last one
+        goes on with each entry's supply and each junction's exits.
+        Returns a (rows, row count, gather, span of terms) tuple per block,
+        and the positions in ``gather`` of the blocks' gathers in turn,
+        which order ``terms``."""
+        key = lanes, itemsize
+        if key not in self._layouts:
             c, n = self.rc.size, self.order.size
-            # two 8-byte terms per road row and lane
-            count = -(-16 * c * math.prod(lanes) // BLOCK_BYTES)
+            # two terms per road row and lane
+            count = -(-2 * itemsize * c * math.prod(lanes) // BLOCK_BYTES)
             count = min(max(count, 1), c)
             ends = [c * i // count for i in range(count + 1)]
             pos = [np.r_[lo:hi, n + lo:n + hi]
                    for lo, hi in zip(ends, ends[1:])]
             pos[-1] = np.r_[pos[-1], c:n, n + c:2 * n]
             at = np.cumsum([0] + [i.size for i in pos]).tolist()
-            self._layouts[lanes] = (
+            self._layouts[key] = (
                 [(slice(lo, hi), hi - lo, self.gather[i], slice(s, e))
                  for lo, hi, i, s, e in zip(ends, ends[1:], pos, at, at[1:])],
                 np.concatenate(pos))
-        return self._layouts[lanes]
+        return self._layouts[key]
 
     def apply(self, x: np.ndarray, p: np.ndarray,
               gate: np.ndarray | None = None) -> np.ndarray:
@@ -181,7 +190,8 @@ class StepKernel:
         x, p = x.T, p.T
         c, n, j = self.rc.size, self.order.size, len(self.slot_a)
         out = np.empty(x.shape, x.dtype)
-        for rows, m, gather, span in self._blocks(x.shape[1:])[0]:
+        for rows, m, gather, span in self._blocks(x.shape[1:],
+                                                  x.itemsize)[0]:
             g = x.take(gather, 0)
             g += p[span]
             np.minimum(g[:m], g[m:2 * m], out=out[rows])
@@ -190,20 +200,20 @@ class StepKernel:
         x_b, x_a = x[c:c + j], x[c + j:n]
         if gate is not None:
             # an entry grows only under green, and neither has priority
-            green = _junction_rows(gate, x.ndim).astype(x.dtype)
+            green = _junction_rows(gate, x.ndim, x.dtype)
             up_in = np.minimum(up_in, np.concatenate([x_b + green,
                                                       x_a + (1 - green)]))
         x_pr = np.minimum(up_in[:j], auth - x_a, out=out[c:c + j])
         x_np = np.minimum(up_in[j:], auth - (x_pr if gate is None else x_b),
                           out=out[c + j:n])
-        np.concatenate(_shares(x_np + x_pr), out=out[n:])
+        _shares(x_np + x_pr, out[n:])
         return out.T
 
     def occupancy(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Per-slot occupancies of slot-order counters (for dumps)."""
         v = x.copy()  # a sub-cell holds its share of the junction's entries
-        v[..., self.slot_b], v[..., self.slot_a] = _shares(
-            x[..., self.slot_a] + x[..., self.slot_b])
+        v[..., self.order[self.rc.size:]] = _shares(
+            (x[..., self.slot_a] + x[..., self.slot_b]).T).T
         return a + v - x[..., self.succ]
 
     def road_sums(self, v: np.ndarray) -> np.ndarray:
@@ -212,18 +222,28 @@ class StepKernel:
         return np.add.reduceat(v[..., self.rc], self.row_first, axis=-1)
 
 
-def _shares(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ceil, floor) shares of each junction's entries; halves if float."""
-    if entries.dtype.kind != "f":
-        return (entries + 1) // 2, entries // 2
-    half = entries * 0.5
-    return half, half
+def _shares(entries: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each junction's ceil share of its entries (rows of ``entries``), then
+    each one's floor share, as rows of ``out``; halves if float."""
+    j = len(entries)
+    if out is None:
+        out = np.empty((2 * j,) + entries.shape[1:], entries.dtype)
+    ceil, floor = out[:j], out[j:]
+    if entries.dtype.kind == "f":
+        ceil[...] = floor[...] = entries * 0.5
+    else:  # a shift by one is a floor division by 2 for every int
+        np.add(entries, 1, out=ceil)
+        ceil >>= 1
+        np.right_shift(entries, 1, out=floor)
+    return out
 
 
-def _junction_rows(v: np.ndarray, ndim: int) -> np.ndarray:
-    """A (junctions,) or (lanes, junctions) array as junction rows that
-    broadcast against the slots-first gathers of an ``ndim``-axis state."""
-    return v.T.reshape(v.shape[-1:] + (-1,) * (ndim - 1))
+def _junction_rows(v: np.ndarray, ndim: int, dtype) -> np.ndarray:
+    """A (junctions,) or (lanes, junctions) array as C-ordered ``dtype``
+    junction rows that broadcast against the slots-first gathers of an
+    ``ndim``-axis state."""
+    return np.ascontiguousarray(v.T, dtype).reshape(
+        v.shape[-1:] + (-1,) * (ndim - 1))
 
 
 # Topologies hash by identity; a kernel holds no reference to its topology,
@@ -357,7 +377,12 @@ class Simulation:
         self.k = 0
         # the state in kernel order, share rows included (no API)
         self.state = kern.to_kernel(x)
-        self._terms = kern.terms(self.a)
+        # A discrete counter gains at most one car a step from x = 0, so the
+        # step to k + 1 forms no value above 2(k + 1) + capacity + 1: it
+        # steps in int32 while that stays below 2**31, then in int64.
+        self._wide_at = (-(-(2 ** 31 - 3 - int(kern.capacity.max())) // 2)
+                         if mode == DISCRETE else math.inf)
+        self._cast(np.int32 if mode == DISCRETE else self.a.dtype)
         self._placed = kern.road_sums(self.a)
         self._placed_last = self.a[..., kern.road_last]
         self._reads: dict[str, np.ndarray] = {}  # this state's, by name
@@ -368,25 +393,35 @@ class Simulation:
     @property
     def x(self) -> np.ndarray:
         """The counters in slot order, as a read-only copy."""
-        x = self.kernel.to_slots(self.state)
+        x = self.kernel.to_slots(self.state, self.a.dtype)
         x.flags.writeable = False
         return x
 
     @property
     def counters(self) -> np.ndarray:
         """The counters in kernel order: a read-only view of the state,
-        share rows dropped."""
+        share rows dropped, in its dtype (int32 for the first 2**30 - 2
+        steps of a discrete run).  It is valid only until the next step,
+        which may reuse its memory."""
         v = self.state[..., :self.kernel.order.size]
         v.flags.writeable = False
         return v
 
     def advance(self, steps: int = 1) -> None:
         for _ in range(steps):
+            if self.k >= self._wide_at:
+                self._cast(np.int64)
+                self._wide_at = math.inf
             gate = (None if self.policy is None
                     else self.policy.greens(self.k, self))
             self.state = self.kernel.apply(self.state, self._terms, gate)
             self.k += 1
             self._reads = {}
+
+    def _cast(self, dtype) -> None:
+        """Step the state, and the terms it adds, in ``dtype`` from now on."""
+        self.state = self.state.astype(dtype, copy=False)
+        self._terms = self.kernel.terms(self.a.astype(dtype, copy=False))
 
     def trajectory(self, steps: int):
         """Yield this simulation now and after each of ``steps`` more steps."""

@@ -501,6 +501,40 @@ class TestInvariants:
             assert np.all(delta <= 1)
             prev = sim.x.copy()
 
+    @settings(max_examples=40, deadline=None)
+    @given(t=small_networks(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_increments_are_0_or_1_on_every_family(self, t, seed):
+        # the fact that bounds a discrete run's counters by its step count,
+        # under random lights too
+        rng = np.random.default_rng(seed)
+        a = init_occupancy(t, count=int(rng.integers(t.counting_size + 1)),
+                           seed=seed)
+        x = np.zeros(t.n_slots, np.int64)
+        for gate in rng.integers(2, size=(4 * t.counting_size,
+                                          len(t.junctions))):
+            nxt = step(x, a, t, DISCRETE, gate)
+            assert np.isin(nxt - x, (0, 1)).all()
+            x = nxt
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_state_widens_to_int64_before_int32_can_wrap(self, capacity):
+        # a discrete run steps in int32 up to step 2**30 - 2, then widens
+        t = build_torus_city(2, 3, 3, capacity=capacity)
+        a = init_occupancy(t, density=0.4, seed=3)
+        wide = 2 ** 30 - 2
+        sim = Simulation(t, a, DISCRETE)
+        sim.advance(20)
+        x, dtypes = sim.x, []
+        sim.k = wide - 2
+        for _ in range(4):
+            sim.advance()
+            x = step(x, a, t, DISCRETE)
+            assert sim.x.dtype == np.int64 and np.array_equal(sim.x, x)
+            dtypes.append(sim.state.dtype)
+        assert dtypes == [np.int32, np.int32, np.int64, np.int64]
+        assert sim._terms.dtype == np.int64
+        assert Simulation(t, a, CONTINUOUS).state.dtype == np.float64
+
     @pytest.mark.parametrize("builder,args", [
         (build_figure_eight, (6, 9)),
         (build_two_junction, (5, 4, 4, 5)),
@@ -597,6 +631,7 @@ class TestStepValidation:
         # one integral state whose next step differs between the modes
         kern, x = kernel_for(fig8_55), np.array(TABLE_DISCRETE[1])
         for dtype, mode, table in ((np.int64, DISCRETE, TABLE_DISCRETE),
+                                   (np.int32, DISCRETE, TABLE_DISCRETE),
                                    (np.float64, CONTINUOUS, TABLE_CONTINUOUS)):
             got = kern.to_slots(kern.apply(
                 kern.to_kernel(x.astype(dtype)),
@@ -743,13 +778,13 @@ class TestKernelArrays:
             len(t.junctions),)) > 0
         sim = Simulation(t, a, DISCRETE if discrete else CONTINUOUS,
                          RecordedGates(gates) if gated else None)
-        kern, c = StepKernel(t), sim.kernel.rc.size
-        assert len(sim.kernel._blocks(a.shape[:-1])[0]) == 1
-        with mock.patch.object(dynamics, "BLOCK_BYTES",
-                               16 * c * lanes // blocks):
-            p = kern.terms(sim.a)
-            assert len(kern._blocks(a.shape[:-1])[0]) > 1
-        x = kern.to_kernel(sim.x)
+        kern, c, dtype = StepKernel(t), sim.kernel.rc.size, sim.state.dtype
+        assert len(sim.kernel._blocks(a.shape[:-1], dtype.itemsize)[0]) == 1
+        with mock.patch.object(dynamics, "BLOCK_BYTES", max(
+                2 * dtype.itemsize * c * lanes // blocks, 1)):
+            p = kern.terms(sim.a.astype(dtype))
+            assert len(kern._blocks(a.shape[:-1], dtype.itemsize)[0]) > 1
+        x = kern.to_kernel(sim.x).astype(dtype)
         for gate in gates:
             sim.advance()
             x = kern.apply(x, p, gate if gated else None)

@@ -6,7 +6,9 @@ two checkouts alike:
 * L1  ``Simulation.advance`` with no policy, in us per lane-step, on the
       Fig-8 45/15 (60 slots), the 8x8x9 city (1,280 slots) and the
       32x32x45 grid (94,208 slots), at 1, 12 and 180 lanes (the grid
-      skips 180 lanes);
+      skips 180 lanes), continuous; and on the city at 12 and 180 lanes,
+      discrete (``city_8x8x9/discrete/<lanes>``), whose counters a
+      Simulation may step in another dtype than continuous ones;
 * L2  each policy's gated ``Simulation.advance`` on the 12-lane discrete
       8x8x9 city, in us per step; every step gates a fresh state, so no
       policy reads a count cached by the call before.  ``priority`` steps
@@ -84,6 +86,7 @@ NETWORKS = {
     "grid_32x32x45": lambda: topology.build_torus_city(32, 32, 45),
 }
 LANES = (1, 12, 180)
+DISCRETE_LANES = {"city_8x8x9": (12, 180)}  # L1's discrete stacks
 REPEATS = 7
 # steps per timing, sized so that one timing takes roughly 10-100 ms
 L1_STEPS = {"fig8_45_15": 1000, "city_8x8x9": 300, "grid_32x32x45": 8}
@@ -114,16 +117,20 @@ def layer1() -> dict:
     out = {}
     for name, build in NETWORKS.items():
         t = build()
-        for lanes in LANES:
+        runs = [(f"{name}/{lanes}", dynamics.CONTINUOUS, lanes)
+                for lanes in LANES]
+        runs += [(f"{name}/discrete/{lanes}", dynamics.DISCRETE, lanes)
+                 for lanes in DISCRETE_LANES.get(name, ())]
+        for key, mode, lanes in runs:
             if t.n_slots * lanes > 10 ** 7:
                 continue  # 94,208 x 180 would need 135 MB per array
-            sim = dynamics.Simulation(t, placements(t, lanes),
-                                      dynamics.CONTINUOUS)
+            sim = dynamics.Simulation(t, placements(t, lanes), mode)
             sim.advance(5)  # first-call costs
             steps = L1_STEPS[name]
-            out[f"{name}/{lanes}"] = entry(
+            out[key] = entry(
                 timed(sim.advance, steps), 1e6 / lanes, steps,
-                slots=t.n_slots, lanes=lanes, unit="us per lane-step")
+                slots=t.n_slots, lanes=lanes, mode=mode,
+                unit="us per lane-step")
     return out
 
 
