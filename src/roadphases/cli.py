@@ -348,9 +348,10 @@ def cmd_simulate(args, out_dir: Path) -> int:
     with contextlib.ExitStack() as stack:  # each state written as reached
         files = [stack.enter_context(open(out_dir / n, "w")) for n in written]
         for s in sim.trajectory(horizon):
-            files[0].write(counter_lines([s.x]))
+            x = s.x  # one slot-order copy for both dumps
+            files[0].write(counter_lines([x]))
             for occupancy in files[1:]:  # discrete mode only
-                occupancy.write(occupancy_lines(t, [s.x], a))
+                occupancy.write(occupancy_lines(t, [x], a))
     print(f"simulate: {horizon} steps of {t.topology_id} "
           f"({cfg.mode}, policy {cfg.policy}) -> {', '.join(written)}")
     return 0

@@ -86,8 +86,10 @@ class StepKernel:
     road row's supply (the row before it, or its junction's share at an
     exit's first row), each entry's supply (its road's last cell), each
     road row's space (the row after it, or its entry slot at a last cell)
-    and each junction's two exits (``row_exit``).  A wide stack takes it in
-    blocks of road rows (``_blocks``), and ``terms`` follows their order.
+    and each junction's two exits (``row_exit``); the slot a space term
+    reads is the one whose counter ``occupancy`` subtracts (``succ``).  A
+    wide stack takes it in blocks of road rows (``_blocks``, laid out once
+    per block count), and ``terms`` follows their order.
     """
 
     def __init__(self, t: NetworkTopology):
@@ -117,13 +119,12 @@ class StepKernel:
                                       self.row_exit])
         # the slot whose counter each slot's occupancy is read against
         self.succ = np.empty_like(self.order)
-        self.succ[self.order] = np.concatenate([self.rc + 1, self.first[outs]])
-        self.succ[self.road_last] = self.order[self.row_entry]
+        self.succ[self.order] = self.order[self.gather[n:]]
         # counting positions in slot order: every road cell, and each
         # junction at its slot_a (on a figure-eight: the non-priority cells,
         # the junction, the priority cells)
         self.counting = np.sort(np.concatenate([self.rc, self.slot_a]))
-        self._layouts: dict[tuple, tuple[list, np.ndarray]] = {}
+        self._layouts: dict[int, tuple[list, np.ndarray]] = {}
 
     def to_kernel(self, v: np.ndarray) -> np.ndarray:
         """A slot-order stack in kernel order (Fortran order), each
@@ -131,11 +132,11 @@ class StepKernel:
         x, j = np.asarray(v).T[self.order], len(self.slot_a)
         return np.concatenate([x, _shares(x[-j:] + x[-2 * j:-j])]).T
 
-    def to_slots(self, v: np.ndarray, dtype=None) -> np.ndarray:
-        """A kernel-order stack in slot order (C order), shares dropped, in
-        ``dtype`` (v's if None)."""
+    def to_slots(self, v: np.ndarray) -> np.ndarray:
+        """A kernel-order stack in slot order (C order), shares dropped,
+        int64 or float64 as counters are read (an int32 state widens)."""
         out = np.empty(v.shape[:-1] + self.order.shape,
-                       v.dtype if dtype is None else dtype)
+                       np.promote_types(v.dtype, np.int64))
         out[..., self.order] = v[..., :self.order.size]
         return out
 
@@ -151,33 +152,32 @@ class StepKernel:
         room = (_junction_rows(self.capacity, a.ndim, a.dtype)
                 - (a[-j:] + a[-2 * j:-j]))
         p = np.concatenate([supply, 1 - a[:c], room, np.zeros_like(room)])
-        return p[self._blocks(a.shape[1:], a.itemsize)[1]].T
+        return p[self._blocks(a.nbytes // len(a))[1]].T
 
-    def _blocks(self, lanes: tuple, itemsize: int) -> tuple[list, np.ndarray]:
-        """The gather of a stack of ``lanes``-shaped rows ((), or (lanes,))
-        of ``itemsize``-byte terms in blocks of road rows, each of about
-        BLOCK_BYTES so that its take, add and minimum work in cache.  A
-        block gathers its rows' supplies, then their spaces; the last one
-        goes on with each entry's supply and each junction's exits.
-        Returns a (rows, row count, gather, span of terms) tuple per block,
-        and the positions in ``gather`` of the blocks' gathers in turn,
-        which order ``terms``."""
-        key = lanes, itemsize
-        if key not in self._layouts:
-            c, n = self.rc.size, self.order.size
-            # two terms per road row and lane
-            count = -(-2 * itemsize * c * math.prod(lanes) // BLOCK_BYTES)
-            count = min(max(count, 1), c)
+    def _blocks(self, row_bytes: int) -> tuple[list, np.ndarray]:
+        """The gather in blocks of road rows, for a stack whose rows of terms
+        hold ``row_bytes`` (its lanes times their itemsize): blocks of about
+        BLOCK_BYTES, read at each call, so that a block's take, add and
+        minimum work in cache.  A block gathers its rows' supplies, then
+        their spaces; the last one goes on with each entry's supply and each
+        junction's exits.  Returns a (rows, row count, gather, span of
+        terms) tuple per block, and the positions in ``gather`` of the
+        blocks' gathers in turn, which order ``terms``; both are laid out
+        once per block count."""
+        c = self.rc.size  # two terms per road row, in 1 to c blocks
+        count = min(-(-2 * c * row_bytes // BLOCK_BYTES), c) or 1
+        if count not in self._layouts:
+            n = self.order.size
             ends = [c * i // count for i in range(count + 1)]
             pos = [np.r_[lo:hi, n + lo:n + hi]
                    for lo, hi in zip(ends, ends[1:])]
             pos[-1] = np.r_[pos[-1], c:n, n + c:2 * n]
-            at = np.cumsum([0] + [i.size for i in pos]).tolist()
-            self._layouts[key] = (
-                [(slice(lo, hi), hi - lo, self.gather[i], slice(s, e))
-                 for lo, hi, i, s, e in zip(ends, ends[1:], pos, at, at[1:])],
+            self._layouts[count] = (  # block b's terms start at 2 lo
+                [(slice(lo, hi), hi - lo, self.gather[i],
+                  slice(2 * lo, 2 * lo + i.size))
+                 for lo, hi, i in zip(ends, ends[1:], pos)],
                 np.concatenate(pos))
-        return self._layouts[key]
+        return self._layouts[count]
 
     def apply(self, x: np.ndarray, p: np.ndarray,
               gate: np.ndarray | None = None) -> np.ndarray:
@@ -190,8 +190,7 @@ class StepKernel:
         x, p = x.T, p.T
         c, n, j = self.rc.size, self.order.size, len(self.slot_a)
         out = np.empty(x.shape, x.dtype)
-        for rows, m, gather, span in self._blocks(x.shape[1:],
-                                                  x.itemsize)[0]:
+        for rows, m, gather, span in self._blocks(x.nbytes // len(x))[0]:
             g = x.take(gather, 0)
             g += p[span]
             np.minimum(g[:m], g[m:2 * m], out=out[rows])
@@ -393,7 +392,7 @@ class Simulation:
     @property
     def x(self) -> np.ndarray:
         """The counters in slot order, as a read-only copy."""
-        x = self.kernel.to_slots(self.state, self.a.dtype)
+        x = self.kernel.to_slots(self.state)
         x.flags.writeable = False
         return x
 

@@ -633,10 +633,11 @@ class TestStepValidation:
         for dtype, mode, table in ((np.int64, DISCRETE, TABLE_DISCRETE),
                                    (np.int32, DISCRETE, TABLE_DISCRETE),
                                    (np.float64, CONTINUOUS, TABLE_CONTINUOUS)):
-            got = kern.to_slots(kern.apply(
-                kern.to_kernel(x.astype(dtype)),
-                kern.terms(np.array(A55, dtype))))
+            got = kern.apply(kern.to_kernel(x.astype(dtype)),
+                             kern.terms(np.array(A55, dtype)))
             assert got.dtype == dtype
+            got = kern.to_slots(got)  # read as int64 or float64
+            assert got.dtype == np.promote_types(dtype, np.int64)
             assert np.array_equal(got, step(x, A55, fig8_55, mode))
             assert got.tolist() == table[2]
         assert TABLE_DISCRETE[2] != TABLE_CONTINUOUS[2]
@@ -671,6 +672,28 @@ class TestKernelCache:
         gc.collect()
         assert ref() is None
 
+    def test_stacks_of_one_block_count_share_a_layout(self):
+        # a layout depends on the block count only, whatever the lanes and
+        # the itemsize that give it
+        t = build_torus_city(3, 4, 2)
+        a = np.stack([init_occupancy(t, density=0.4, seed=s)
+                      for s in range(8)])
+        stacks = ((1, CONTINUOUS, 1), (2, DISCRETE, 1), (2, CONTINUOUS, 1),
+                  (4, DISCRETE, 1), (3, CONTINUOUS, 2), (8, DISCRETE, 2),
+                  (4, CONTINUOUS, 2))
+        # stepped in one block each, which lays out block count 1
+        want = [simulate(t, a[:lanes], mode, 3)[3]
+                for lanes, mode, _ in stacks]
+        kern = kernel_for(t)
+        with mock.patch.object(dynamics, "BLOCK_BYTES", 2 * kern.rc.size * 16):
+            for (lanes, mode, count), x in zip(stacks, want):
+                sim = Simulation(t, a[:lanes], mode)
+                sim.advance(3)
+                row_bytes = sim.state[..., 0].nbytes
+                assert len(kern._blocks(row_bytes)[0]) == count
+                assert np.array_equal(sim.x, x)
+        assert sorted(kern._layouts) == [1, 2]
+
 
 class TestKernelArrays:
     @pytest.mark.parametrize("t", [build_figure_eight(9, 3),
@@ -694,12 +717,33 @@ class TestKernelArrays:
         assert kern.order[kern.row_exit].tolist() == \
             [t.roads[j.out_ceil].first_cell for j in t.junctions] + \
             [t.roads[j.out_floor].first_cell for j in t.junctions]
+        # each cell's successor is the next cell, or its road's entry slot;
+        # each entry slot's is the first cell of the exit it feeds
+        succ = {c: n for r in t.roads for c, n in zip(r.cells, r.cells[1:])}
+        succ.update({r.last_cell: entry[i] for i, r in enumerate(t.roads)})
+        for j in t.junctions:
+            succ[j.slot_b] = t.roads[j.out_ceil].first_cell
+            succ[j.slot_a] = t.roads[j.out_floor].first_cell
+        assert kern.succ.tolist() == [succ[s] for s in range(t.n_slots)]
         sim = Simulation(t, init_occupancy(t, density=0.5, seed=2))
         for _ in range(30):
             y = kern.occupancy(sim.x, sim.a)
             assert sim.road_counts().tolist() == \
                 [int(sum(y[c] for c in r.cells)) for r in t.roads]
             sim.advance()
+
+    def test_int32_state_reads_as_the_int64_run(self):
+        t = build_torus_city(3, 4, 2)
+        kern = kernel_for(t)
+        a = np.stack([init_occupancy(t, density=d, seed=1)
+                      for d in (0.3, 0.7)])
+        sim, x = Simulation(t, a), np.zeros(a.shape, np.int64)
+        for _ in range(20):
+            sim.advance()
+            x = step(x, a, t)
+            got = kern.to_slots(sim.state)
+            assert sim.state.dtype == np.int32 and got.dtype == np.int64
+            assert np.array_equal(got, x)
 
     @pytest.mark.parametrize("t", [build_figure_eight(9, 3),
                                    build_two_junction(7, 3, 5, 4),
@@ -779,16 +823,21 @@ class TestKernelArrays:
         sim = Simulation(t, a, DISCRETE if discrete else CONTINUOUS,
                          RecordedGates(gates) if gated else None)
         kern, c, dtype = StepKernel(t), sim.kernel.rc.size, sim.state.dtype
-        assert len(sim.kernel._blocks(a.shape[:-1], dtype.itemsize)[0]) == 1
-        with mock.patch.object(dynamics, "BLOCK_BYTES", max(
-                2 * dtype.itemsize * c * lanes // blocks, 1)):
-            p = kern.terms(sim.a.astype(dtype))
-            assert len(kern._blocks(a.shape[:-1], dtype.itemsize)[0]) > 1
-        x = kern.to_kernel(sim.x).astype(dtype)
-        for gate in gates:
+        row_bytes = dtype.itemsize * lanes
+        assert len(sim.kernel._blocks(row_bytes)[0]) == 1
+        states = [sim.state.copy()]
+        for _ in gates:
             sim.advance()
-            x = kern.apply(x, p, gate if gated else None)
-            assert np.array_equal(x, sim.state), f"k={sim.k}"
+            states.append(sim.state.copy())
+        # the block count is read at each call: the reference kernel lays
+        # out its terms and steps inside the patch, the Simulation outside
+        with mock.patch.object(dynamics, "BLOCK_BYTES", max(
+                2 * c * row_bytes // blocks, 1)):
+            assert len(kern._blocks(row_bytes)[0]) > 1
+            p, x = kern.terms(sim.a.astype(dtype)), states[0]
+            for k, gate in enumerate(gates, 1):
+                x = kern.apply(x, p, gate if gated else None)
+                assert np.array_equal(x, states[k]), f"k={k}"
 
 
 # roads of up to 20 cells, so per-road float sums go past numpy's 8-term

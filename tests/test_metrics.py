@@ -420,12 +420,27 @@ def lone_run(t, a, mode, policy, horizon, burn_in):
             x_mid = sim.x.copy()
     window = horizon - burn_in
     flow = float(np.mean(sim.x - x_burn)) / window
-    half = float(np.mean(x_mid - x_burn)) / (mid - burn_in)
+    # a window of one step has no half window: it agrees with itself
+    half = float(np.mean(x_mid - x_burn)) / (mid - burn_in) \
+        if mid > burn_in else flow
     kern = sim.kernel
     sums = kern.road_sums(sim.x - x_burn)
     return (flow, abs(flow - half) < 1e-3,
             tuple((sums / kern.road_lengths / window).tolist()),
             tuple((road_cells_acc / window / kern.road_lengths).tolist()))
+
+
+def assert_lone_medians(point, runs):
+    """A diagram point is the medians of its seeds' lone_run results."""
+    flows, flags, road_flow, road_density = zip(*runs)
+    assert point.seed_flows == flows
+    assert point.flow == statistics.median(flows)
+    assert type(point.flow) is float
+    assert point.converged == all(flags)
+    assert point.road_flow == tuple(
+        statistics.median(col) for col in zip(*road_flow))
+    assert point.road_density == tuple(
+        statistics.median(col) for col in zip(*road_density))
 
 
 class TestStackedSweep:
@@ -446,16 +461,28 @@ class TestStackedSweep:
             diag = sweep_diagram(t, densities, mode, policy, seeds=seeds,
                                  horizon=90, burn_in=40, per_road=True)
             for d, p in zip(densities, diag.points):
-                flows, flags, road_flow, road_density = zip(
-                    *(lone[d, seed] for seed in seeds))
-                assert p.seed_flows == flows
-                assert p.flow == statistics.median(flows)
-                assert type(p.flow) is float
-                assert p.converged == all(flags)
-                assert p.road_flow == tuple(
-                    statistics.median(col) for col in zip(*road_flow))
-                assert p.road_density == tuple(
-                    statistics.median(col) for col in zip(*road_density))
+                assert_lone_medians(p, [lone[d, seed] for seed in seeds])
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=small_networks(), names=st.sampled_from(
+               [("priority",)] + [(name,) for name in GATE_POLICIES]
+               + [GATE_POLICIES]),
+           horizon=st.integers(1, 80), data=st.data(),
+           seeds=st.sampled_from([(0,), (0, 1), (2, 0, 1)]))
+    def test_points_match_lone_runs_at_any_window(self, t, names, horizon,
+                                                  data, seeds):
+        # discrete; any window, down to one step, and from step 0
+        burn_in = data.draw(st.integers(0, horizon - 1), label="burn_in")
+        densities = data.draw(st.lists(st.floats(0, 1), min_size=1,
+                                       max_size=3), label="densities")
+        policies = [SWEEP_POLICIES[name](t) for name in names]
+        diagrams = sweep_diagrams(t, densities, DISCRETE, policies, seeds,
+                                  horizon, burn_in, per_road=True)
+        for policy, diagram in zip(policies, diagrams):
+            for d, p in zip(densities, diagram.points):
+                assert_lone_medians(p, [lone_run(
+                    t, init_occupancy(t, density=d, seed=seed), DISCRETE,
+                    policy, horizon, burn_in) for seed in seeds])
 
     def test_one_measure_call_per_sweep(self, monkeypatch):
         import roadphases.metrics as metrics_mod

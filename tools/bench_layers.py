@@ -8,7 +8,10 @@ two checkouts alike:
       32x32x45 grid (94,208 slots), at 1, 12 and 180 lanes (the grid
       skips 180 lanes), continuous; and on the city at 12 and 180 lanes,
       discrete (``city_8x8x9/discrete/<lanes>``), whose counters a
-      Simulation may step in another dtype than continuous ones;
+      Simulation may step in another dtype than continuous ones.  Each
+      entry records ``kernel_bytes``: the bytes of every array the
+      network's ``StepKernel`` holds after its timing, the block layouts
+      cached for it and for the stacks timed before it included;
 * L2  each policy's gated ``Simulation.advance`` on the 12-lane discrete
       8x8x9 city, in us per step; every step gates a fresh state, so no
       policy reads a count cached by the call before.  ``priority`` steps
@@ -113,6 +116,18 @@ def entry(seconds: float, scale: float, steps: int, **extra) -> dict:
     return {"sample": seconds * scale, "steps": steps, **extra}
 
 
+def held_bytes(obj) -> int:
+    """Bytes of the arrays in ``obj``, and in the lists, tuples and dict
+    values it holds, at any depth."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return 0
+    return sum(held_bytes(v) for v in obj)
+
+
 def layer1() -> dict:
     out = {}
     for name, build in NETWORKS.items():
@@ -130,6 +145,7 @@ def layer1() -> dict:
             out[key] = entry(
                 timed(sim.advance, steps), 1e6 / lanes, steps,
                 slots=t.n_slots, lanes=lanes, mode=mode,
+                kernel_bytes=held_bytes(vars(sim.kernel)),
                 unit="us per lane-step")
     return out
 
