@@ -356,8 +356,9 @@ class Simulation:
     shape, and a 1-D ``a`` is a single run.  Lanes share the mode, the step
     count and the policy but nothing else, so each lane follows exactly the
     trajectory it would follow alone.  A run is read through ``x`` (slot
-    order), ``road_counts()`` and ``poised()``: read-only arrays, valid until
-    the next step, the per-road ones computed once per state and cached.
+    order), ``road_counts()``, ``poised()`` and, for order-blind comparisons
+    of whole states only, ``counters``: read-only arrays, valid until the
+    next step, the per-road ones computed once per state and cached.
 
     ``policy`` is None for the bare priority-to-the-right rule, or any
     object with ``reset(sim)``, ``greens(k, sim) -> bool array`` (True =

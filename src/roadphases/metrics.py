@@ -124,12 +124,12 @@ def detect_period(t: NetworkTopology, a, policy=None,
     """Earliest exact recurrence of (counters up to a shift, light phase),
     of one run, or as a list of one per lane of a stack; None if none.
 
-    Discrete mode only.  When x - x[0] at step k equals its value at step
-    s < k under the same phase, x at k is x at s plus a uniform shift c,
-    which the dynamics carry along: the regime is periodic from s on, with
-    flow c per period.  A lane's first match with its one state saved at
-    steps 0, 1, 2, 4, ... or max_steps is its period p (Brent, BIT 20, 1980)
-    by step 2 max_steps; runs p steps apart then meet at the start.
+    Discrete mode only.  When the counters at step k less those at step
+    s < k are one shift c throughout, under the same phase, the dynamics
+    carry c along: the regime is periodic from s on, with flow c per
+    period.  A lane's first match with its one state saved at steps 0, 1,
+    2, 4, ... or max_steps is its period p (Brent, BIT 20, 1980) by step
+    2 max_steps; runs p steps apart then meet at the start.
     """
     max_steps = 20 * t.counting_size if max_steps is None else max_steps
     if max_steps < 0:
@@ -138,31 +138,35 @@ def detect_period(t: NetworkTopology, a, policy=None,
     period, start = np.zeros((2, len(np.atleast_2d(sim.a))), int)
     flow = np.zeros(len(period))
     for s in sim.trajectory(2 * max_steps):
-        key = _state_key(s)
-        if s.k and (hit := (period == 0) & (key == saved).all(1)).any():
+        x, phase = _state(s)
+        if s.k and (hit := (period == 0) & _recurs(x, phase, *saved)).any():
             period[hit] = s.k - saved_at
+            flow[hit] = (x[hit, 0] - saved[0][hit, 0]) / period[hit]
             if period.all():
                 break
         if s.k <= max_steps and (not s.k & (s.k - 1) or s.k == max_steps):
-            saved_at, saved = s.k, key
+            saved_at, saved = s.k, (x.copy(), phase)  # x lasts one step
     for p in np.unique(period[(period > 0) & (period <= max_steps)]):
         lag, lead = (Simulation(t, a, DISCRETE, policy) for _ in "ab")
         for _ in zip(lag.trajectory(max_steps - p),  # lead runs p steps ahead
                      itertools.islice(lead.trajectory(max_steps), p, None)):
-            apart = (_state_key(lag) != _state_key(lead)).any(1)
+            apart = ~_recurs(*_state(lead), *_state(lag))
             start += apart & (period == p)  # once met, two runs stay met
             if not apart[period == p].any():
                 break
-        flow[period == p] = np.atleast_2d(lead.x - lag.x)[period == p, 0] / p
     found = [PeriodResult(int(p), int(k), float(f)) if 0 < p <= max_steps - k
              else None for p, k, f in zip(period, start, flow)]
     return found[0] if sim.a.ndim == 1 else found
 
 
-def _state_key(sim) -> np.ndarray:  # per lane: x - x[0], then the phase
-    x, phase = np.atleast_2d(sim.x), getattr(sim.policy, "phase", None)
-    return np.concatenate([x - x[:, :1]] + ([phase(sim.k)] if phase else []),
-                          axis=1)
+def _state(sim) -> tuple:  # per lane: kernel-order counters (a view), phase
+    x, phase = np.atleast_2d(sim.counters), getattr(sim.policy, "phase", None)
+    return x, phase(sim.k) if phase else x[:, :0]
+
+
+def _recurs(x, phase, x0, phase0) -> np.ndarray:  # order-blind, per lane:
+    d = x - x0  # one shift on every counter (dtypes promote), equal phases
+    return (d.min(-1) == d.max(-1)) & (phase == phase0).all(-1)
 
 
 def sweep_diagram(t: NetworkTopology, densities, mode: str = DISCRETE,

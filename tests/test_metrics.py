@@ -1,14 +1,17 @@
 """Flow estimation, period detection, sweeps, phases, response traces."""
 
+import math
 import statistics
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadphases import metrics
 from roadphases.analytic import PhaseLabel, flow_approx, phase_boundaries
 from roadphases.cli import (read_diagram_csv, write_diagram_csv,
                             write_response_csv, write_road_csv)
@@ -191,8 +194,10 @@ class TestDetectPeriod:
     @settings(max_examples=40, deadline=None)
     @given(t=small_networks(), name=st.sampled_from(
         sorted(SWEEP_POLICIES) + ["lane_groups"]), lanes=st.integers(1, 3),
-        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    def test_stacks_match_the_dict_oracle(self, t, name, lanes, seed, data):
+        seed=st.integers(0, 2 ** 32 - 1), data=st.data(),
+        wide_at=st.one_of(st.none(), st.integers(0, 40)))
+    def test_stacks_match_the_dict_oracle(self, t, name, lanes, seed, data,
+                                          wide_at):
         policies = [SWEEP_POLICIES[n](t) for n in (
             GATE_POLICIES if name == "lane_groups" else [name])]
         stacked = LaneGroups(policies) if name == "lane_groups" \
@@ -203,14 +208,21 @@ class TestDetectPeriod:
             seed=int(rng.integers(1 << 30)))
             for _ in range(lanes * len(policies))])
         long = 5 * t.counting_size
-        found = [r for r in detect_period(t, a, stacked, long) if r]
-        edges = [r.start + r.period + d for r in found for d in (-1, 0, 1)]
-        for max_steps in (long, data.draw(st.one_of(
-                st.integers(0, 20), st.sampled_from(edges or [long])))):
-            results = detect_period(t, a, stacked, max_steps)
-            for lane, res in enumerate(results):
-                assert res == dict_period(t, a[lane], policies[lane // lanes],
-                                          max_steps), (lane, max_steps)
+        # detect_period's runs widen their counters to int64 at step
+        # wide_at (a real run does at 2**30 - 2), so a saved int32 state
+        # meets an int64 one, and a lag run a lead run of the other dtype
+        with mock.patch.object(metrics, "Simulation", widening(
+                math.inf if wide_at is None else wide_at)):
+            found = [r for r in detect_period(t, a, stacked, long) if r]
+            edges = [r.start + r.period + d for r in found
+                     for d in (-1, 0, 1)]
+            for max_steps in (long, data.draw(st.one_of(
+                    st.integers(0, 20), st.sampled_from(edges or [long])))):
+                results = detect_period(t, a, stacked, max_steps)
+                for lane, res in enumerate(results):
+                    assert res == dict_period(
+                        t, a[lane], policies[lane // lanes], max_steps), \
+                        (lane, max_steps)
 
     def test_memory_is_flat_in_max_steps(self):
         # this run does not recur in 300,000 steps, so each call steps
@@ -264,6 +276,15 @@ class TestDetectPeriod:
                     t, a, policy, 20 * t.counting_size)
                 found.append(res is not None)
         assert any(found)
+
+
+def widening(step):
+    """Simulation, with its discrete counters widened to int64 at ``step``."""
+    class Widening(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._wide_at = step
+    return Widening
 
 
 def lone_phase(policy, k) -> bytes:

@@ -40,7 +40,12 @@ two checkouts alike:
       seeds 0-2, discrete, at a quarter of the default horizon (15,200
       steps), through ``cli.main``, in seconds (about a minute); it
       raises unless ``diagram.csv`` and ``diagram.dat`` have the SHA-256
-      recorded for this config (L8_SHA256).
+      recorded for this config (L8_SHA256);
+* L9  ``metrics.detect_period`` on a 60-lane discrete 8x8x9 city stack
+      (densities n / 19 for n = 0..19, seeds 0-2), under the priority rule
+      at ``max_steps`` 1,500 and under local feedback at 800, in seconds
+      per call; it raises unless the ``repr`` of each call's results has
+      the SHA-256 recorded for it (L9_SHA256).
 
 Each timing is the mean over ``steps`` calls.  Every tree, given as
 ``label=src`` (a checkout's ``src`` directory), is timed REPEATS times, and
@@ -234,10 +239,16 @@ def check_sha256(layer: str, directory: str, want: dict) -> None:
     """Raise unless each file named in ``want`` has its SHA-256 there: a
     tree that writes other bytes is not timing the same results."""
     for name, digest in want.items():
-        got = hashlib.sha256((Path(directory) / name).read_bytes()).hexdigest()
-        if got != digest:
-            raise RuntimeError(f"{layer} wrote a {name} with SHA-256 {got}, "
-                               f"not {digest}")
+        check_bytes(layer, name, (Path(directory) / name).read_bytes(),
+                    digest)
+
+
+def check_bytes(layer: str, name: str, data: bytes, digest: str) -> None:
+    """Raise unless ``data``, the bytes of ``name``, has SHA-256 ``digest``."""
+    got = hashlib.sha256(data).hexdigest()
+    if got != digest:
+        raise RuntimeError(f"{layer} wrote a {name} with SHA-256 {got}, "
+                           f"not {digest}")
 
 
 # SHA-256 of L6's output files, from the city_policies config at workload
@@ -334,6 +345,35 @@ def layer8() -> dict:
             seconds, 1.0, 1, horizon=15200, runs=240, unit="s per command")}
 
 
+# SHA-256 of the repr of L9's results, per entry
+L9_SHA256 = {
+    "priority":
+        "3a9bab6717aab764464175b5b6d663da32b530edb69c1272e021e0d01780bd88",
+    "local_feedback":
+        "51a3f58504c6cc37d13a555a396f753a24635d25d489d9b2a9e77b5181ffa0f7",
+}
+
+
+def layer9() -> dict:
+    t = NETWORKS["city_8x8x9"]()
+    a = np.stack([dynamics.init_occupancy(t, density=n / 19, seed=seed)
+                  for n in range(20) for seed in range(3)])
+    out = {}
+    for name, policy, steps in (
+            ("priority", None, 1500),
+            ("local_feedback", control.LocalFeedbackPolicy(), 800)):
+        metrics.detect_period(t, a, policy, max_steps=10)  # first-call costs
+        found = []
+        seconds = timed(lambda: found.append(metrics.detect_period(
+            t, a, policy, steps)), 1)
+        check_bytes("L9", f"{name} result repr", repr(found[0]).encode(),
+                    L9_SHA256[name])
+        out[f"city_8x8x9/detect_period/{name}"] = entry(
+            seconds, 1.0, 1, lanes=len(a), max_steps=steps,
+            unit="s per call")
+    return out
+
+
 def machine() -> dict:
     deps = np.show_config(mode="dicts")["Build Dependencies"]
     blas = {k: deps[k]["name"] for k in ("blas", "lapack")}
@@ -352,7 +392,7 @@ def measure() -> dict:
     return {"src": str(Path(cli.__file__).resolve().parent.parent),
             "L1": layer1(), "L2": layer2(), "L3": layer3(),
             "L4": layer4(), "L5": layer5(),
-            "L6": layer6(), "L7": layer7(), "L8": layer8()}
+            "L6": layer6(), "L7": layer7(), "L8": layer8(), "L9": layer9()}
 
 
 def run_child(src: Path) -> dict:
