@@ -87,9 +87,10 @@ class StepKernel:
     exit's first row), each entry's supply (its road's last cell), each
     road row's space (the row after it, or its entry slot at a last cell)
     and each junction's two exits (``row_exit``); the slot a space term
-    reads is the one whose counter ``occupancy`` subtracts (``succ``).  A
-    wide stack takes it in blocks of road rows (``_blocks``, laid out once
-    per block count), and ``terms`` follows their order.
+    reads is the one whose counter ``occupancy`` subtracts (``succ``).  Its
+    halves match row for row, as do ``terms``' (laid out once per placement,
+    whatever the stack's width), so a wide stack takes both in blocks of
+    rows; only the blocks' gathers are laid out per block count (``_blocks``).
     """
 
     def __init__(self, t: NetworkTopology):
@@ -124,7 +125,7 @@ class StepKernel:
         # junction at its slot_a (on a figure-eight: the non-priority cells,
         # the junction, the priority cells)
         self.counting = np.sort(np.concatenate([self.rc, self.slot_a]))
-        self._layouts: dict[int, tuple[list, np.ndarray]] = {}
+        self._layouts: dict[int, list] = {}
 
     def to_kernel(self, v: np.ndarray) -> np.ndarray:
         """A slot-order stack in kernel order (Fortran order), each
@@ -142,41 +143,36 @@ class StepKernel:
 
     def terms(self, a: np.ndarray) -> np.ndarray:
         """apply's view of a slot-order placement, in a's dtype, which must
-        be the state's, and in the block order of its stack's gather: the a
-        each supply adds, 1 - a at each road row, and capacity - a_a - a_b
-        at each junction's ceil exit (0 at its floor exit)."""
+        be the state's, as the two halves of the gather, whatever the stack's
+        width: the a each supply adds; 1 - a at each road row, capacity -
+        a_a - a_b at each junction's ceil exit and 0 at its floor exit."""
         a, c, j = np.asarray(a).T[self.order], self.rc.size, len(self.slot_a)
-        # the share rows follow the n slot rows and add their junction's
-        # entry slots' a: slot_b's to the ceil share, slot_a's to the floor
-        supply = np.concatenate([a, a[c:]])[self.gather[:len(a)]]
         room = (_junction_rows(self.capacity, a.ndim, a.dtype)
                 - (a[-j:] + a[-2 * j:-j]))
-        p = np.concatenate([supply, 1 - a[:c], room, np.zeros_like(room)])
-        return p[self._blocks(a.nbytes // len(a))[1]].T
+        # the n slot rows, the share rows (the ceil share adds its junction's
+        # slot_b's a, the floor share slot_a's), the space terms: freed, they
+        # lift glibc's mmap threshold above every array that a step allocates
+        v = np.concatenate([a, a[c:], 1 - a[:c], room, np.zeros_like(room)])
+        return v.take(np.r_[self.gather[:len(a)], len(a) + 2 * j:len(v)]
+                      .reshape(2, -1), 0)
 
-    def _blocks(self, row_bytes: int) -> tuple[list, np.ndarray]:
+    def _blocks(self, row_bytes: int) -> list:
         """The gather in blocks of road rows, for a stack whose rows of terms
         hold ``row_bytes`` (its lanes times their itemsize): blocks of about
         BLOCK_BYTES, read at each call, so that a block's take, add and
-        minimum work in cache.  A block gathers its rows' supplies, then
-        their spaces; the last one goes on with each entry's supply and each
-        junction's exits.  Returns a (rows, row count, gather, span of
-        terms) tuple per block, and the positions in ``gather`` of the
-        blocks' gathers in turn, which order ``terms``; both are laid out
-        once per block count."""
-        c = self.rc.size  # two terms per road row, in 1 to c blocks
+        minimum work in cache.  A block is a range of rows of both halves of
+        the gather and of ``terms``, the last one on to row n (each entry's
+        supply, each junction's exits): a (rows, row count, gather, span of
+        terms) tuple, laid out once per block count.  One block's gather is
+        ``gather``; several are copies, as ``take`` copies a strided index."""
+        c, n = self.rc.size, self.order.size  # two terms per road row
         count = min(-(-2 * c * row_bytes // BLOCK_BYTES), c) or 1
         if count not in self._layouts:
-            n = self.order.size
             ends = [c * i // count for i in range(count + 1)]
-            pos = [np.r_[lo:hi, n + lo:n + hi]
-                   for lo, hi in zip(ends, ends[1:])]
-            pos[-1] = np.r_[pos[-1], c:n, n + c:2 * n]
-            self._layouts[count] = (  # block b's terms start at 2 lo
-                [(slice(lo, hi), hi - lo, self.gather[i],
-                  slice(2 * lo, 2 * lo + i.size))
-                 for lo, hi, i in zip(ends, ends[1:], pos)],
-                np.concatenate(pos))
+            self._layouts[count] = [  # block rows lo:hi gather rows lo:to
+                (slice(lo, hi), hi - lo, np.ascontiguousarray(
+                    self.gather.reshape(2, n)[:, lo:to]), np.s_[:, lo:to])
+                for lo, hi, to in zip(ends, ends[1:], ends[1:-1] + [n])]
         return self._layouts[count]
 
     def apply(self, x: np.ndarray, p: np.ndarray,
@@ -187,15 +183,15 @@ class StepKernel:
         road rows, one take and one add give every term and one minimum
         gives every road cell; the last block's take reads the junctions'
         terms too."""
-        x, p = x.T, p.T
+        x = x.T
         c, n, j = self.rc.size, self.order.size, len(self.slot_a)
         out = np.empty(x.shape, x.dtype)
-        for rows, m, gather, span in self._blocks(x.nbytes // len(x))[0]:
+        for rows, m, gather, span in self._blocks(x.nbytes // len(x)):
             g = x.take(gather, 0)
             g += p[span]
-            np.minimum(g[:m], g[m:2 * m], out=out[rows])
-        g = g[2 * m:]  # each entry's supply, then each junction's exits
-        up_in, auth = g[:2 * j], g[2 * j:-j] + g[-j:]
+            np.minimum(g[0, :m], g[1, :m], out=out[rows])
+        up_in, exits = g[0, m:], g[1, m:]  # each entry's supply; exits
+        auth = exits[:j] + exits[j:]
         x_b, x_a = x[c:c + j], x[c + j:n]
         if gate is not None:
             # an entry grows only under green, and neither has priority

@@ -690,7 +690,7 @@ class TestKernelCache:
                 sim = Simulation(t, a[:lanes], mode)
                 sim.advance(3)
                 row_bytes = sim.state[..., 0].nbytes
-                assert len(kern._blocks(row_bytes)[0]) == count
+                assert len(kern._blocks(row_bytes)) == count
                 assert np.array_equal(sim.x, x)
         assert sorted(kern._layouts) == [1, 2]
 
@@ -820,24 +820,28 @@ class TestKernelArrays:
         a = a if stacked else a[0]
         gates = rng.integers(2, size=(30,) + a.shape[:-1] + (
             len(t.junctions),)) > 0
-        sim = Simulation(t, a, DISCRETE if discrete else CONTINUOUS,
-                         RecordedGates(gates) if gated else None)
+        sim, late = (Simulation(t, a, DISCRETE if discrete else CONTINUOUS,
+                                RecordedGates(gates) if gated else None)
+                     for _ in range(2))
         kern, c, dtype = StepKernel(t), sim.kernel.rc.size, sim.state.dtype
         row_bytes = dtype.itemsize * lanes
-        assert len(sim.kernel._blocks(row_bytes)[0]) == 1
+        assert len(sim.kernel._blocks(row_bytes)) == 1
         states = [sim.state.copy()]
         for _ in gates:
             sim.advance()
             states.append(sim.state.copy())
         # the block count is read at each call: the reference kernel lays
-        # out its terms and steps inside the patch, the Simulation outside
+        # out its terms and steps inside the patch; ``late``, whose terms
+        # were laid out outside it, with ``sim``'s, steps inside it too
         with mock.patch.object(dynamics, "BLOCK_BYTES", max(
                 2 * c * row_bytes // blocks, 1)):
-            assert len(kern._blocks(row_bytes)[0]) > 1
+            assert len(kern._blocks(row_bytes)) > 1
             p, x = kern.terms(sim.a.astype(dtype)), states[0]
             for k, gate in enumerate(gates, 1):
                 x = kern.apply(x, p, gate if gated else None)
+                late.advance()
                 assert np.array_equal(x, states[k]), f"k={k}"
+                assert np.array_equal(late.state, states[k]), f"k={k}"
 
 
 # roads of up to 20 cells, so per-road float sums go past numpy's 8-term
