@@ -54,12 +54,10 @@ def build_lq_model(t: NetworkTopology, q_scale: float = 1.0,
     """
     kern = kernel_for(t)
     n = len(kern.road_lengths)
-    # every road enters one junction, as its priority or non-priority road
-    road = np.concatenate([kern.pr_road, kern.np_road])
     B = np.zeros((n, n))
-    np.add.at(B, (road, road), -1.0)
+    np.add.at(B, (kern.into, kern.into), -1.0)  # each road enters a junction
     for out in (kern.out_ceil, kern.out_floor):
-        np.add.at(B, (np.tile(out, 2), road), 0.5)
+        np.add.at(B, (np.tile(out, 2), kern.into), 0.5)
     return LQModel(B=B, Q=float(q_scale), R=float(r_scale))
 
 
@@ -153,12 +151,13 @@ def global_feedback_timing(t: NetworkTopology, gain: np.ndarray,
     # gain @ v per lane, with the same BLAS product as for one vector
     # (v @ gain.T sums in another order and can flip a rint tie)
     u = ubar - np.matmul(gain, v[..., None])[..., 0]
-    u = np.clip(u, 0.0, FLOW_CAP)
-    u_pr = u[..., kern.pr_road]
-    total = u_pr + u[..., kern.np_road]
+    u = np.minimum(np.maximum(u, 0.0, out=u), FLOW_CAP, out=u).take(
+        kern.into.reshape(2, -1), -1)  # (..., approach, junction)
+    u_pr, total = u[..., 0, :], u[..., 0, :] + u[..., 1, :]
     share = np.divide(cycle * u_pr, total, where=total > 0,
                       out=np.full(total.shape, cycle / 2))
-    return np.clip(np.rint(share), 1, cycle - 1).astype(np.int64)
+    return np.minimum(np.maximum(np.rint(share, out=share), 1, out=share),
+                      cycle - 1, out=share).astype(np.int64)
 
 
 class OpenLoopPolicy:
@@ -203,15 +202,14 @@ class LocalFeedbackPolicy:
     policy_id = "local_feedback"
 
     def reset(self, sim):
-        kern = sim.kernel
-        self._npr = kern.road_lengths[kern.pr_road]
-        self._nnp = kern.road_lengths[kern.np_road]
+        # an approach's poised cars weigh the other approach's road length
+        self._w = np.roll(sim.kernel.road_lengths[sim.kernel.into],
+                          len(sim.kernel.slot_a))
 
     def greens(self, k: int, sim) -> np.ndarray:
-        kern, z, b = sim.kernel, sim.road_counts(), sim.poised()
-        lhs = self._nnp * b.take(kern.pr_road, -1) + z.take(kern.pr_road, -1)
-        rhs = self._npr * b.take(kern.np_road, -1) + z.take(kern.np_road, -1)
-        return lhs >= rhs
+        v = sim.approaches()  # the test: w x poised + on road, per approach
+        test, j = self._w * v[..., 1, :] + v[..., 0, :], len(self._w) // 2
+        return test[..., :j] >= test[..., j:]
 
 
 class GlobalFeedbackPolicy:
@@ -270,7 +268,8 @@ class LaneGroups:
             policy.reset(view)
 
     def greens(self, k: int, sim) -> np.ndarray:
-        gate = np.empty((len(sim.a), sim.kernel.slot_a.size), bool)
+        # junction-major, as apply reads a gate
+        gate = np.empty((sim.kernel.slot_a.size, len(sim.a)), bool).T
         for policy, view in self._views:
             gate[view.lanes] = policy.greens(k, view)
         return gate
@@ -293,5 +292,5 @@ class _LaneView:
     def road_counts(self) -> np.ndarray:
         return self._sim.road_counts()[self.lanes]
 
-    def poised(self) -> np.ndarray:
-        return self._sim.poised()[self.lanes]
+    def approaches(self) -> np.ndarray:
+        return self._sim.approaches()[self.lanes]

@@ -20,8 +20,9 @@ to it): "continuous" float64 counters halve the junction split, and
 "discrete" integer counters round it up for one outgoing road and down for
 the other (odd entrants one way, even the other), which is exact
 unconditionally.  Discrete counters are int64 wherever they are read, but a
-Simulation steps them in int32, half the bytes, for as long as no value a
-step forms can reach 2**31 (its first 2**30 - 2 steps), then in int64.
+Simulation steps them in the narrowest int that holds every value a step
+can form: int16 for its first 16,382 steps, int32 until step 2**30 - 2,
+then int64.
 Continuous values are all dyadic, but their fraction depth grows each step
 and soon passes the 53-bit mantissa of float64: on the Fig-8 45/15 network, 9
 of 18 runs (5 to 55 cars, seeds 0 to 2) leave the exact rational dynamics
@@ -59,8 +60,8 @@ MODES = (CONTINUOUS, DISCRETE)
 # and minimum work in cache; a term takes the state's itemsize.  Of 64 KB to
 # 1 MB, 256 KB stepped the 8x8x9 city at 180 lanes and the 32x32x45 grid
 # fastest on a 2-vCPU Xeon with a 4 MB L2.  A float64 step of Fig-8 45/15 up
-# to 282 lanes, or of the city up to 14, is one block, and an int32 step of
-# the city up to 28.
+# to 282 lanes, or of the city up to 14, is one block, an int32 step of the
+# city up to 28 and an int16 one up to 56.
 BLOCK_BYTES = 1 << 18
 
 
@@ -108,15 +109,18 @@ class StepKernel:
         # each road's last and first row, and the entry row its last cell feeds
         self.row_last = np.cumsum(self.road_lengths) - 1
         self.row_first = self.row_last - self.road_lengths + 1
-        into = np.concatenate([self.pr_road, self.np_road])
-        self.row_entry = c + np.argsort(into)
+        # the road into each approach, priority approaches first (as the
+        # entry rows c..n are), and its first and last row
+        self.into = np.concatenate([self.pr_road, self.np_road])
+        self.row_entry = c + np.argsort(self.into)
+        self.row_into = np.stack([self.row_first, self.row_last], 1)[self.into]
         # per junction: its exits' first rows, ceil exits then floor exits
         outs = np.concatenate([self.out_ceil, self.out_floor])
         self.row_exit = self.row_first[outs]
         supply, space = np.arange(-1, c - 1), np.arange(1, c + 1)
         supply[self.row_exit] = n + np.arange(outs.size)  # the share rows
         space[self.row_last] = self.row_entry
-        self.gather = np.concatenate([supply, self.row_last[into], space,
+        self.gather = np.concatenate([supply, self.row_last[self.into], space,
                                       self.row_exit])
         # the slot whose counter each slot's occupancy is read against
         self.succ = np.empty_like(self.order)
@@ -135,7 +139,7 @@ class StepKernel:
 
     def to_slots(self, v: np.ndarray) -> np.ndarray:
         """A kernel-order stack in slot order (C order), shares dropped,
-        int64 or float64 as counters are read (an int32 state widens)."""
+        int64 or float64 as counters are read (a narrower int widens)."""
         out = np.empty(v.shape[:-1] + self.order.shape,
                        np.promote_types(v.dtype, np.int64))
         out[..., self.order] = v[..., :self.order.size]
@@ -352,9 +356,10 @@ class Simulation:
     shape, and a 1-D ``a`` is a single run.  Lanes share the mode, the step
     count and the policy but nothing else, so each lane follows exactly the
     trajectory it would follow alone.  A run is read through ``x`` (slot
-    order), ``road_counts()``, ``poised()`` and, for order-blind comparisons
-    of whole states only, ``counters``: read-only arrays, valid until the
-    next step, the per-road ones computed once per state and cached.
+    order), ``road_counts()``, ``poised()``, ``approaches()`` and, for
+    order-blind comparisons of whole states only, ``counters``: read-only
+    arrays, valid until the next step, the per-road and per-approach ones
+    computed once per state and cached.
 
     ``policy`` is None for the bare priority-to-the-right rule, or any
     object with ``reset(sim)``, ``greens(k, sim) -> bool array`` (True =
@@ -373,14 +378,13 @@ class Simulation:
         self.k = 0
         # the state in kernel order, share rows included (no API)
         self.state = kern.to_kernel(x)
-        # A discrete counter gains at most one car a step from x = 0, so the
-        # step to k + 1 forms no value above 2(k + 1) + capacity + 1: it
-        # steps in int32 while that stays below 2**31, then in int64.
-        self._wide_at = (-(-(2 ** 31 - 3 - int(kern.capacity.max())) // 2)
-                         if mode == DISCRETE else math.inf)
-        self._cast(np.int32 if mode == DISCRETE else self.a.dtype)
+        self._cast(np.int16 if mode == DISCRETE else self.a.dtype)
         self._placed = kern.road_sums(self.a)
         self._placed_last = self.a[..., kern.road_last]
+        # per approach, junction-major: the cars placed on its road, then
+        # those on its last cell
+        self._placed_into = np.stack([self._placed, self._placed_last], -2)[
+            ..., kern.into].T.copy()
         self._reads: dict[str, np.ndarray] = {}  # this state's, by name
         self.policy = copy.copy(policy)
         if policy is not None:
@@ -396,9 +400,9 @@ class Simulation:
     @property
     def counters(self) -> np.ndarray:
         """The counters in kernel order: a read-only view of the state,
-        share rows dropped, in its dtype (int32 for the first 2**30 - 2
-        steps of a discrete run).  It is valid only until the next step,
-        which may reuse its memory."""
+        share rows dropped, in its dtype (int16 for the first 16,382 steps
+        of a discrete run, then int32 until step 2**30 - 2).  It is valid
+        only until the next step, which may reuse its memory."""
         v = self.state[..., :self.kernel.order.size]
         v.flags.writeable = False
         return v
@@ -406,8 +410,7 @@ class Simulation:
     def advance(self, steps: int = 1) -> None:
         for _ in range(steps):
             if self.k >= self._wide_at:
-                self._cast(np.int64)
-                self._wide_at = math.inf
+                self._cast(np.dtype(f"i{2 * self.state.itemsize}"))
             gate = (None if self.policy is None
                     else self.policy.greens(self.k, self))
             self.state = self.kernel.apply(self.state, self._terms, gate)
@@ -415,9 +418,15 @@ class Simulation:
             self._reads = {}
 
     def _cast(self, dtype) -> None:
-        """Step the state, and the terms it adds, in ``dtype`` from now on."""
+        """Step the state, and the terms it adds, in ``dtype`` from now on,
+        and widen it at step ``_wide_at``.  A discrete counter gains at most
+        one car a step from x = 0, so the step to k + 1 forms no value above
+        2(k + 1) + capacity + 1: an int narrower than int64 steps while
+        that fits in it."""
         self.state = self.state.astype(dtype, copy=False)
         self._terms = self.kernel.terms(self.a.astype(dtype, copy=False))
+        self._wide_at = math.inf if self.state.itemsize == 8 else (
+            np.iinfo(dtype).max - 1 - int(self.kernel.capacity.max())) // 2
 
     def trajectory(self, steps: int):
         """Yield this simulation now and after each of ``steps`` more steps."""
@@ -433,6 +442,18 @@ class Simulation:
     def poised(self) -> np.ndarray:
         """Vehicles on each road's last cell, poised to enter its junction."""
         return self._read("poised", self._placed_last, self.kernel.row_last)
+
+    def approaches(self) -> np.ndarray:
+        """Per junction approach, priority approaches first: the cars on
+        its road, then those on its road's last cell, as (2, approaches)
+        per lane; read from the whole stack once per state."""
+        if "approaches" not in self._reads:
+            x, c, n = self.state.T, self.kernel.rc.size, self.kernel.order.size
+            v = (x.take(self.kernel.row_into, 0) - x[c:n, None]
+                 ) + self._placed_into
+            v.flags.writeable = False
+            self._reads["approaches"] = v.T
+        return self._reads["approaches"]
 
     def _read(self, name: str, placed, rows) -> np.ndarray:
         """Per road: ``placed`` + x at ``rows`` - x at its entry, exact when

@@ -33,6 +33,8 @@ from roadphases.topology import (
 import reference
 from reference import (LocalFeedbackInputs, local_feedback_green,
                        open_loop_green)
+from test_dynamics import small_networks
+from test_metrics import widening
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 
@@ -664,6 +666,51 @@ class TestEmittedGates:
                 else:
                     assert gate == [open_loop_green(policy, j, k)
                                     for j in range(len(t.junctions))]
+
+
+class Int64Run(Simulation):
+    """Simulation, with its discrete counters stepped in int64 throughout."""
+
+    def _cast(self, dtype):
+        super()._cast(np.int64)
+
+
+class RawGates(GateRecorder):
+    """GateRecorder, keeping each gate as the policy returns it."""
+
+    def greens(self, k, sim):
+        g = self.policy.greens(k, sim)
+        self.gates.append(g.copy())
+        return g
+
+
+class TestWidenedGates:
+    @settings(max_examples=30, deadline=None)
+    @given(t=small_networks(), wide_at=st.integers(0, 30),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_gates_and_counters_match_the_int64_run(self, t, wide_at, seed):
+        # the gates read int16 counters, then int32 ones from a drawn step:
+        # a lane group stack of the three gate policies, and one local
+        # feedback run, whose gate stays (junctions,)
+        rng = np.random.default_rng(seed)
+        a = np.stack([init_occupancy(
+            t, count=int(rng.integers(t.counting_size + 1)),
+            seed=int(rng.integers(1 << 30))) for _ in range(6)])
+        groups = LaneGroups([OpenLoopPolicy(cycle=3), LocalFeedbackPolicy(),
+                             GlobalFeedbackPolicy(solve_lqr(build_lq_model(t)),
+                                                  cycle=3)])
+        for a, policy in ((a, groups), (a[0], LocalFeedbackPolicy())):
+            sim, ref = (run(t, a, DISCRETE, RawGates(policy))
+                        for run in (widening(wide_at), Int64Run))
+            for _ in range(wide_at + 2 * t.counting_size):
+                sim.advance()
+                ref.advance()
+                assert np.array_equal(sim.state, ref.state)
+            assert (sim.state.dtype, ref.state.dtype) == (np.int32, np.int64)
+            for got, want in zip(sim.policy.gates, ref.policy.gates,
+                                 strict=True):
+                assert got.shape == a.shape[:-1] + (len(t.junctions),)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestGlobalFeedbackPolicy:

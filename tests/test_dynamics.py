@@ -518,21 +518,24 @@ class TestInvariants:
 
     @pytest.mark.parametrize("capacity", [1, 2])
     def test_state_widens_to_int64_before_int32_can_wrap(self, capacity):
-        # a discrete run steps in int32 up to step 2**30 - 2, then widens
+        # a discrete run steps in int16 up to step 16,382, then in int32 up
+        # to step 2**30 - 2, then in int64
         t = build_torus_city(2, 3, 3, capacity=capacity)
         a = init_occupancy(t, density=0.4, seed=3)
-        wide = 2 ** 30 - 2
         sim = Simulation(t, a, DISCRETE)
         sim.advance(20)
-        x, dtypes = sim.x, []
-        sim.k = wide - 2
-        for _ in range(4):
-            sim.advance()
-            x = step(x, a, t, DISCRETE)
-            assert sim.x.dtype == np.int64 and np.array_equal(sim.x, x)
-            dtypes.append(sim.state.dtype)
-        assert dtypes == [np.int32, np.int32, np.int64, np.int64]
-        assert sim._terms.dtype == np.int64
+        x = sim.x
+        for wide, dtypes in ((16382, [np.int16, np.int16, np.int32, np.int32]),
+                             (2 ** 30 - 2, [np.int32, np.int32, np.int64,
+                                            np.int64])):
+            sim.k, got = wide - 2, []
+            for _ in range(4):
+                sim.advance()
+                x = step(x, a, t, DISCRETE)
+                assert sim.x.dtype == np.int64 and np.array_equal(sim.x, x)
+                got.append(sim.state.dtype)
+            assert got == dtypes
+            assert sim._terms.dtype == dtypes[-1]
         assert Simulation(t, a, CONTINUOUS).state.dtype == np.float64
 
     @pytest.mark.parametrize("builder,args", [
@@ -632,6 +635,7 @@ class TestStepValidation:
         kern, x = kernel_for(fig8_55), np.array(TABLE_DISCRETE[1])
         for dtype, mode, table in ((np.int64, DISCRETE, TABLE_DISCRETE),
                                    (np.int32, DISCRETE, TABLE_DISCRETE),
+                                   (np.int16, DISCRETE, TABLE_DISCRETE),
                                    (np.float64, CONTINUOUS, TABLE_CONTINUOUS)):
             got = kern.apply(kern.to_kernel(x.astype(dtype)),
                              kern.terms(np.array(A55, dtype)))
@@ -677,9 +681,10 @@ class TestKernelCache:
         # the itemsize that give it
         t = build_torus_city(3, 4, 2)
         a = np.stack([init_occupancy(t, density=0.4, seed=s)
-                      for s in range(8)])
+                      for s in range(16)])
+        # discrete stacks step int16 counters, continuous ones float64
         stacks = ((1, CONTINUOUS, 1), (2, DISCRETE, 1), (2, CONTINUOUS, 1),
-                  (4, DISCRETE, 1), (3, CONTINUOUS, 2), (8, DISCRETE, 2),
+                  (8, DISCRETE, 1), (3, CONTINUOUS, 2), (16, DISCRETE, 2),
                   (4, CONTINUOUS, 2))
         # stepped in one block each, which lays out block count 1
         want = [simulate(t, a[:lanes], mode, 3)[3]
@@ -732,7 +737,7 @@ class TestKernelArrays:
                 [int(sum(y[c] for c in r.cells)) for r in t.roads]
             sim.advance()
 
-    def test_int32_state_reads_as_the_int64_run(self):
+    def test_int16_state_reads_as_the_int64_run(self):
         t = build_torus_city(3, 4, 2)
         kern = kernel_for(t)
         a = np.stack([init_occupancy(t, density=d, seed=1)
@@ -742,7 +747,7 @@ class TestKernelArrays:
             sim.advance()
             x = step(x, a, t)
             got = kern.to_slots(sim.state)
-            assert sim.state.dtype == np.int32 and got.dtype == np.int64
+            assert sim.state.dtype == np.int16 and got.dtype == np.int64
             assert np.array_equal(got, x)
 
     @pytest.mark.parametrize("t", [build_figure_eight(9, 3),
@@ -928,7 +933,7 @@ class TestLaneStack:
                 x[0, 0] = 1
             assert np.array_equal(x, state)
             assert np.array_equal(sim.state, kern.to_kernel(state))
-            for read in (sim.road_counts(), sim.poised()):
+            for read in (sim.road_counts(), sim.poised(), sim.approaches()):
                 assert not read.flags.writeable
                 with pytest.raises(ValueError):
                     read[0, 0] = 1
@@ -1027,6 +1032,9 @@ class TestRoadCounts:
             y = kern.occupancy(sim.x, sim.a)
             assert np.array_equal(z, kern.road_sums(y))
             assert np.array_equal(sim.poised(), y[..., kern.road_last])
+            # per approach, priority approaches first: road counts, poised
+            assert np.array_equal(sim.approaches(), np.stack(
+                [z, y[..., kern.road_last]], -2)[..., kern.into])
             sim.advance()
 
     def test_exact_while_continuous_counters_are(self):

@@ -208,9 +208,9 @@ class TestDetectPeriod:
             seed=int(rng.integers(1 << 30)))
             for _ in range(lanes * len(policies))])
         long = 5 * t.counting_size
-        # detect_period's runs widen their counters to int64 at step
-        # wide_at (a real run does at 2**30 - 2), so a saved int32 state
-        # meets an int64 one, and a lag run a lead run of the other dtype
+        # detect_period's runs widen their counters to int32 at step
+        # wide_at (a real run does at 16,382), so a saved int16 state meets
+        # an int32 one, and a lag run a lead run of the other dtype
         with mock.patch.object(metrics, "Simulation", widening(
                 math.inf if wide_at is None else wide_at)):
             found = [r for r in detect_period(t, a, stacked, long) if r]
@@ -280,7 +280,8 @@ class TestDetectPeriod:
 
 
 def widening(step):
-    """Simulation, with its discrete counters widened to int64 at ``step``."""
+    """Simulation, with its discrete counters widened at ``step`` to the
+    next dtype (int16 to int32 in a run from step 0)."""
     class Widening(Simulation):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)

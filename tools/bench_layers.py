@@ -15,7 +15,12 @@ two checkouts alike:
 * L2  each policy's gated ``Simulation.advance`` on the 12-lane discrete
       8x8x9 city, in us per step; every step gates a fresh state, so no
       policy reads a count cached by the call before.  ``priority`` steps
-      the same stack with no gate, so an entry less it is the gate's cost;
+      the same stack with no gate, so an entry less it is the gate's cost.
+      ``lane_groups/diagram`` and ``lane_groups/response`` step the lane
+      group stacks of the benchmark's ``city_policies`` workload (seeds
+      0-2): 24 lanes of local and global feedback at densities 0.1, 0.3,
+      0.5 and 0.7, and 9 lanes of open loop, local and global feedback at
+      density 0.3;
 * L3  one measured run: ``metrics.estimate_growth_rate`` of one Fig-8
       45/15 placement (density 0.3, seed 0, continuous) at its default
       horizon, in seconds per run, with the ``StepKernel.apply`` calls one
@@ -169,6 +174,20 @@ def layer2() -> dict:
         sim.advance(20)  # first-call costs
         out[name] = entry(timed(sim.advance, L2_STEPS), 1e6, L2_STEPS,
                           lanes=12, unit="us per step")
+    for name, densities, groups in (
+            ("diagram", (0.1, 0.3, 0.5, 0.7), ("local_feedback",
+                                               "global_feedback")),
+            ("response", (0.3,), ("open_loop", "local_feedback",
+                                  "global_feedback"))):
+        a = np.stack([dynamics.init_occupancy(t, density=d, seed=s)
+                      for d in densities for s in range(3)])
+        sim = dynamics.Simulation(
+            t, np.tile(a, (len(groups), 1)), dynamics.DISCRETE,
+            control.LaneGroups([policies[g] for g in groups]))
+        sim.advance(20)  # first-call costs
+        out[f"lane_groups/{name}"] = entry(
+            timed(sim.advance, L2_STEPS), 1e6, L2_STEPS,
+            lanes=len(a) * len(groups), unit="us per step")
     return out
 
 
