@@ -356,15 +356,15 @@ class Simulation:
     shape, and a 1-D ``a`` is a single run.  Lanes share the mode, the step
     count and the policy but nothing else, so each lane follows exactly the
     trajectory it would follow alone.  A run is read through ``x`` (slot
-    order), ``road_counts()``, ``poised()``, ``approaches()`` and, for
-    order-blind comparisons of whole states only, ``counters``: read-only
-    arrays, valid until the next step, the per-road and per-approach ones
-    computed once per state and cached.
+    order), ``road_counts()``, ``approaches()`` and, for order-blind
+    comparisons of whole states only, ``counters``: read-only arrays, valid
+    until the next step; ``road_counts()`` is computed once per state.
 
     ``policy`` is None for the bare priority-to-the-right rule, or any
     object with ``reset(sim)``, ``greens(k, sim) -> bool array`` (True =
     priority approach green) of shape (junctions,) or (lanes, junctions),
-    and optionally ``phase(k)``: the gate state at step k that the counters
+    which ``advance`` enforces (dtype and shape, not values), and
+    optionally ``phase(k)``: the gate state at step k that the counters
     do not hold, one int row per lane, read before ``greens(k)``.  The
     simulation resets and steps its own shallow copy, ``sim.policy``, so
     one policy may serve many live runs.
@@ -380,12 +380,12 @@ class Simulation:
         self.state = kern.to_kernel(x)
         self._cast(np.int16 if mode == DISCRETE else self.a.dtype)
         self._placed = kern.road_sums(self.a)
-        self._placed_last = self.a[..., kern.road_last]
         # per approach, junction-major: the cars placed on its road, then
         # those on its last cell
-        self._placed_into = np.stack([self._placed, self._placed_last], -2)[
+        self._placed_into = np.stack(
+            [self._placed, self.a[..., kern.road_last]], -2)[
             ..., kern.into].T.copy()
-        self._reads: dict[str, np.ndarray] = {}  # this state's, by name
+        self._road_counts = None  # this state's, once read
         self.policy = copy.copy(policy)
         if policy is not None:
             self.policy.reset(self)
@@ -411,11 +411,16 @@ class Simulation:
         for _ in range(steps):
             if self.k >= self._wide_at:
                 self._cast(np.dtype(f"i{2 * self.state.itemsize}"))
-            gate = (None if self.policy is None
-                    else self.policy.greens(self.k, self))
+            gate = None if self.policy is None else np.asarray(
+                self.policy.greens(self.k, self))
+            j = self.kernel.slot_a.shape  # a gate is j or (lanes,) + j
+            if gate is not None and (gate.dtype != bool or gate.shape not in
+                                     (j, self.a.shape[:-1] + j)):
+                raise ValueError(f"gate {gate.dtype} {gate.shape} is not a "
+                                 f"bool array of shape {j} or (lanes,) + {j}")
             self.state = self.kernel.apply(self.state, self._terms, gate)
             self.k += 1
-            self._reads = {}
+            self._road_counts = None
 
     def _cast(self, dtype) -> None:
         """Step the state, and the terms it adds, in ``dtype`` from now on,
@@ -436,34 +441,24 @@ class Simulation:
             yield self
 
     def road_counts(self) -> np.ndarray:
-        """Vehicles currently on each road (junction interiors excluded)."""
-        return self._read("road_counts", self._placed, self.kernel.row_first)
-
-    def poised(self) -> np.ndarray:
-        """Vehicles on each road's last cell, poised to enter its junction."""
-        return self._read("poised", self._placed_last, self.kernel.row_last)
+        """Vehicles currently on each road (junction interiors excluded),
+        exact when x is; computed once per state."""
+        if self._road_counts is None:
+            x, kern = self.state.T, self.kernel
+            self._road_counts = v = self._placed + (
+                x.take(kern.row_first, 0) - x.take(kern.row_entry, 0)).T
+            v.flags.writeable = False
+        return self._road_counts
 
     def approaches(self) -> np.ndarray:
         """Per junction approach, priority approaches first: the cars on
         its road, then those on its road's last cell, as (2, approaches)
-        per lane; read from the whole stack once per state."""
-        if "approaches" not in self._reads:
-            x, c, n = self.state.T, self.kernel.rc.size, self.kernel.order.size
-            v = (x.take(self.kernel.row_into, 0) - x[c:n, None]
-                 ) + self._placed_into
-            v.flags.writeable = False
-            self._reads["approaches"] = v.T
-        return self._reads["approaches"]
-
-    def _read(self, name: str, placed, rows) -> np.ndarray:
-        """Per road: ``placed`` + x at ``rows`` - x at its entry, exact when
-        x is; computed once per state, and cached as ``name``."""
-        if name not in self._reads:
-            x = self.state.T
-            v = placed + (x.take(rows, 0) - x.take(self.kernel.row_entry, 0)).T
-            v.flags.writeable = False
-            self._reads[name] = v
-        return self._reads[name]
+        per lane; read from the whole stack at each call."""
+        x, c, n = self.state.T, self.kernel.rc.size, self.kernel.order.size
+        v = (x.take(self.kernel.row_into, 0) - x[c:n, None]
+             ) + self._placed_into
+        v.flags.writeable = False
+        return v.T
 
 
 def step(x, a, t: NetworkTopology, mode: str = DISCRETE,

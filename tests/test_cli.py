@@ -1527,6 +1527,21 @@ seeds = 0,1
 horizon = 150
 policies = global_feedback
 """),
+    "city_policies_response": with_config("response", """\
+[topology]
+family = torus_city
+rows = 3
+cols = 3
+segment_len = 4
+
+[run]
+mode = discrete
+seeds = 0,1
+
+[response]
+horizon = 150
+policies = open_loop,local_feedback,global_feedback
+"""),
     "city_global_feedback_roads": with_config("diagram", """\
 [topology]
 family = torus_city
@@ -1566,6 +1581,22 @@ PINNED_DIGESTS = {
             "af3f2aacc456586befcf2475047b3c655ea2466d9e2e71e4e63106bde205fe6c",
         "diagram_roads.csv":
             "8961f3477afd2a6c30d11a857c7118575759f52252e03a680cb3dbd37cedee40",
+    },
+    "city_policies_response": {
+        "response_global_feedback_seed0.csv":
+            "f8982f1e11201486cec71c43ef6a2b9e2a90bebec2afdd8788f8408b24510b6b",
+        "response_global_feedback_seed1.csv":
+            "fcdc7ca6cdb52f455cd953ba3d77a2bd76132b92edc8b15240ab4e7c40b58f3f",
+        "response_local_feedback_seed0.csv":
+            "6f9533408bd0a45e77e3842241bd7409cd6005ab8f92be78e0fd2ee4f7061f15",
+        "response_local_feedback_seed1.csv":
+            "e6d569cdecb116fd1bb3d0158b8ce95874274c95208cab7ad7d5fecc31bdf859",
+        "response_open_loop_seed0.csv":
+            "13bad552fc3ba6bd19d16ae8b721cc72fd72795671a9da155fe707a818ddf2f9",
+        "response_open_loop_seed1.csv":
+            "367f4c6c1115715f27ac3a56881e2d4ae77b9e19e3432e2e1f1547a443a012eb",
+        "response_summary.csv":
+            "b7fccbe58119466d1da59ae15f692a475474d85825c805b109ae66940d863d42",
     },
     "city_local_feedback_roads": {
         "diagram.csv":

@@ -618,6 +618,33 @@ class TestStepValidation:
         for ok in ([1], [0.0], [False]):  # 0/1 of any dtype is a light
             step(x, A55, fig8_55, DISCRETE, gate=np.array(ok))
 
+    @pytest.mark.parametrize("mode", [CONTINUOUS, DISCRETE])
+    @pytest.mark.parametrize("gate", [[2], [-1], [0.5], [1], [True, False]])
+    def test_advance_rejects_a_policy_gate_that_is_no_light(self, fig8_55,
+                                                            mode, gate):
+        # stepped, [2] and [-1] would drive counters below zero and [0.5]
+        # would move half-cars; an int [1] and two entries on one junction
+        # are no lights either
+        sim = Simulation(fig8_55, A55, mode, RecordedGates([np.array(gate)]))
+        with pytest.raises(ValueError, match="not a bool array"):
+            sim.advance()
+        assert sim.k == 0 and not sim.x.any()
+
+    @pytest.mark.parametrize("mode", [CONTINUOUS, DISCRETE])
+    def test_advance_takes_a_gate_per_junction_or_per_lane(self, mode):
+        t = LANE_NETWORKS["torus"]
+        a = np.stack([init_occupancy(t, count=c, seed=c) for c in (4, 9, 17)])
+        j = kernel_for(t).slot_a.size
+        sim = Simulation(t, a, mode, RecordedGates(np.ones((1, 1, j), bool)))
+        with pytest.raises(ValueError, match=rf"\(1, {j}\) is not a bool"):
+            sim.advance()
+        for shape in ((j,), (3, j)):
+            sim = Simulation(t, a, mode, RecordedGates(np.ones((1, *shape),
+                                                               bool)))
+            sim.advance()
+            assert np.array_equal(sim.x, step(np.zeros(a.shape), a, t, mode,
+                                              np.ones(j, bool)))
+
     def test_gate_caps_entries(self, fig8_55):
         # all-red would be invalid policy-wise, but the cap must still bind
         x = np.zeros(10, dtype=np.int64)
@@ -933,7 +960,7 @@ class TestLaneStack:
                 x[0, 0] = 1
             assert np.array_equal(x, state)
             assert np.array_equal(sim.state, kern.to_kernel(state))
-            for read in (sim.road_counts(), sim.poised(), sim.approaches()):
+            for read in (sim.road_counts(), sim.approaches()):
                 assert not read.flags.writeable
                 with pytest.raises(ValueError):
                     read[0, 0] = 1
@@ -994,8 +1021,8 @@ class TestTrajectory:
         sim = Simulation(t, a, DISCRETE, policy)
         before = []
         for _ in sim.trajectory(12):
-            z, b = sim.road_counts(), sim.poised()
-            assert sim.road_counts() is z and sim.poised() is b
+            z = sim.road_counts()
+            assert sim.road_counts() is z
             assert all(z is not old for old in before)
             before.append(z)
         # each gate reused the counts its state had already given
@@ -1031,8 +1058,8 @@ class TestRoadCounts:
             assert z.dtype == np.int64
             y = kern.occupancy(sim.x, sim.a)
             assert np.array_equal(z, kern.road_sums(y))
-            assert np.array_equal(sim.poised(), y[..., kern.road_last])
-            # per approach, priority approaches first: road counts, poised
+            # per approach, priority approaches first: road counts, then
+            # the cars on each road's last cell
             assert np.array_equal(sim.approaches(), np.stack(
                 [z, y[..., kern.road_last]], -2)[..., kern.into])
             sim.advance()
@@ -1049,8 +1076,10 @@ class TestRoadCounts:
                  for lane in a]
         exact = [True] * len(a)
         checked = 0
+        by_road = np.argsort(kernel_for(t).into)
         for k in range(horizon + 1):
-            z, b = sim.road_counts(), sim.poised()
+            # each road's last-cell count, from the approach it feeds
+            z, b = sim.road_counts(), sim.approaches()[:, 1, by_road]
             for lane, ref in enumerate(refs):
                 # floats and Fractions compare exactly
                 exact[lane] &= sim.x[lane].tolist() == as_list(ref[k], n + m)

@@ -467,11 +467,11 @@ def main(argv=None) -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("script", "tools/bench_layers.py")
     info = machine()
-    for label, src in args.tree:
-        first = runs[label][0]
+    for label, samples in runs.items():
+        first = samples[0]
         doc.setdefault("trees", {})[label] = {
-            "machine": info, "src": str(src),
-            **{layer: {key: summary([r[layer][key] for r in runs[label]])
+            "machine": info,
+            **{layer: {key: summary([r[layer][key] for r in samples])
                        for key in first[layer]} for layer in first}}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
