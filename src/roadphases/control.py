@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import flow_approx
-from .dynamics import density, kernel_for
+from .dynamics import _light, density, kernel_for
 from .topology import NetworkTopology, ratio_r
 
 FLOW_CAP = 0.25  # a capacity-1 junction approach cannot exceed this
@@ -249,8 +249,10 @@ class GlobalFeedbackPolicy:
 class LaneGroups:
     """Gate policies on lane groups of one stack: the stack splits into one
     equal, consecutive block of lanes per policy, in order.  Each policy is
-    reset and stepped on a view of its own lanes only, as on a stack of
-    their own."""
+    reset and stepped on a view of its own lanes only, which offers their
+    ``kernel``, ``topology``, ``a``, ``road_counts()`` and ``approaches()``
+    (no ``x``, ``k`` or ``counters``); each gate is checked against its
+    group's lanes as ``Simulation.advance`` checks a policy's."""
 
     def __init__(self, policies):
         self.policies = tuple(policies)
@@ -271,7 +273,7 @@ class LaneGroups:
         # junction-major, as apply reads a gate
         gate = np.empty((sim.kernel.slot_a.size, len(sim.a)), bool).T
         for policy, view in self._views:
-            gate[view.lanes] = policy.greens(k, view)
+            gate[view.lanes] = _light(policy.greens(k, view), view)
         return gate
 
     def phase(self, k: int) -> np.ndarray:

@@ -71,6 +71,11 @@ def _fields(items, *names) -> list[np.ndarray]:
             for n in names]
 
 
+class _Terms(list):
+    """terms' blocks; ``nbytes``, their terms' bytes, is read by perfbench."""
+    nbytes = property(lambda self: sum(b[-1].nbytes for b in self))
+
+
 class StepKernel:
     """The topology as index arrays, shared by the update, the policies and
     the measurements.  Per-road arrays are indexed by road id, per-junction
@@ -89,9 +94,8 @@ class StepKernel:
     road row's space (the row after it, or its entry slot at a last cell)
     and each junction's two exits (``row_exit``); the slot a space term
     reads is the one whose counter ``occupancy`` subtracts (``succ``).  Its
-    halves match row for row, as do ``terms``' (laid out once per placement,
-    whatever the stack's width), so a wide stack takes both in blocks of
-    rows; only the blocks' gathers are laid out per block count (``_blocks``).
+    halves match row for row, as do ``terms``', which lays out both in
+    blocks of rows.  Nothing writes to a kernel after it is built.
     """
 
     def __init__(self, t: NetworkTopology):
@@ -129,7 +133,6 @@ class StepKernel:
         # junction at its slot_a (on a figure-eight: the non-priority cells,
         # the junction, the priority cells)
         self.counting = np.sort(np.concatenate([self.rc, self.slot_a]))
-        self._layouts: dict[int, list] = {}
 
     def to_kernel(self, v: np.ndarray) -> np.ndarray:
         """A slot-order stack in kernel order (Fortran order), each
@@ -145,54 +148,44 @@ class StepKernel:
         out[..., self.order] = v[..., :self.order.size]
         return out
 
-    def terms(self, a: np.ndarray) -> np.ndarray:
-        """apply's view of a slot-order placement, in a's dtype, which must
-        be the state's, as the two halves of the gather, whatever the stack's
-        width: the a each supply adds; 1 - a at each road row, capacity -
-        a_a - a_b at each junction's ceil exit and 0 at its floor exit."""
+    def terms(self, a: np.ndarray) -> _Terms:
+        """A slot-order placement's step for apply, in a's dtype (the
+        state's): the gather's two halves of terms (the a each supply adds;
+        1 - a at each road row, capacity - a_a - a_b at each junction's ceil
+        exit and 0 at its floor exit) in blocks of road rows, of about
+        BLOCK_BYTES of terms, so that a block's take, add and minimum work in
+        cache.  A block is a (rows lo:hi, row count, gather rows lo:to, terms
+        rows lo:to) tuple, the last one on to row n; one block's gather is
+        ``gather``, several are copies (take copies a strided index)."""
         a, c, j = np.asarray(a).T[self.order], self.rc.size, len(self.slot_a)
+        n = len(a)
         room = (_junction_rows(self.capacity, a.ndim, a.dtype)
                 - (a[-j:] + a[-2 * j:-j]))
         # the n slot rows, the share rows (the ceil share adds its junction's
         # slot_b's a, the floor share slot_a's), the space terms: freed, they
         # lift glibc's mmap threshold above every array that a step allocates
         v = np.concatenate([a, a[c:], 1 - a[:c], room, np.zeros_like(room)])
-        return v.take(np.r_[self.gather[:len(a)], len(a) + 2 * j:len(v)]
-                      .reshape(2, -1), 0)
+        p = v.take(np.r_[self.gather[:n], n + 2 * j:len(v)].reshape(2, -1), 0)
+        count = min(-(-c * p.nbytes // (n * BLOCK_BYTES)), c) or 1
+        ends = [c * i // count for i in range(count + 1)]
+        return _Terms((slice(lo, hi), hi - lo, np.ascontiguousarray(
+            self.gather.reshape(2, n)[:, lo:to]), p[:, lo:to])
+            for lo, hi, to in zip(ends, ends[1:], ends[1:-1] + [n]))
 
-    def _blocks(self, row_bytes: int) -> list:
-        """The gather in blocks of road rows, for a stack whose rows of terms
-        hold ``row_bytes`` (its lanes times their itemsize): blocks of about
-        BLOCK_BYTES, read at each call, so that a block's take, add and
-        minimum work in cache.  A block is a range of rows of both halves of
-        the gather and of ``terms``, the last one on to row n (each entry's
-        supply, each junction's exits): a (rows, row count, gather, span of
-        terms) tuple, laid out once per block count.  One block's gather is
-        ``gather``; several are copies, as ``take`` copies a strided index."""
-        c, n = self.rc.size, self.order.size  # two terms per road row
-        count = min(-(-2 * c * row_bytes // BLOCK_BYTES), c) or 1
-        if count not in self._layouts:
-            ends = [c * i // count for i in range(count + 1)]
-            self._layouts[count] = [  # block rows lo:hi gather rows lo:to
-                (slice(lo, hi), hi - lo, np.ascontiguousarray(
-                    self.gather.reshape(2, n)[:, lo:to]), np.s_[:, lo:to])
-                for lo, hi, to in zip(ends, ends[1:], ends[1:-1] + [n])]
-        return self._layouts[count]
-
-    def apply(self, x: np.ndarray, p: np.ndarray,
+    def apply(self, x: np.ndarray, p: _Terms,
               gate: np.ndarray | None = None) -> np.ndarray:
         """One synchronous update of every lane, in kernel order, in the
         mode of x's dtype.  ``p`` is ``terms`` of the placement; ``gate`` is
         (junctions,) for every lane, or (lanes, junctions).  Per block of
-        road rows, one take and one add give every term and one minimum
-        gives every road cell; the last block's take reads the junctions'
-        terms too."""
+        ``p``, one take and one add give every term and one minimum gives
+        every road cell; the last block's take reads the junctions' terms
+        too."""
         x = x.T
         c, n, j = self.rc.size, self.order.size, len(self.slot_a)
         out = np.empty(x.shape, x.dtype)
-        for rows, m, gather, span in self._blocks(x.nbytes // len(x)):
+        for rows, m, gather, terms in p:
             g = x.take(gather, 0)
-            g += p[span]
+            g += terms
             np.minimum(g[0, :m], g[1, :m], out=out[rows])
         up_in, exits = g[0, m:], g[1, m:]  # each entry's supply; exits
         auth = exits[:j] + exits[j:]
@@ -243,6 +236,16 @@ def _junction_rows(v: np.ndarray, ndim: int, dtype) -> np.ndarray:
     ``ndim``-axis state."""
     return np.ascontiguousarray(v.T, dtype).reshape(
         v.shape[-1:] + (-1,) * (ndim - 1))
+
+
+def _light(gate, sim) -> np.ndarray:
+    """A policy's gate for ``sim`` or a lane group's view, checked to be a
+    bool array of shape (junctions,) or (lanes, junctions), not by value."""
+    gate, j = np.asarray(gate), sim.kernel.slot_a.shape
+    if gate.dtype != bool or gate.shape not in (j, sim.a.shape[:-1] + j):
+        raise ValueError(f"gate {gate.dtype} {gate.shape} is not a bool "
+                         f"array of shape {j} or (lanes,) + {j}")
+    return gate
 
 
 # Topologies hash by identity; a kernel holds no reference to its topology,
@@ -358,7 +361,7 @@ class Simulation:
     trajectory it would follow alone.  A run is read through ``x`` (slot
     order), ``road_counts()``, ``approaches()`` and, for order-blind
     comparisons of whole states only, ``counters``: read-only arrays, valid
-    until the next step; ``road_counts()`` is computed once per state.
+    until the next step, each computed at each read.
 
     ``policy`` is None for the bare priority-to-the-right rule, or any
     object with ``reset(sim)``, ``greens(k, sim) -> bool array`` (True =
@@ -385,7 +388,6 @@ class Simulation:
         self._placed_into = np.stack(
             [self._placed, self.a[..., kern.road_last]], -2)[
             ..., kern.into].T.copy()
-        self._road_counts = None  # this state's, once read
         self.policy = copy.copy(policy)
         if policy is not None:
             self.policy.reset(self)
@@ -411,16 +413,10 @@ class Simulation:
         for _ in range(steps):
             if self.k >= self._wide_at:
                 self._cast(np.dtype(f"i{2 * self.state.itemsize}"))
-            gate = None if self.policy is None else np.asarray(
-                self.policy.greens(self.k, self))
-            j = self.kernel.slot_a.shape  # a gate is j or (lanes,) + j
-            if gate is not None and (gate.dtype != bool or gate.shape not in
-                                     (j, self.a.shape[:-1] + j)):
-                raise ValueError(f"gate {gate.dtype} {gate.shape} is not a "
-                                 f"bool array of shape {j} or (lanes,) + {j}")
+            gate = None if self.policy is None else _light(
+                self.policy.greens(self.k, self), self)
             self.state = self.kernel.apply(self.state, self._terms, gate)
             self.k += 1
-            self._road_counts = None
 
     def _cast(self, dtype) -> None:
         """Step the state, and the terms it adds, in ``dtype`` from now on,
@@ -442,13 +438,12 @@ class Simulation:
 
     def road_counts(self) -> np.ndarray:
         """Vehicles currently on each road (junction interiors excluded),
-        exact when x is; computed once per state."""
-        if self._road_counts is None:
-            x, kern = self.state.T, self.kernel
-            self._road_counts = v = self._placed + (
-                x.take(kern.row_first, 0) - x.take(kern.row_entry, 0)).T
-            v.flags.writeable = False
-        return self._road_counts
+        exact when x is; read from the whole stack at each call."""
+        x, kern = self.state.T, self.kernel
+        v = self._placed + (x.take(kern.row_first, 0)
+                            - x.take(kern.row_entry, 0)).T
+        v.flags.writeable = False
+        return v
 
     def approaches(self) -> np.ndarray:
         """Per junction approach, priority approaches first: the cars on

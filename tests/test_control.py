@@ -23,7 +23,8 @@ from roadphases.control import (
     nominal_point,
     solve_lqr,
 )
-from roadphases.dynamics import DISCRETE, Simulation, density, init_occupancy
+from roadphases.dynamics import (CONTINUOUS, DISCRETE, Simulation, density,
+                                 init_occupancy)
 from roadphases.topology import (
     build_figure_eight,
     build_torus_city,
@@ -33,7 +34,7 @@ from roadphases.topology import (
 import reference
 from reference import (LocalFeedbackInputs, local_feedback_green,
                        open_loop_green)
-from test_dynamics import small_networks
+from test_dynamics import RecordedGates, small_networks
 from test_metrics import widening
 
 GOLDEN = (1 + 5 ** 0.5) / 2
@@ -611,6 +612,25 @@ class TestEmittedGates:
                 f"a placement of shape {a.shape} does not split into "
                 f"{policies} equal lane groups")):
             Simulation(t, a, DISCRETE, groups)
+
+    @pytest.mark.parametrize("mode", [CONTINUOUS, DISCRETE])
+    @pytest.mark.parametrize("gate", ["float", "int", "one_row"])
+    def test_lane_groups_reject_a_group_gate_that_is_no_light(self, mode,
+                                                              gate):
+        # a group's gate is checked as a lone policy's is: written into the
+        # stack's bool gate, 0.5 or an int 1 would step as True, and a
+        # (1, junctions) gate would spread over the group's two lanes
+        t = GATE_NETWORKS["city_2x2x2"]
+        a, j = self.placements(t)[:2], len(t.junctions)
+        bad = {"float": np.full(j, 0.5), "int": np.ones(j, np.int64),
+               "one_row": np.ones((1, j), bool)}[gate]
+        for sim in (Simulation(t, np.tile(a, (2, 1)), mode, LaneGroups(
+                        [OpenLoopPolicy(), RecordedGates([bad])])),
+                    Simulation(t, a, mode, RecordedGates([bad]))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"gate {bad.dtype} {bad.shape} is not a bool array")):
+                sim.advance()
+            assert sim.k == 0 and not sim.x.any()
 
     @staticmethod
     def placements(t):

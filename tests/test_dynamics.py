@@ -535,7 +535,8 @@ class TestInvariants:
                 assert sim.x.dtype == np.int64 and np.array_equal(sim.x, x)
                 got.append(sim.state.dtype)
             assert got == dtypes
-            assert sim._terms.dtype == dtypes[-1]
+            assert {terms.dtype for *_, terms in sim._terms} == {
+                np.dtype(dtypes[-1])}
         assert Simulation(t, a, CONTINUOUS).state.dtype == np.float64
 
     @pytest.mark.parametrize("builder,args", [
@@ -703,28 +704,30 @@ class TestKernelCache:
         gc.collect()
         assert ref() is None
 
-    def test_stacks_of_one_block_count_share_a_layout(self):
-        # a layout depends on the block count only, whatever the lanes and
-        # the itemsize that give it
+    def test_stepping_stacks_leaves_the_kernel_as_built(self):
+        # each stack lays out its own blocks, whatever the lanes and the
+        # itemsize that give their count; the shared kernel is never written
         t = build_torus_city(3, 4, 2)
         a = np.stack([init_occupancy(t, density=0.4, seed=s)
                       for s in range(16)])
+        kern = kernel_for(t)
+        built = {name: (v, v.copy()) for name, v in vars(kern).items()}
         # discrete stacks step int16 counters, continuous ones float64
         stacks = ((1, CONTINUOUS, 1), (2, DISCRETE, 1), (2, CONTINUOUS, 1),
                   (8, DISCRETE, 1), (3, CONTINUOUS, 2), (16, DISCRETE, 2),
                   (4, CONTINUOUS, 2))
-        # stepped in one block each, which lays out block count 1
+        # stepped in one block each
         want = [simulate(t, a[:lanes], mode, 3)[3]
                 for lanes, mode, _ in stacks]
-        kern = kernel_for(t)
         with mock.patch.object(dynamics, "BLOCK_BYTES", 2 * kern.rc.size * 16):
             for (lanes, mode, count), x in zip(stacks, want):
                 sim = Simulation(t, a[:lanes], mode)
                 sim.advance(3)
-                row_bytes = sim.state[..., 0].nbytes
-                assert len(kern._blocks(row_bytes)) == count
+                assert len(sim._terms) == count
                 assert np.array_equal(sim.x, x)
-        assert sorted(kern._layouts) == [1, 2]
+        assert vars(kern).keys() == built.keys()
+        for name, (v, copied) in built.items():
+            assert vars(kern)[name] is v and np.array_equal(v, copied), name
 
 
 class TestKernelArrays:
@@ -857,18 +860,19 @@ class TestKernelArrays:
                      for _ in range(2))
         kern, c, dtype = StepKernel(t), sim.kernel.rc.size, sim.state.dtype
         row_bytes = dtype.itemsize * lanes
-        assert len(sim.kernel._blocks(row_bytes)) == 1
+        assert len(kern.terms(sim.a.astype(dtype))) == 1
         states = [sim.state.copy()]
         for _ in gates:
             sim.advance()
             states.append(sim.state.copy())
-        # the block count is read at each call: the reference kernel lays
-        # out its terms and steps inside the patch; ``late``, whose terms
-        # were laid out outside it, with ``sim``'s, steps inside it too
+        # a stack steps at the block count its terms were laid out for: the
+        # reference kernel lays out its terms inside the patch, in several
+        # blocks; ``late``, whose terms were laid out outside it in one
+        # block, with ``sim``'s, steps inside it too
         with mock.patch.object(dynamics, "BLOCK_BYTES", max(
                 2 * c * row_bytes // blocks, 1)):
-            assert len(kern._blocks(row_bytes)) > 1
             p, x = kern.terms(sim.a.astype(dtype)), states[0]
+            assert len(p) > 1
             for k, gate in enumerate(gates, 1):
                 x = kern.apply(x, p, gate if gated else None)
                 late.advance()
@@ -1006,7 +1010,7 @@ class TestTrajectory:
             if k < 30:
                 state = step(state, a, t, mode, gates[k])
 
-    def test_reads_are_computed_once_per_state(self):
+    def test_road_counts_are_read_fresh_at_each_call(self):
         t = LANE_NETWORKS["torus"]
         a = np.stack([init_occupancy(t, count=c, seed=c) for c in (4, 9)])
 
@@ -1019,15 +1023,19 @@ class TestTrajectory:
                                       bool))
         policy.read = []  # shared with the simulation's copy
         sim = Simulation(t, a, DISCRETE, policy)
-        before = []
+        reads = []
         for _ in sim.trajectory(12):
-            z = sim.road_counts()
-            assert sim.road_counts() is z
-            assert all(z is not old for old in before)
-            before.append(z)
-        # each gate reused the counts its state had already given
+            z, again = sim.road_counts(), sim.road_counts()
+            assert again is not z and np.array_equal(again, z)
+            assert not z.flags.writeable and not again.flags.writeable
+            reads.append((z, z.copy()))
+        # each read keeps the values of its state after later steps
+        assert all(np.array_equal(z, kept) for z, kept in reads)
+        assert any(not np.array_equal(z, reads[0][1]) for z, _ in reads)
+        # each gate read the counts of the state it gated
         assert len(policy.read) == 12
-        assert all(r is z for r, z in zip(policy.read, before))
+        assert all(np.array_equal(r, z) for r, (z, _) in zip(policy.read,
+                                                              reads))
 
 
 ROAD_COUNT_NETWORKS = {

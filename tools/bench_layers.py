@@ -9,13 +9,14 @@ two checkouts alike:
       skips 180 lanes), continuous; and on the city at 12 and 180 lanes,
       discrete (``city_8x8x9/discrete/<lanes>``), whose counters a
       Simulation may step in another dtype than continuous ones.  Each
-      entry records ``kernel_bytes``: the bytes of every array the
-      network's ``StepKernel`` holds after its timing, the block layouts
-      cached for it and for the stacks timed before it included;
+      entry records ``kernel_bytes``, the bytes of every array the
+      network's ``StepKernel`` holds after its timing, and ``terms_bytes``,
+      those of the step its Simulation laid out for its placement
+      (``sim._terms``: the terms, and in a tree that keeps its blocks
+      there, their gathers, one block's being the kernel's own);
 * L2  each policy's gated ``Simulation.advance`` on the 12-lane discrete
-      8x8x9 city, in us per step; every step gates a fresh state, so no
-      policy reads a count cached by the call before.  ``priority`` steps
-      the same stack with no gate, so an entry less it is the gate's cost.
+      8x8x9 city, in us per step.  ``priority`` steps the same stack with
+      no gate, so an entry less it is the gate's cost.
       ``lane_groups/diagram`` and ``lane_groups/response`` step the lane
       group stacks of the benchmark's ``city_policies`` workload (seeds
       0-2): 24 lanes of local and global feedback at densities 0.1, 0.3,
@@ -156,6 +157,7 @@ def layer1() -> dict:
                 timed(sim.advance, steps), 1e6 / lanes, steps,
                 slots=t.n_slots, lanes=lanes, mode=mode,
                 kernel_bytes=held_bytes(vars(sim.kernel)),
+                terms_bytes=held_bytes(sim._terms),
                 unit="us per lane-step")
     return out
 
